@@ -1,5 +1,6 @@
 #include "bench/bench_util.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -46,6 +47,16 @@ Dataset LoadPaperDataset(PaperDatasetId id, const BenchConfig& config) {
   auto dataset = MakePaperDataset(id, options);
   CPA_CHECK(dataset.ok()) << dataset.status().ToString();
   return std::move(dataset).value();
+}
+
+double Percentile(std::vector<double> values, double p) {
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  const double rank = p * static_cast<double>(values.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(rank);
+  const std::size_t hi = std::min(lo + 1, values.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return values[lo] * (1.0 - frac) + values[hi] * frac;
 }
 
 void PrintHeader(const std::string& artefact, const std::string& description,

@@ -46,6 +46,10 @@ BenchConfig ParseBenchConfig(int argc, char** argv, double default_scale = 0.35,
 /// Builds one of the five paper datasets at the configured scale.
 Dataset LoadPaperDataset(PaperDatasetId id, const BenchConfig& config);
 
+/// The `p`-quantile (`p` in [0, 1]) of `values`, linearly interpolated
+/// between the two nearest ranks; 0 for an empty sample.
+double Percentile(std::vector<double> values, double p);
+
 /// Prints the bench banner: what paper artefact this regenerates and the
 /// workload parameters in effect.
 void PrintHeader(const std::string& artefact, const std::string& description,

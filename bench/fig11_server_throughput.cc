@@ -1,25 +1,21 @@
 /// Fig 11 (repo extension, no paper counterpart): multi-session server
-/// throughput and tail latency over the real socket transports. N
+/// throughput and tail latency over the real socket transport. N
 /// concurrent client connections — each its own socket, session, and
-/// thread — drive one in-process listener through the length-prefixed
-/// frame protocol, once per cell of the config axes
-/// (transport_loop × encoding): the thread-per-connection `TcpTransport`
-/// and the epoll `EventLoopTransport`, each in JSON and binary framing.
-/// Every client opens its session (JSON frame), streams its batches,
+/// thread — drive one in-process `TcpTransport` listener through the
+/// length-prefixed frame protocol, once in JSON and once in binary
+/// framing. Every client opens its session (JSON frame), streams its batches,
 /// pulls a refresh snapshot and a cached poll per batch (both with the
 /// full prediction payload — serialization of large prediction payloads
 /// is the CPU sink this bench exists to watch), finalizes and closes,
 /// while all sessions' sweep work shares one `ServerScheduler` pool.
 /// Reports answers/s, p50/p95/p99 latency per op per run, and the
 /// transport's syscall-visibility counters (frames per recv(2) call,
-/// partial writes, EAGAIN events) into
-/// `BENCH_fig11_server_throughput.json`, asserting every run produced
-/// identical final predictions for every session.
+/// partial writes) into `BENCH_fig11_server_throughput.json`, asserting
+/// every run produced identical final predictions for every session.
 ///
-///   $ fig11_server_throughput                  # 100 conns, all four cells
+///   $ fig11_server_throughput                  # 100 conns, json + binary
 ///   $ fig11_server_throughput --connections 200 --num-threads 4 --method MV
 ///   $ fig11_server_throughput --workers 4      # plus a 4-worker router run
-///   $ fig11_server_throughput --io-threads 4   # epoll reactor count
 ///   $ fig11_server_throughput --adversarial colluding-cliques
 ///
 /// `--method MV` (or any offline method) makes every refresh snapshot a
@@ -40,15 +36,7 @@
 /// Workers are forked before any thread exists in the run (TSan-clean),
 /// hand their port back over a pipe, and exit on control-pipe EOF. Those
 /// runs report under `w<N>_<transport>_*` keys; the single-process runs
-/// report under `json_*` / `binary_*` (thread-per-connection) and
-/// `ep_json_*` / `ep_binary_*` (epoll).
-///
-/// A final probe phase measures what pipelining buys: one client sends
-/// [1 refresh + K cached polls] as a single write per round, first
-/// unsequenced (legacy ordered mode — every poll waits for the refresh)
-/// then sequenced (polls complete out of order through the epoll fast
-/// lane while the refresh runs). Reported as `ep_<enc>_ordered_poll_*`
-/// vs `ep_<enc>_pipelined_poll_*` plus the out-of-order response count.
+/// report under `json_*` / `binary_*`.
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -65,12 +53,10 @@
 #include "bench/bench_util.h"
 #include "server/binary_codec.h"
 #include "server/consensus_server.h"
-#include "server/event_loop_transport.h"
 #include "server/protocol.h"
 #include "server/router.h"
 #include "server/tcp_client.h"
 #include "server/tcp_transport.h"
-#include "server/transport.h"
 #include "simulation/adversary.h"
 #include "simulation/perturbations.h"
 #include "util/json.h"
@@ -81,6 +67,7 @@ using namespace cpa;
 
 namespace {
 
+using bench::Percentile;
 using server::BinaryResponse;
 using server::Frame;
 using server::FrameKind;
@@ -237,17 +224,7 @@ ClientStats RunClient(TcpFrameClient client, const std::string& session,
   return stats;
 }
 
-double Percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const double rank = p * static_cast<double>(values.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, values.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return values[lo] * (1.0 - frac) + values[hi] * frac;
-}
-
-/// Aggregated outcome of one run (one transport_loop × encoding cell).
+/// Aggregated outcome of one run (one encoding × deployment cell).
 struct TransportResult {
   double wall_s = 0.0;
   std::size_t answers = 0;
@@ -256,7 +233,7 @@ struct TransportResult {
   std::vector<double> snapshot_ms;
   std::vector<double> poll_ms;
   std::vector<std::vector<LabelSet>> final_predictions;  ///< per session
-  TransportStats stats;  ///< listener counters, incl. syscall visibility
+  TcpTransportStats stats;  ///< listener counters, incl. syscall visibility
 };
 
 /// One forked fleet worker as seen by the parent.
@@ -344,11 +321,9 @@ void JoinWorkers(std::vector<WorkerProcess>& fleet) {
 /// Spins up a front listener — over an in-process server (`workers == 0`)
 /// or a router across `workers` forked worker processes — and drives
 /// `connections` concurrent client threads through it in the given
-/// encoding. `event_loop` selects the epoll reactor transport with
-/// `io_threads` reactors; otherwise the thread-per-connection listener.
-TransportResult RunTransport(bool binary, bool event_loop,
-                             std::size_t connections, std::size_t num_threads,
-                             std::size_t io_threads, std::size_t workers,
+/// encoding.
+TransportResult RunTransport(bool binary, std::size_t connections,
+                             std::size_t num_threads, std::size_t workers,
                              const EngineConfig& engine_config,
                              const Dataset& dataset,
                              const std::vector<BatchPlan>& plans) {
@@ -376,17 +351,10 @@ TransportResult RunTransport(bool binary, bool event_loop,
     handler = server.get();
   }
 
-  TransportOptions transport_options;
+  TcpTransportOptions transport_options;
   transport_options.max_connections = connections + 8;
-  transport_options.io_threads = io_threads;
-  std::unique_ptr<Transport> transport;
-  if (event_loop) {
-    transport =
-        std::make_unique<EventLoopTransport>(*handler, transport_options);
-  } else {
-    transport = std::make_unique<TcpTransport>(*handler, transport_options);
-  }
-  CPA_CHECK_OK(transport->Start());
+  TcpTransport transport(*handler, transport_options);
+  CPA_CHECK_OK(transport.Start());
 
   std::vector<ClientStats> stats(connections);
   std::vector<std::thread> clients;
@@ -394,7 +362,7 @@ TransportResult RunTransport(bool binary, bool event_loop,
   std::atomic<bool> go{false};
   for (std::size_t s = 0; s < connections; ++s) {
     clients.emplace_back([&, s] {
-      auto client = TcpFrameClient::Connect("127.0.0.1", transport->port());
+      auto client = TcpFrameClient::Connect("127.0.0.1", transport.port());
       CPA_CHECK(client.ok()) << client.status().ToString();
       stats[s] = RunClient(std::move(client).value(),
                            StrFormat("stream-%zu", s), engine_config, dataset,
@@ -405,10 +373,10 @@ TransportResult RunTransport(bool binary, bool event_loop,
   // Release the herd only once every connection is established, so the
   // measured window runs at full concurrency from its first request.
   TransportResult result;
-  while (transport->num_connections() < connections) {
+  while (transport.num_connections() < connections) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  result.peak_connections = transport->num_connections();
+  result.peak_connections = transport.num_connections();
   const Stopwatch wall;
   go.store(true, std::memory_order_release);
   for (auto& client : clients) client.join();
@@ -428,8 +396,8 @@ TransportResult RunTransport(bool binary, bool event_loop,
                           client.poll_ms.end());
     result.final_predictions.push_back(std::move(client.final_predictions));
   }
-  transport->Shutdown();
-  result.stats = transport->stats();
+  transport.Shutdown();
+  result.stats = transport.stats();
   if (router != nullptr) {
     CPA_CHECK_EQ(router->frames_forwarded(), result.observe_ms.size() +
                                                  result.snapshot_ms.size() +
@@ -441,180 +409,13 @@ TransportResult RunTransport(bool binary, bool event_loop,
   return result;
 }
 
-/// Outcome of the pipelined-vs-ordered probe for one encoding.
-struct ProbeResult {
-  std::vector<double> ordered_poll_ms;    ///< unsequenced: queued behind refresh
-  std::vector<double> pipelined_poll_ms;  ///< sequenced: fast-lane completion
-  std::size_t ooo_responses = 0;  ///< polls answered before their refresh
-  std::size_t rounds = 0;
-  std::size_t polls_per_round = 0;
-};
-
-/// Measures what sequencing buys on the epoll transport: per round, one
-/// client writes [1 refresh + K cached polls] as a single burst and times
-/// every reply against the burst send. Unsequenced rounds serialize in
-/// the legacy FIFO lane (each poll eats the refresh latency); sequenced
-/// rounds let the polls complete out of order through the fast lane while
-/// the refresh runs on the session lane.
-ProbeResult RunPipelineProbe(bool binary, std::size_t rounds,
-                             std::size_t polls, std::size_t num_threads,
-                             std::size_t io_threads,
-                             const EngineConfig& engine_config,
-                             const Dataset& dataset, const BatchPlan& plan) {
-  ConsensusServerOptions server_options;
-  server_options.sessions.num_threads = num_threads;
-  server_options.sessions.max_sessions = 4;
-  ConsensusServer server(server_options);
-  TransportOptions transport_options;
-  transport_options.io_threads = io_threads;
-  EventLoopTransport transport(server, transport_options);
-  CPA_CHECK_OK(transport.Start());
-
-  auto connected = TcpFrameClient::Connect("127.0.0.1", transport.port());
-  CPA_CHECK(connected.ok()) << connected.status().ToString();
-  TcpFrameClient client = std::move(connected).value();
-  auto negotiated = client.NegotiateSequencing();
-  CPA_CHECK(negotiated.ok()) << negotiated.status().ToString();
-  CPA_CHECK(negotiated.value()) << "epoll transport must accept sequencing";
-
-  const std::string session = "probe";
-  Frame reply;
-  JsonValue::Object open;
-  open["op"] = JsonValue(std::string("open"));
-  open["session"] = JsonValue(session);
-  open["config"] = engine_config.ToJson();
-  TimedRoundtrip(client, FrameKind::kJson,
-                 JsonValue(std::move(open)).DumpCompact(), reply);
-  CheckJsonOk(reply, "probe open");
-
-  // Feed the first half of the stream as initial state and hold the rest
-  // back, one slice per burst, so every refresh in every round has fresh
-  // pending work (the server rejects duplicate (item, worker) answers, so
-  // re-observing the same batch is not an option).
-  std::vector<std::size_t> order;
-  for (const auto& batch : plan.batches) {
-    order.insert(order.end(), batch.begin(), batch.end());
-  }
-  std::vector<Answer> batch_answers;
-  const auto feed = [&](std::size_t begin, std::size_t end) {
-    if (begin >= end) return;
-    batch_answers.clear();
-    for (std::size_t i = begin; i < end; ++i) {
-      batch_answers.push_back(dataset.answers.answer(order[i]));
-    }
-    Frame observe_reply;
-    if (binary) {
-      TimedRoundtrip(client, FrameKind::kBinary,
-                     server::EncodeObserveRequest(session, batch_answers),
-                     observe_reply);
-      CheckBinaryOk(observe_reply, "probe observe");
-    } else {
-      TimedRoundtrip(client, FrameKind::kJson,
-                     server::MakeObserveRequest(session, batch_answers),
-                     observe_reply);
-      CheckJsonOk(observe_reply, "probe observe");
-    }
-  };
-  const std::size_t half = order.size() / 2;
-  const std::size_t chunk =
-      std::max<std::size_t>(1, (order.size() - half) / (2 * rounds));
-  std::size_t next = half;
-  feed(0, half);
-
-  // Refresh carries the full prediction payload (the expensive op); the
-  // polls are the cheapest read the protocol offers (cached, no
-  // predictions) — the requests a pipelining client wants un-convoyed.
-  const FrameKind kind = binary ? FrameKind::kBinary : FrameKind::kJson;
-  const std::string refresh_payload =
-      binary ? server::EncodeSnapshotRequest(session, /*refresh=*/true,
-                                             /*include_predictions=*/true)
-             : StrFormat("{\"op\":\"snapshot\",\"session\":\"%s\"}",
-                         session.c_str());
-  const std::string poll_payload =
-      binary ? server::EncodeSnapshotRequest(session, /*refresh=*/false,
-                                             /*include_predictions=*/false)
-             : StrFormat("{\"op\":\"snapshot\",\"session\":\"%s\","
-                         "\"refresh\":false,\"predictions\":false}",
-                         session.c_str());
-
-  const auto refeed = [&] {
-    const std::size_t begin = next;
-    next = std::min(order.size(), begin + chunk);
-    feed(begin, next);
-  };
-
-  ProbeResult result;
-  result.rounds = rounds;
-  result.polls_per_round = polls;
-  for (std::size_t round = 0; round < rounds; ++round) {
-    // Ordered (legacy) round: unsequenced burst, strict FIFO replies.
-    {
-      refeed();
-      std::string burst;
-      server::AppendFrame(burst, kind, refresh_payload);
-      for (std::size_t k = 0; k < polls; ++k) {
-        server::AppendFrame(burst, kind, poll_payload);
-      }
-      const Stopwatch clock;
-      CPA_CHECK_OK(client.SendRaw(burst));
-      for (std::size_t k = 0; k < polls + 1; ++k) {
-        auto read = client.ReadFrame();
-        CPA_CHECK(read.ok()) << read.status().ToString();
-        const double ms = clock.ElapsedMillis();
-        CPA_CHECK(!read.value().sequenced);
-        if (k > 0) result.ordered_poll_ms.push_back(ms);
-      }
-    }
-    // Pipelined round: same burst, sequenced; replies matched by id.
-    {
-      refeed();
-      std::string burst;
-      server::AppendSequencedFrame(burst, kind, refresh_payload, 1);
-      for (std::size_t k = 0; k < polls; ++k) {
-        server::AppendSequencedFrame(burst, kind, poll_payload,
-                                     static_cast<std::uint16_t>(2 + k));
-      }
-      std::vector<bool> seen(polls + 2, false);
-      bool refresh_done = false;
-      const Stopwatch clock;
-      CPA_CHECK_OK(client.SendRaw(burst));
-      for (std::size_t k = 0; k < polls + 1; ++k) {
-        auto read = client.ReadFrame();
-        CPA_CHECK(read.ok()) << read.status().ToString();
-        const double ms = clock.ElapsedMillis();
-        CPA_CHECK(read.value().sequenced);
-        const std::uint16_t seq = read.value().sequence;
-        CPA_CHECK(seq >= 1 && seq <= polls + 1 && !seen[seq])
-            << "bad or duplicate sequence id " << seq;
-        seen[seq] = true;
-        if (seq == 1) {
-          refresh_done = true;
-        } else {
-          result.pipelined_poll_ms.push_back(ms);
-          if (!refresh_done) ++result.ooo_responses;
-        }
-      }
-    }
-  }
-
-  TimedRoundtrip(
-      client, FrameKind::kJson,
-      StrFormat("{\"op\":\"close\",\"session\":\"%s\"}", session.c_str()),
-      reply);
-  CheckJsonOk(reply, "probe close");
-  client.Close();
-  transport.Shutdown();
-  return result;
-}
-
 void PrintOpRow(const char* op, const std::vector<double>& ms) {
   std::printf("%-24s %10.3f %10.3f %10.3f\n", op, Percentile(ms, 0.5),
               Percentile(ms, 0.95), Percentile(ms, 0.99));
 }
 
 /// Adds one run's metrics under its prefix: `json_` / `binary_`
-/// (thread-per-connection), `ep_json_` / `ep_binary_` (epoll), or
-/// `w<N>_json_` / `w<N>_binary_` (router fleet).
+/// (single process) or `w<N>_json_` / `w<N>_binary_` (router fleet).
 void Report(bench::BenchReport& report, const std::string& prefix,
             const TransportResult& result) {
   const auto key = [&](const char* name) {
@@ -635,7 +436,7 @@ void Report(bench::BenchReport& report, const std::string& prefix,
   report.Add(key("poll_p95"), Percentile(result.poll_ms, 0.95), "ms");
   report.Add(key("poll_p99"), Percentile(result.poll_ms, 0.99), "ms");
   // Syscall visibility: how well the transport batches the wire.
-  const TransportStats& stats = result.stats;
+  const TcpTransportStats& stats = result.stats;
   report.Add(key("frames_per_recv"),
              stats.recv_calls > 0
                  ? static_cast<double>(stats.frames_in) /
@@ -644,8 +445,6 @@ void Report(bench::BenchReport& report, const std::string& prefix,
              "frames");
   report.Add(key("partial_writes"),
              static_cast<double>(stats.partial_writes), "count");
-  report.Add(key("wouldblock_events"),
-             static_cast<double>(stats.wouldblock_events), "count");
 }
 
 }  // namespace
@@ -655,7 +454,7 @@ int main(int argc, char** argv) {
   const auto flags = Flags::Parse(argc, argv);
   CPA_CHECK(flags.ok()) << flags.status().ToString();
   // `--quick` shrinks the run to a CI smoke (the sanitizer jobs drive the
-  // whole socket/frame/codec/epoll path through it on every PR).
+  // whole socket/frame/codec path through it on every change).
   const bool quick = flags.value().GetBool("quick", false);
   std::size_t connections =
       static_cast<std::size_t>(flags.value().GetInt("connections", 100));
@@ -665,11 +464,8 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(flags.value().GetInt("batches", 5));
   const std::size_t workers =
       static_cast<std::size_t>(flags.value().GetInt("workers", 2));
-  const std::size_t io_threads =
-      static_cast<std::size_t>(flags.value().GetInt("io-threads", 2));
   const std::string method = flags.value().GetString("method", "CPA-SVI");
   const std::string adversarial = flags.value().GetString("adversarial", "");
-  CPA_CHECK_GE(io_threads, 1u);
   if (quick) {
     connections = std::min<std::size_t>(connections, 4);
     batches = std::min<std::size_t>(batches, 2);
@@ -720,9 +516,8 @@ int main(int argc, char** argv) {
 
   bench::PrintHeader(
       "Fig 11 (extension) — TCP server throughput and tail latency",
-      StrFormat("%zu concurrent %s streams per run (thread-per-conn + epoll "
-                "× json, binary) over framed TCP, %s, sweeps on one shared "
-                "%zu-thread pool%s",
+      StrFormat("%zu concurrent %s streams per run (json, binary) over "
+                "framed TCP, %s, sweeps on one shared %zu-thread pool%s",
                 connections, method.c_str(), load_label.c_str(), num_threads,
                 workers > 0
                     ? StrFormat(", plus a router over %zu forked workers",
@@ -734,35 +529,28 @@ int main(int argc, char** argv) {
   EngineConfig engine_config = EngineConfig::ForDataset(method, dataset);
   engine_config.cpa.max_iterations = config.cpa_iterations;
 
-  // The transport_loop × encoding axis (plus the fleet runs — those keep
-  // the thread front; router-over-epoll is covered by the unit tests).
-  // Worker count 0 is the single-process server.
+  // The encoding axis, single-process (worker count 0) and, unless
+  // `--workers 0`, behind a router over the forked fleet.
   struct Run {
     std::string label;   ///< report key prefix
     std::size_t workers;
     bool binary;
-    bool event_loop;
     TransportResult result;
   };
   std::vector<Run> runs;
-  runs.push_back({"json", 0, false, false, {}});
-  runs.push_back({"binary", 0, true, false, {}});
-  runs.push_back({"ep_json", 0, false, true, {}});
-  runs.push_back({"ep_binary", 0, true, true, {}});
+  runs.push_back({"json", 0, false, {}});
+  runs.push_back({"binary", 0, true, {}});
   if (workers > 0) {
-    runs.push_back({StrFormat("w%zu_json", workers), workers, false, false,
-                    {}});
-    runs.push_back({StrFormat("w%zu_binary", workers), workers, true, false,
-                    {}});
+    runs.push_back({StrFormat("w%zu_json", workers), workers, false, {}});
+    runs.push_back({StrFormat("w%zu_binary", workers), workers, true, {}});
   }
   for (Run& run : runs) {
-    run.result = RunTransport(run.binary, run.event_loop, connections,
-                              num_threads, io_threads, run.workers,
-                              engine_config, dataset, plans);
+    run.result = RunTransport(run.binary, connections, num_threads,
+                              run.workers, engine_config, dataset, plans);
   }
 
-  // Neither the transport encoding, the event loop, nor the deployment
-  // shape may change the consensus: same stream → same predictions.
+  // Neither the transport encoding nor the deployment shape may change
+  // the consensus: same stream → same predictions.
   for (std::size_t r = 1; r < runs.size(); ++r) {
     CPA_CHECK_EQ(runs[0].result.final_predictions.size(),
                  runs[r].result.final_predictions.size());
@@ -773,18 +561,6 @@ int main(int argc, char** argv) {
           << " disagree";
     }
   }
-
-  // Pipelining probe, one per encoding, epoll only (the thread transport
-  // has no out-of-order completion to measure).
-  const std::size_t probe_rounds = quick ? 2 : 5;
-  const std::size_t probe_polls = quick ? 6 : 24;
-  ProbeResult probes[2];
-  probes[0] = RunPipelineProbe(/*binary=*/false, probe_rounds, probe_polls,
-                               num_threads, io_threads, engine_config,
-                               dataset, plans[0]);
-  probes[1] = RunPipelineProbe(/*binary=*/true, probe_rounds, probe_polls,
-                               num_threads, io_threads, engine_config,
-                               dataset, plans[0]);
 
   const auto rate = [](const TransportResult& result) {
     return static_cast<double>(result.answers) / result.wall_s;
@@ -798,36 +574,23 @@ int main(int argc, char** argv) {
     PrintOpRow("snapshot (refresh)", run.result.snapshot_ms);
     PrintOpRow("poll (cached)", run.result.poll_ms);
     std::printf("%-24s %10.0f\n", "answers/s", rate(run.result));
-    const TransportStats& ts = run.result.stats;
-    std::printf("%-24s %10.1f %10llu %10llu\n", "frames/recv, partial, eagain",
+    const TcpTransportStats& ts = run.result.stats;
+    std::printf("%-24s %10.1f %10llu\n", "frames/recv, partial",
                 ts.recv_calls > 0 ? static_cast<double>(ts.frames_in) /
                                         static_cast<double>(ts.recv_calls)
                                   : 0.0,
-                static_cast<unsigned long long>(ts.partial_writes),
-                static_cast<unsigned long long>(ts.wouldblock_events));
+                static_cast<unsigned long long>(ts.partial_writes));
   }
   std::printf("\nbinary vs json answers/s: %.2fx\n",
               rate(runs[1].result) / rate(runs[0].result));
-  std::printf("epoll vs thread-per-conn answers/s (binary): %.2fx\n",
-              rate(runs[3].result) / rate(runs[1].result));
   if (workers > 0) {
     std::printf("router (%zu workers) vs single binary answers/s: %.2fx\n",
-                workers, rate(runs[5].result) / rate(runs[1].result));
-  }
-  for (int p = 0; p < 2; ++p) {
-    const char* enc = p == 0 ? "json" : "binary";
-    std::printf("pipelining (%s): poll p99 %.3fms ordered → %.3fms "
-                "sequenced, %zu/%zu polls overtook their refresh\n",
-                enc, Percentile(probes[p].ordered_poll_ms, 0.99),
-                Percentile(probes[p].pipelined_poll_ms, 0.99),
-                probes[p].ooo_responses,
-                probes[p].rounds * probes[p].polls_per_round);
+                workers, rate(runs[3].result) / rate(runs[1].result));
   }
 
   bench::BenchReport report("fig11_server_throughput", config);
   report.Add("connections", static_cast<double>(connections), "count");
   report.Add("shared_pool_threads", static_cast<double>(num_threads), "count");
-  report.Add("io_threads", static_cast<double>(io_threads), "count");
   report.Add("batches_per_session", static_cast<double>(batches), "count");
   report.Add("router_workers", static_cast<double>(workers), "count");
   report.Add("adversarial", adversarial.empty() ? 0.0 : 1.0, "bool");
@@ -836,27 +599,9 @@ int main(int argc, char** argv) {
   for (const Run& run : runs) Report(report, run.label, run.result);
   report.Add("binary_speedup_answers_per_s",
              rate(runs[1].result) / rate(runs[0].result), "x");
-  report.Add("epoll_vs_thread_answers_per_s",
-             rate(runs[3].result) / rate(runs[1].result), "x");
   if (workers > 0) {
     report.Add("router_binary_speedup_answers_per_s",
-               rate(runs[5].result) / rate(runs[1].result), "x");
-  }
-  for (int p = 0; p < 2; ++p) {
-    const std::string prefix = p == 0 ? "ep_json" : "ep_binary";
-    const auto key = [&](const char* name) {
-      return StrFormat("%s_%s", prefix.c_str(), name);
-    };
-    report.Add(key("ordered_poll_p50"),
-               Percentile(probes[p].ordered_poll_ms, 0.5), "ms");
-    report.Add(key("ordered_poll_p99"),
-               Percentile(probes[p].ordered_poll_ms, 0.99), "ms");
-    report.Add(key("pipelined_poll_p50"),
-               Percentile(probes[p].pipelined_poll_ms, 0.5), "ms");
-    report.Add(key("pipelined_poll_p99"),
-               Percentile(probes[p].pipelined_poll_ms, 0.99), "ms");
-    report.Add(key("ooo_responses"),
-               static_cast<double>(probes[p].ooo_responses), "count");
+               rate(runs[3].result) / rate(runs[1].result), "x");
   }
   CPA_CHECK_OK(report.Write());
   return 0;

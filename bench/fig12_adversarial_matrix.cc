@@ -46,6 +46,7 @@ using namespace cpa;
 
 namespace {
 
+using bench::Percentile;
 using server::BinaryResponse;
 using server::Frame;
 using server::FrameKind;
@@ -127,16 +128,6 @@ CellResult RunCell(const AdversarialScenario& scenario,
   cell.metrics = ComputeSetMetrics(final_snapshot.value()->predictions,
                                    stream.dataset.ground_truth);
   return cell;
-}
-
-double Percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const double rank = p * static_cast<double>(values.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, values.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return values[lo] * (1.0 - frac) + values[hi] * frac;
 }
 
 void CheckJsonOk(const Frame& frame, const char* what) {

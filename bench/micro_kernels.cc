@@ -1,13 +1,7 @@
 /// Microbenchmarks of the inference and prediction kernels (the per-sweep
-/// costs behind Fig 7's curves). Runs under google-benchmark when the
-/// library is available, and under the self-timed fallback harness
-/// otherwise (bench/self_timed_benchmark.h), so the numbers always exist.
+/// costs behind Fig 7's curves), on google-benchmark.
 
-#if defined(CPA_HAVE_GOOGLE_BENCHMARK)
 #include <benchmark/benchmark.h>
-#else
-#include "bench/self_timed_benchmark.h"
-#endif
 
 #include <algorithm>
 

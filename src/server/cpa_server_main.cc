@@ -4,7 +4,6 @@
 ///   $ cpa_server [--num-threads N] [--max-sessions S] [--idle-timeout SEC]
 ///                [--tcp] [--port N] [--bind ADDR] [--unix PATH]
 ///                [--transport json|binary]
-///                [--event-loop] [--io-threads N] [--dispatch-threads N]
 ///                [--max-connections C] [--max-frame-bytes B]
 ///                [--router --workers ADDR,ADDR,...]
 ///   $ cpa_server --methods   # list registered methods + simd level, exit
@@ -27,12 +26,9 @@
 /// (src/server/binary_codec.h) for the hot observe/snapshot/finalize/
 /// checkpoint/restore path unless `--transport json` disables them. With
 /// `--unix PATH` it listens on a UNIX-domain socket instead (same framed
-/// protocol, no TCP stack). `--event-loop` swaps the thread-per-connection
-/// listener for the epoll reactor pool (`--io-threads` reactors moving
-/// bytes, `--dispatch-threads` handler threads; sequenced frames complete
-/// out of order — src/server/event_loop_transport.h). The wire protocol
-/// is identical either way. The bound endpoint is announced on stderr as
-/// `cpa_server: listening on <addr>`; the process serves until
+/// protocol, no TCP stack). Either way one thread serves each connection
+/// (src/server/tcp_transport.h). The bound endpoint is announced on
+/// stderr as `cpa_server: listening on <addr>`; the process serves until
 /// SIGINT/SIGTERM, then drains connections and exits 0. When
 /// `--idle-timeout` is set in socket mode, a background sweeper thread
 /// expires idle sessions on a timer — abandoned sessions are reaped even
@@ -57,10 +53,8 @@
 #include "engine/engine_registry.h"
 #include "server/consensus_server.h"
 #include "server/idle_sweeper.h"
-#include "server/event_loop_transport.h"
 #include "server/router.h"
 #include "server/tcp_transport.h"
-#include "server/transport.h"
 #include "util/flags.h"
 #include "util/logging.h"
 #include "util/string_utils.h"
@@ -138,12 +132,6 @@ int main(int argc, char** argv) {
   tcp_options.max_frame_bytes = static_cast<std::size_t>(flags.value().GetInt(
       "max-frame-bytes",
       static_cast<long long>(cpa::server::kDefaultMaxFrameBytes)));
-  const bool event_loop = flags.value().GetBool("event-loop", false);
-  tcp_options.io_threads =
-      static_cast<std::size_t>(flags.value().GetInt("io-threads", 2));
-  tcp_options.dispatch_threads =
-      static_cast<std::size_t>(flags.value().GetInt("dispatch-threads", 0));
-  CPA_CHECK_GE(tcp_options.io_threads, 1u);
 
   // Mask the shutdown signals before any thread exists so every thread
   // inherits the mask and sigwait below is the only consumer.
@@ -182,50 +170,36 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::unique_ptr<cpa::Transport> listener;
-  if (event_loop) {
-    listener =
-        std::make_unique<cpa::EventLoopTransport>(*handler, tcp_options);
-  } else {
-    listener = std::make_unique<cpa::TcpTransport>(*handler, tcp_options);
-  }
-  const cpa::Status started = listener->Start();
+  cpa::TcpTransport listener(*handler, tcp_options);
+  const cpa::Status started = listener.Start();
   CPA_CHECK(started.ok()) << started.ToString();
   const std::string endpoint =
       unix_path.empty()
           ? cpa::StrFormat("%s:%u", tcp_options.bind_address.c_str(),
-                           static_cast<unsigned>(listener->port()))
+                           static_cast<unsigned>(listener.port()))
           : unix_path;
-  std::string loop_banner = "loop=thread-per-conn";
-  if (event_loop) {
-    const auto& reactor =
-        static_cast<const cpa::EventLoopTransport&>(*listener);
-    loop_banner = cpa::StrFormat(
-        "loop=epoll, io_threads=%zu, dispatch_threads=%zu",
-        tcp_options.io_threads, reactor.dispatch_threads());
-  }
   if (router_mode) {
     std::fprintf(stderr,
-                 "cpa_server: routing on %s (transport=%s, %s, workers=%zu, "
+                 "cpa_server: routing on %s (transport=%s, workers=%zu, "
                  "max_connections=%zu, %s)\n",
-                 endpoint.c_str(), transport.c_str(), loop_banner.c_str(),
-                 router->num_workers(), tcp_options.max_connections,
+                 endpoint.c_str(), transport.c_str(), router->num_workers(),
+                 tcp_options.max_connections,
                  cpa::simd::SimdReportLine().c_str());
   } else {
     std::fprintf(stderr,
-                 "cpa_server: listening on %s (transport=%s, %s, "
+                 "cpa_server: listening on %s (transport=%s, "
                  "num_threads=%zu, max_sessions=%zu, max_connections=%zu, "
                  "idle_timeout=%.1fs, %s)\n",
-                 endpoint.c_str(), transport.c_str(), loop_banner.c_str(),
+                 endpoint.c_str(), transport.c_str(),
                  options.sessions.num_threads, options.sessions.max_sessions,
                  tcp_options.max_connections, options.idle_timeout_seconds,
                  cpa::simd::SimdReportLine().c_str());
   }
 
   WaitForShutdownSignal();
-  listener->Shutdown();
+  listener.Shutdown();
   if (sweeper != nullptr) sweeper->Stop();
-  cpa::TransportStats stats = listener->stats();
+  cpa::TcpTransportStats stats = listener.stats();
   if (router != nullptr) {
     stats.frames_forwarded = router->frames_forwarded();
     stats.backend_reconnects = router->backend_reconnects();

@@ -21,12 +21,11 @@
 /// **Sequence ids** (flags bit 0) are the pipelining contract: a response
 /// frame always echoes the request frame's flags and sequence id, so a
 /// client that tags its requests can match responses by id instead of by
-/// arrival order — and a transport that completes requests out of order
-/// (event_loop_transport.h) may then interleave responses freely. A frame
-/// with flags == 0 is a *legacy ordered* frame: its response also carries
-/// zeros, and ordered transports (and the ordered lane of the event loop)
-/// reply to legacy frames strictly in request order, so pre-sequencing
-/// clients interoperate byte-identically. Old servers reject a sequenced
+/// arrival order. The transport (tcp_transport.h) answers every frame,
+/// tagged or not, in request order; matching by id keeps a client correct
+/// whatever the order. A frame with flags == 0 is a *legacy ordered*
+/// frame: its response also carries zeros, so pre-sequencing clients
+/// interoperate byte-identically. Old servers reject a sequenced
 /// frame with a recoverable error reply (nonzero "reserved" bytes), which
 /// is exactly the probe `TcpFrameClient::NegotiateSequencing` uses to
 /// version-negotiate the feature; see docs/API.md.

@@ -12,12 +12,10 @@
 /// one-at-a-time case. Not thread-safe; one client per thread.
 ///
 /// Two pipelining disciplines (framing.h):
-///   - *Ordered*: plain `Send`; responses come back in request order on
-///     every transport.
+///   - *Ordered*: plain `Send`; responses come back in request order.
 ///   - *Sequenced*: `SendSequenced` tags each request with a caller-chosen
 ///     sequence id; responses echo the id (`Frame::sequenced`/`sequence`
-///     on `ReadFrame`) and may arrive in any order on the event-loop
-///     transport — match by id, not position. Probe support first with
+///     on `ReadFrame`), still in request order. Probe support first with
 ///     `NegotiateSequencing` (pre-sequencing servers reject tagged
 ///     frames; the probe downgrades gracefully).
 
@@ -66,8 +64,8 @@ class TcpFrameClient {
   /// `{"op":"methods"}` roundtrip. True when the reply carries the tag
   /// back; false when the server predates sequencing (it answers with an
   /// untagged error frame — the connection stays usable in ordered
-  /// mode). IOError only on transport failure. Call before pipelining
-  /// out of order; must not be called with responses outstanding.
+  /// mode). IOError only on transport failure. Call before sending
+  /// sequenced frames; must not be called with responses outstanding.
   Result<bool> NegotiateSequencing();
 
   /// Sends raw pre-encoded bytes (tests: batched frames, broken frames).

@@ -1,7 +1,10 @@
 #include "server/tcp_transport.h"
 
+#include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -39,6 +42,110 @@ bool SendAll(int fd, std::string_view bytes,
   return true;
 }
 
+/// A bound, listening socket (TCP or UNIX per `options.unix_path`).
+struct ListenSocket {
+  int fd = -1;
+  std::uint16_t port = 0;  ///< resolved port (0 for UNIX sockets)
+};
+
+/// Creates, binds and listens per `options`. On failure the fd is closed
+/// (and a UNIX path unlinked) before the error returns.
+Status BindAndListen(const TcpTransportOptions& options, ListenSocket* out) {
+  if (!options.unix_path.empty()) {
+    sockaddr_un address{};
+    if (options.unix_path.size() >= sizeof(address.sun_path)) {
+      return Status::InvalidArgument(
+          StrFormat("unix socket path too long (%zu bytes, max %zu)",
+                    options.unix_path.size(), sizeof(address.sun_path) - 1));
+    }
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0) {
+      return Status::IOError(StrFormat("socket: %s", std::strerror(errno)));
+    }
+    address.sun_family = AF_UNIX;
+    std::memcpy(address.sun_path, options.unix_path.c_str(),
+                options.unix_path.size() + 1);
+    // A socket file left behind by a dead server would make bind fail
+    // with EADDRINUSE forever; unlink it first. A *live* server's file
+    // is replaced too — matching SO_REUSEADDR semantics on the TCP path.
+    ::unlink(options.unix_path.c_str());
+    if (::bind(fd, reinterpret_cast<const sockaddr*>(&address),
+               sizeof(address)) < 0) {
+      const Status status =
+          Status::IOError(StrFormat("bind %s: %s", options.unix_path.c_str(),
+                                    std::strerror(errno)));
+      ::close(fd);
+      return status;
+    }
+    if (::listen(fd, options.listen_backlog) < 0) {
+      const Status status =
+          Status::IOError(StrFormat("listen: %s", std::strerror(errno)));
+      ::close(fd);
+      ::unlink(options.unix_path.c_str());
+      return status;
+    }
+    out->fd = fd;
+    out->port = 0;
+    return Status::OK();
+  }
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) {
+    return Status::IOError(StrFormat("socket: %s", std::strerror(errno)));
+  }
+  const int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+
+  sockaddr_in address{};
+  address.sin_family = AF_INET;
+  address.sin_port = htons(options.port);
+  if (::inet_pton(AF_INET, options.bind_address.c_str(), &address.sin_addr) !=
+      1) {
+    ::close(fd);
+    return Status::InvalidArgument(
+        StrFormat("invalid bind address '%s'", options.bind_address.c_str()));
+  }
+  if (::bind(fd, reinterpret_cast<const sockaddr*>(&address), sizeof(address)) <
+      0) {
+    const Status status = Status::IOError(
+        StrFormat("bind %s:%u: %s", options.bind_address.c_str(),
+                  static_cast<unsigned>(options.port), std::strerror(errno)));
+    ::close(fd);
+    return status;
+  }
+  if (::listen(fd, options.listen_backlog) < 0) {
+    const Status status =
+        Status::IOError(StrFormat("listen: %s", std::strerror(errno)));
+    ::close(fd);
+    return status;
+  }
+
+  sockaddr_in bound{};
+  socklen_t bound_len = sizeof(bound);
+  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &bound_len) < 0) {
+    const Status status =
+        Status::IOError(StrFormat("getsockname: %s", std::strerror(errno)));
+    ::close(fd);
+    return status;
+  }
+  out->fd = fd;
+  out->port = ntohs(bound.sin_port);
+  return Status::OK();
+}
+
+/// Applies per-connection socket options (TCP_NODELAY on TCP sockets,
+/// SO_SNDBUF when `options.so_sndbuf` > 0).
+void ConfigureAcceptedSocket(int fd, const TcpTransportOptions& options) {
+  if (options.unix_path.empty()) {
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  }
+  if (options.so_sndbuf > 0) {
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &options.so_sndbuf,
+                 sizeof(options.so_sndbuf));
+  }
+}
+
 }  // namespace
 
 /// One live connection: its socket plus the thread serving it.
@@ -63,8 +170,8 @@ TcpTransport::~TcpTransport() { Shutdown(); }
 Status TcpTransport::Start() {
   CPA_CHECK(listen_fd_ < 0) << "TcpTransport::Start called twice";
 
-  server_internal::ListenSocket listener;
-  const Status status = server_internal::BindAndListen(options_, &listener);
+  ListenSocket listener;
+  const Status status = BindAndListen(options_, &listener);
   if (!status.ok()) return status;
   listen_fd_ = listener.fd;
   port_ = listener.port;
@@ -95,7 +202,7 @@ void TcpTransport::AcceptLoop() {
       ::close(fd);
       continue;
     }
-    server_internal::ConfigureAcceptedSocket(fd, options_);
+    ConfigureAcceptedSocket(fd, options_);
 
     auto connection = std::make_unique<Connection>();
     connection->fd = fd;

@@ -1,12 +1,11 @@
 /// Shared recovery and behaviour tests for the iterative baselines
-/// (Dawid–Skene EM, BCC, cBCC) on simulated crowds where the correct
+/// (Dawid–Skene EM, cBCC) on simulated crowds where the correct
 /// answer is known by construction.
 
 #include <memory>
 
 #include <gtest/gtest.h>
 
-#include "baselines/bcc.h"
 #include "baselines/cbcc.h"
 #include "baselines/dawid_skene.h"
 #include "baselines/majority_vote.h"
@@ -78,8 +77,6 @@ class IterativeBaselineTest : public ::testing::TestWithParam<int> {
         options.use_mislabeling_cost = true;
         return std::make_unique<DawidSkene>(options);
       }
-      case 2:
-        return std::make_unique<Bcc>();
       default:
         return std::make_unique<Cbcc>();
     }
@@ -146,15 +143,13 @@ TEST_P(IterativeBaselineTest, EmptyMatrixYieldsEmptyPredictions) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllIterativeBaselines, IterativeBaselineTest,
-                         ::testing::Values(0, 1, 2, 3),
+                         ::testing::Values(0, 1, 2),
                          [](const ::testing::TestParamInfo<int>& info) {
                            switch (info.param) {
                              case 0:
                                return std::string("DawidSkene");
                              case 1:
                                return std::string("DawidSkeneCost");
-                             case 2:
-                               return std::string("Bcc");
                              default:
                                return std::string("Cbcc");
                            }

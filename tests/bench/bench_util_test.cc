@@ -5,6 +5,7 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <vector>
 
 #include "core/sweep/simd.h"
 #include "gtest/gtest.h"
@@ -81,6 +82,17 @@ TEST(JsonValueTest, DumpParseRoundTripPreservesStructure) {
   ASSERT_EQ(copy.Find("flags")->array().size(), 2u);
   EXPECT_TRUE(copy.Find("flags")->array()[0].bool_value());
   EXPECT_TRUE(copy.Find("flags")->array()[1].is_null());
+}
+
+TEST(PercentileTest, InterpolatesBetweenRanksOfUnsortedSample) {
+  const std::vector<double> values = {40.0, 10.0, 30.0, 20.0, 50.0};
+  EXPECT_DOUBLE_EQ(Percentile(values, 0.0), 10.0);
+  EXPECT_DOUBLE_EQ(Percentile(values, 0.5), 30.0);
+  EXPECT_DOUBLE_EQ(Percentile(values, 1.0), 50.0);
+  // Rank 0.9 * 4 = 3.6 sits 60% of the way from 40 to 50.
+  EXPECT_DOUBLE_EQ(Percentile(values, 0.9), 46.0);
+  EXPECT_DOUBLE_EQ(Percentile({7.0}, 0.99), 7.0);
+  EXPECT_DOUBLE_EQ(Percentile({}, 0.5), 0.0);
 }
 
 TEST(BenchReportTest, ToJsonIsValidJsonWithRequiredKeys) {

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -50,11 +51,12 @@ struct TestServer {
   std::unique_ptr<TcpTransport> transport;
 };
 
-std::string OpenRequestLine(const std::string& session) {
+std::string OpenRequestLine(const std::string& session,
+                            std::size_t num_items = 4) {
   return StrFormat(
       R"({"op":"open","session":"%s","config":{"method":"MV",)"
-      R"("num_items":4,"num_workers":16,"num_labels":4}})",
-      session.c_str());
+      R"("num_items":%zu,"num_workers":16,"num_labels":4}})",
+      session.c_str(), num_items);
 }
 
 /// Parses a JSON frame and checks `"ok"`.
@@ -209,6 +211,188 @@ TEST(TcpTransportTest, PipelinedBatchGetsOrderedReplies) {
   }
   const BinaryResponse final_snapshot = MustParseBinary(client.ReadFrame().value());
   EXPECT_TRUE(final_snapshot.finalized);
+}
+
+TEST(TcpTransportTest, SequencedFramesEchoTagsInRequestOrder) {
+  TestServer server;
+  TcpFrameClient client = server.Connect();
+  auto negotiated = client.NegotiateSequencing();
+  ASSERT_TRUE(negotiated.ok()) << negotiated.status().ToString();
+  EXPECT_TRUE(negotiated.value());
+
+  // Legacy traffic on the same connection stays untagged.
+  const Frame legacy =
+      MustRoundtrip(client, FrameKind::kJson, OpenRequestLine("seq")).value();
+  MustParseJson(legacy, true);
+  EXPECT_FALSE(legacy.sequenced);
+  EXPECT_EQ(legacy.sequence, 0);
+
+  // A tagged burst mixing encodings and ops, with ids deliberately out of
+  // numeric order: the replies carry each request's own tag, in request
+  // order.
+  const std::vector<std::uint16_t> tags = {40, 7, 65535, 8, 1};
+  std::string burst;
+  server::AppendSequencedFrame(burst, FrameKind::kBinary,
+                               server::EncodeObserveRequest("seq", kAnswers),
+                               tags[0]);
+  server::AppendSequencedFrame(
+      burst, FrameKind::kBinary,
+      server::EncodeSnapshotRequest("seq", /*refresh=*/true,
+                                    /*include_predictions=*/true),
+      tags[1]);
+  server::AppendSequencedFrame(
+      burst, FrameKind::kJson,
+      R"({"op":"snapshot","session":"seq","refresh":false})", tags[2]);
+  server::AppendSequencedFrame(
+      burst, FrameKind::kBinary,
+      server::EncodeSnapshotRequest("seq", /*refresh=*/false,
+                                    /*include_predictions=*/false),
+      tags[3]);
+  server::AppendSequencedFrame(burst, FrameKind::kBinary,
+                               server::EncodeFinalizeRequest("seq", true),
+                               tags[4]);
+  ASSERT_TRUE(client.SendRaw(burst).ok());
+
+  for (std::size_t k = 0; k < tags.size(); ++k) {
+    auto read = client.ReadFrame();
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    EXPECT_TRUE(read.value().sequenced) << "reply " << k;
+    EXPECT_EQ(read.value().sequence, tags[k]) << "reply " << k;
+    if (read.value().kind == FrameKind::kJson) {
+      MustParseJson(read.value(), true);
+    } else {
+      EXPECT_TRUE(MustParseBinary(read.value()).ok) << "reply " << k;
+    }
+  }
+}
+
+TEST(TcpTransportTest, SequencedFramingErrorRepliesWithTag) {
+  TestServer server(/*num_threads=*/1, /*accept_binary=*/true,
+                    /*max_frame_bytes=*/256);
+  TcpFrameClient client = server.Connect();
+
+  std::string burst;
+  server::AppendSequencedFrame(burst, FrameKind::kJson,
+                               std::string(4096, ' '), 7);
+  ASSERT_TRUE(client.SendRaw(burst).ok());
+  auto reply = client.ReadFrame();
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_TRUE(reply.value().sequenced);
+  EXPECT_EQ(reply.value().sequence, 7);
+  MustParseJson(reply.value(), false);
+
+  // The connection survives the rejection.
+  MustParseJson(
+      MustRoundtrip(client, FrameKind::kJson, OpenRequestLine("alive")).value(),
+      true);
+}
+
+TEST(TcpTransportTest, DroppedClientLeavesSessionForReconnect) {
+  TestServer server;
+  {
+    TcpFrameClient client = server.Connect();
+    MustParseJson(
+        MustRoundtrip(client, FrameKind::kJson, OpenRequestLine("drop"))
+            .value(),
+        true);
+    // A full burst, then vanish without reading a byte.
+    std::string burst;
+    std::uint16_t seq = 1;
+    server::AppendSequencedFrame(
+        burst, FrameKind::kBinary,
+        server::EncodeObserveRequest("drop", kAnswers), seq++);
+    for (int k = 0; k < 8; ++k) {
+      server::AppendSequencedFrame(
+          burst, FrameKind::kBinary,
+          server::EncodeSnapshotRequest("drop", /*refresh=*/k == 0,
+                                        /*include_predictions=*/true),
+          seq++);
+    }
+    ASSERT_TRUE(client.SendRaw(burst).ok());
+    client.Close();
+  }
+
+  // The handler thread finishes the burst and exits; the session — and
+  // the transport — survive.
+  for (int i = 0; i < 500 && server.transport->num_connections() > 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(server.transport->num_connections(), 0u);
+  EXPECT_EQ(server.consensus->sessions().num_sessions(), 1u);
+
+  // A new connection picks the session up where the burst left it.
+  TcpFrameClient client = server.Connect();
+  const BinaryResponse finalized = MustParseBinary(
+      MustRoundtrip(client, FrameKind::kBinary,
+                    server::EncodeFinalizeRequest("drop", true))
+          .value());
+  EXPECT_TRUE(finalized.finalized);
+  EXPECT_EQ(finalized.answers_seen, kAnswers.size());
+  MustParseJson(MustRoundtrip(client, FrameKind::kJson,
+                              R"({"op":"close","session":"drop"})")
+                    .value(),
+                true);
+}
+
+TEST(TcpTransportTest, TinySendBufferDeliversOversizedReplyBatchIntact) {
+  // A 4 KiB send buffer and 4000-row prediction payloads: one batch of
+  // replies is several times the buffer, so the server's send waits on
+  // the client draining it mid-batch. Every reply must still arrive whole,
+  // and the server must count exactly the bytes the client received.
+  ConsensusServer consensus;
+  TcpTransportOptions tcp_options;
+  tcp_options.so_sndbuf = 4096;
+  TcpTransport transport(consensus, tcp_options);
+  ASSERT_TRUE(transport.Start().ok());
+  auto connected = TcpFrameClient::Connect("127.0.0.1", transport.port());
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  TcpFrameClient client = std::move(connected).value();
+
+  std::size_t received = 0;
+  const auto counted = [&received](Result<Frame> reply) {
+    EXPECT_TRUE(reply.ok()) << reply.status().ToString();
+    received += server::kFrameHeaderBytes + reply.value().payload.size();
+    return std::move(reply).value();
+  };
+  MustParseJson(counted(client.Roundtrip(
+                    FrameKind::kJson,
+                    OpenRequestLine("fat", /*num_items=*/4000))),
+                true);
+  MustParseBinary(counted(client.Roundtrip(
+      FrameKind::kBinary, server::EncodeObserveRequest("fat", kAnswers))));
+  // Refresh once so cached polls carry all 4000 prediction rows.
+  MustParseBinary(counted(client.Roundtrip(
+      FrameKind::kBinary,
+      server::EncodeSnapshotRequest("fat", /*refresh=*/true,
+                                    /*include_predictions=*/true))));
+
+  constexpr std::size_t kPolls = 8;
+  std::string burst;
+  for (std::size_t k = 0; k < kPolls; ++k) {
+    server::AppendFrame(burst, FrameKind::kBinary,
+                        server::EncodeSnapshotRequest(
+                            "fat", /*refresh=*/false,
+                            /*include_predictions=*/true));
+  }
+  ASSERT_TRUE(client.SendRaw(burst).ok());
+  const std::size_t before_polls = received;
+  for (std::size_t k = 0; k < kPolls; ++k) {
+    const BinaryResponse poll = MustParseBinary(counted(client.ReadFrame()));
+    EXPECT_TRUE(poll.ok);
+    EXPECT_EQ(poll.predictions.size(), 4000u);
+  }
+  // Linux doubles SO_SNDBUF; the poll replies must outgrow even that.
+  EXPECT_GT(received - before_polls, 4u * 2u * 4096u);
+
+  client.Close();
+  transport.Shutdown();
+  const TcpTransportStats stats = transport.stats();
+  EXPECT_EQ(stats.framing_errors, 0u);
+  EXPECT_EQ(stats.frames_out, 3u + kPolls);
+  EXPECT_EQ(stats.bytes_out, received);
+  // No partial_writes assertion: a blocking send(2) waits for buffer
+  // space rather than returning short, so the full buffer shows up as a
+  // blocked send, not as a partial write.
 }
 
 TEST(TcpTransportTest, MalformedPayloadGetsErrorReplyAndConnectionSurvives) {

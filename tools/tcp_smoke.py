@@ -3,7 +3,6 @@
 
 Usage: tcp_smoke.py [--host HOST] --port PORT
        tcp_smoke.py --router --server-bin build/src/cpa_server
-       tcp_smoke.py --pipelined --server-bin build/src/cpa_server
 
 Speaks the server's real wire protocol from scratch — the 8-byte frame
 header and the binary codec are reimplemented here in Python, so this
@@ -31,19 +30,11 @@ ids it knows land on specific workers, runs the same two sessions
 through the router, then SIGKILLs one worker and asserts its sessions
 get clean error replies while the other worker's sessions keep serving.
 
-With `--pipelined` the script spawns a `cpa_server --tcp --event-loop`,
-negotiates sequencing, opens a full-refit CPA session big enough that a
-refresh snapshot is deliberately slow, then sends
-[sequenced refresh + K sequenced cached polls] as one burst and asserts
-the polls' replies overtake the refresh reply (out-of-order completion),
-every reply matching its request's sequence id exactly once.
-
 Exit code 0 on success; raises with a diagnostic otherwise.
 """
 
 import argparse
 import json
-import random
 import signal
 import socket
 import struct
@@ -434,101 +425,6 @@ def run_router_mode(server_bin, host):
                 proc.kill()
 
 
-# --- the pipelined (out-of-order) mode -------------------------------------
-
-def run_pipelined_mode(server_bin, host):
-    """Spawns an epoll server, negotiates sequencing, and proves cached
-    polls overtake a deliberately slowed refresh in one pipelined burst."""
-    # A stream big enough that a full-refit CPA refresh takes real time
-    # while a cached poll stays microseconds — the gap the polls overtake.
-    rng = random.Random(20180417)
-    num_items, num_workers, num_labels = 150, 40, 8
-    answers = []
-    for item in range(num_items):
-        for worker in rng.sample(range(num_workers), 8):
-            count = rng.randint(1, 3)
-            labels = sorted(rng.sample(range(num_labels), count))
-            answers.append({"item": item, "worker": worker, "labels": labels})
-    config = {"method": "CPA", "num_items": num_items,
-              "num_workers": num_workers, "num_labels": num_labels}
-    session = "smoke-pipelined"
-    polls = 16
-    rounds = 6  # each round re-arms the refresh with a fresh data slice
-
-    proc, port = spawn_server(
-        server_bin, ["--tcp", "--event-loop", "--bind", host], "listening on ")
-    try:
-        with socket.create_connection((host, port), timeout=30) as sock:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            reader = FrameReader(sock)
-            assert negotiate_sequencing(sock, reader), \
-                "--event-loop server must accept sequenced frames"
-
-            sock.sendall(json_frame({"op": "open", "session": session,
-                                     "config": config}))
-            expect_json_ok(*reader.next_frame(), op="open")
-
-            # Half the stream up front; the rest re-arms the refresh one
-            # slice per round (duplicate answers are rejected, so slices
-            # never repeat).
-            half = len(answers) // 2
-            slices = [answers[:half]]
-            step = max(1, (len(answers) - half) // rounds)
-            slices += [answers[half + r * step:half + (r + 1) * step]
-                       for r in range(rounds)]
-
-            refresh = json.dumps({"op": "snapshot", "session": session},
-                                 separators=(",", ":")).encode()
-            poll = json.dumps({"op": "snapshot", "session": session,
-                               "refresh": False, "predictions": False},
-                              separators=(",", ":")).encode()
-            overtook = 0
-            for round_index in range(rounds):
-                batch = slices[round_index]  # slice 0 is the big initial feed
-                if batch:
-                    sock.sendall(json_frame({"op": "observe",
-                                             "session": session,
-                                             "answers": batch}))
-                    expect_json_ok(*reader.next_frame(), op="observe")
-                burst = seq_frame(KIND_JSON, refresh, 1)
-                for k in range(polls):
-                    burst += seq_frame(KIND_JSON, poll, 2 + k)
-                sock.sendall(burst)  # one send: refresh + K cached polls
-                seen = set()
-                refresh_done = False
-                for _ in range(polls + 1):
-                    kind, payload, seq = reader.next_tagged_frame()
-                    assert kind == KIND_JSON and seq is not None
-                    assert 1 <= seq <= polls + 1 and seq not in seen, \
-                        f"bad or duplicate sequence id {seq}"
-                    seen.add(seq)
-                    reply = json.loads(payload)
-                    assert reply.get("ok") is True, reply
-                    if seq == 1:
-                        refresh_done = True
-                    elif not refresh_done:
-                        overtook += 1
-                if overtook and round_index > 0:
-                    break  # proven; keep runtime bounded
-
-            assert overtook > 0, (
-                "no poll reply ever overtook the slow refresh — "
-                "sequenced frames are not completing out of order")
-
-            sock.sendall(json_frame({"op": "close", "session": session}))
-            expect_json_ok(*reader.next_frame(), op="close")
-        print(f"tcp_smoke: OK — pipelined mode: {overtook} cached polls "
-              f"overtook their refresh, every reply matched its sequence id")
-        return 0
-    finally:
-        if proc.poll() is None:
-            proc.send_signal(signal.SIGTERM)
-        try:
-            proc.wait(timeout=10)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--host", default="127.0.0.1")
@@ -536,19 +432,14 @@ def main():
                         help="port of an already-running cpa_server --tcp")
     parser.add_argument("--router", action="store_true",
                         help="spawn a 2-worker fleet + router and smoke it")
-    parser.add_argument("--pipelined", action="store_true",
-                        help="spawn an --event-loop server and assert "
-                             "out-of-order pipelined completion")
     parser.add_argument("--server-bin", default="build/src/cpa_server",
-                        help="cpa_server binary for --router/--pipelined mode")
+                        help="cpa_server binary for --router mode")
     args = parser.parse_args()
 
     if args.router:
         return run_router_mode(args.server_bin, args.host)
-    if args.pipelined:
-        return run_pipelined_mode(args.server_bin, args.host)
     if args.port is None:
-        parser.error("--port is required unless --router/--pipelined is given")
+        parser.error("--port is required unless --router is given")
 
     with socket.create_connection((args.host, args.port), timeout=30) as sock:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
