@@ -56,8 +56,8 @@ double SetScore(const PredictionTables& tables, PredictionScratch& scratch,
 
 PredictionScratch::PredictionScratch(std::size_t num_clusters,
                                      std::size_t num_communities)
-    : owned_doubles_(6 * num_clusters + num_communities, 0.0),
-      owned_ids_(num_clusters, 0) {
+    : owned_doubles_(6 * num_clusters + 2 * num_communities, 0.0),
+      owned_ids_(num_clusters + num_communities, 0) {
   double* base = owned_doubles_.data();
   log_weights = {base, num_clusters};
   weights = {base + num_clusters, num_clusters};
@@ -66,7 +66,9 @@ PredictionScratch::PredictionScratch(std::size_t num_clusters,
   trial = {base + 4 * num_clusters, num_clusters};
   terms = {base + 5 * num_clusters, num_clusters};
   member_terms = {base + 6 * num_clusters, num_communities};
+  live_log_kappa = {base + 6 * num_clusters + num_communities, num_communities};
   active_ids = {owned_ids_.data(), num_clusters};
+  live_communities = {owned_ids_.data() + num_clusters, num_communities};
 }
 
 PredictionScratch::PredictionScratch(ScratchArena& arena, std::size_t num_clusters,
@@ -78,7 +80,9 @@ PredictionScratch::PredictionScratch(ScratchArena& arena, std::size_t num_cluste
   trial = arena.AllocZeroed<double>(num_clusters);
   terms = arena.AllocZeroed<double>(num_clusters);
   member_terms = arena.AllocZeroed<double>(num_communities);
+  live_log_kappa = arena.AllocZeroed<double>(num_communities);
   active_ids = arena.AllocZeroed<std::size_t>(num_clusters);
+  live_communities = arena.AllocZeroed<std::size_t>(num_communities);
 }
 
 PredictionTables BuildPredictionTables(const CpaModel& model) {
@@ -162,20 +166,41 @@ void ItemClusterLogWeights(const CpaModel& model, const PredictionTables& tables
   for (std::size_t index : answers.AnswersOfItem(item)) {
     const Answer& a = answers.answer(index);
     const auto kappa_row = model.kappa.Row(a.worker);
+    // The worker's live communities (κ_um > 0) and their ln κ_um, once per
+    // answer rather than once per (cluster, community).
+    std::size_t live = 0;
+    for (std::size_t m = 0; m < M; ++m) {
+      if (kappa_row[m] <= 0.0) continue;
+      scratch.live_communities[live] = m;
+      scratch.live_log_kappa[live] = std::log(kappa_row[m]);
+      ++live;
+    }
+    // Dead communities are −inf holes of the M-wide log-sum-exp row; only
+    // the live slots change from cluster to cluster.
+    if (live != 1) std::fill(member_terms.begin(), member_terms.end(), kNegInf);
     for (std::size_t k = 0; k < scratch.active_count; ++k) {
       const std::size_t t = scratch.active_ids[k];
       // ln Σ_m κ_um Π_c ψ̂_tmc  (log-sum-exp over communities).
-      for (std::size_t m = 0; m < M; ++m) {
-        if (kappa_row[m] <= 0.0) {
-          member_terms[m] = kNegInf;
-          continue;
+      double term;
+      if (live == 1) {
+        // One live community: the log-sum-exp of a row with one finite
+        // entry x is x + ln(exp(0)) = x, so the term is that entry. (A NaN
+        // entry is skipped by the row max, which leaves −inf.)
+        const auto psi_row = tables.log_psi_mean[t].Row(scratch.live_communities[0]);
+        term = scratch.live_log_kappa[0];
+        for (LabelId c : a.labels) term += psi_row[c];
+        if (std::isnan(term)) term = kNegInf;
+      } else {
+        for (std::size_t j = 0; j < live; ++j) {
+          const std::size_t m = scratch.live_communities[j];
+          const auto psi_row = tables.log_psi_mean[t].Row(m);
+          double loglik = scratch.live_log_kappa[j];
+          for (LabelId c : a.labels) loglik += psi_row[c];
+          member_terms[m] = loglik;
         }
-        const auto psi_row = tables.log_psi_mean[t].Row(m);
-        double loglik = std::log(kappa_row[m]);
-        for (LabelId c : a.labels) loglik += psi_row[c];
-        member_terms[m] = loglik;
+        term = LogSumExp(member_terms);
       }
-      log_weights[t] += LogSumExp(member_terms);
+      log_weights[t] += term;
     }
   }
 }
@@ -340,18 +365,17 @@ void PredictOneItem(const CpaModel& model, const PredictionTables& tables,
   const std::span<const double> log_weights = scratch.log_weights;
 
   // Marginal scores from the mixed Bernoulli profile. Only the item's
-  // active clusters can carry softmax mass, so the T-wide scan reduces to
-  // the activity list (ascending ids — the same accumulation order).
-  std::copy(log_weights.begin(), log_weights.end(), scratch.weights.begin());
-  // The shared dispatched softmax (core/sweep/simd.h), same entry point the
-  // sweep kernels use — no per-caller copy of the loop.
-  SoftmaxInPlace(scratch.weights);
+  // active clusters hold finite log-weights, so the softmax and the score
+  // accumulation both run over the activity list (ascending ids — the same
+  // accumulation order as a T-wide scan).
+  const std::span<const std::size_t> active(scratch.active_ids.data(),
+                                            scratch.active_count);
+  SoftmaxActive(log_weights, active, scratch.weights);
   auto score_row = prediction.scores.Row(i);
-  for (std::size_t k = 0; k < scratch.active_count; ++k) {
-    const std::size_t t = scratch.active_ids[k];
-    const double weight = scratch.weights[t];
+  for (std::size_t k = 0; k < active.size(); ++k) {
+    const double weight = scratch.weights[k];
     if (weight <= 0.0) continue;
-    const auto profile_row = model.bernoulli_profile.Row(t);
+    const auto profile_row = model.bernoulli_profile.Row(active[k]);
     for (std::size_t c = 0; c < model.num_labels(); ++c) {
       score_row[c] += weight * profile_row[c];
     }

@@ -101,15 +101,17 @@ struct PredictionScratch {
   PredictionScratch(ScratchArena& arena, std::size_t num_clusters,
                     std::size_t num_communities);
 
-  std::span<double> log_weights;        ///< T: reweighted cluster log-posterior
-  std::span<double> weights;            ///< T: softmaxed copy for the scores
-  std::span<double> member_terms;       ///< M: per-community log-lik terms
-  std::span<std::size_t> active_ids;    ///< ≤T: surviving cluster ids
-  std::span<double> active_log_weights; ///< matching normalised log-weights
-  std::span<double> acc;                ///< ≤T: per-cluster partial products
-  std::span<double> trial;              ///< ≤T: greedy candidate trial row
-  std::span<double> terms;              ///< ≤T: SetScore mixture terms
-  std::size_t active_count = 0;         ///< live prefix of the active spans
+  std::span<double> log_weights;            ///< T: reweighted cluster log-posterior
+  std::span<double> weights;                ///< ≤T: softmax weights of the active ids
+  std::span<double> member_terms;           ///< M: per-community log-lik terms
+  std::span<std::size_t> live_communities;  ///< ≤M: ids with κ_um > 0
+  std::span<double> live_log_kappa;         ///< matching ln κ_um
+  std::span<std::size_t> active_ids;        ///< ≤T: surviving cluster ids
+  std::span<double> active_log_weights;     ///< matching normalised log-weights
+  std::span<double> acc;                    ///< ≤T: per-cluster partial products
+  std::span<double> trial;                  ///< ≤T: greedy candidate trial row
+  std::span<double> terms;                  ///< ≤T: SetScore mixture terms
+  std::size_t active_count = 0;             ///< live prefix of the active spans
 
   std::vector<LabelId> candidates;
   std::vector<std::size_t> cluster_order;
@@ -126,9 +128,13 @@ struct PredictionScratch {
 PredictionTables BuildPredictionTables(const CpaModel& model);
 
 /// Posterior cluster log-weights of one item, answer-likelihood-reweighted
-/// (unnormalised), written into `scratch.log_weights`. `activity`
-/// (nullable) supplies the item's clusters above `kClusterPrune`; without
-/// it the full ϕ row is scanned — both paths are bit-identical.
+/// (unnormalised), written into `scratch.log_weights`; the item's clusters
+/// above `kClusterPrune` are left (ascending) in the active prefix of
+/// `scratch.active_ids`, and every other entry is −inf. `activity`
+/// (nullable) supplies those clusters; without it the full ϕ row is
+/// scanned — both paths are bit-identical. Per answer, only the worker's
+/// live communities (κ_um > 0) are visited: with one, the community
+/// log-sum-exp is that community's term exactly.
 void ItemClusterLogWeights(const CpaModel& model, const PredictionTables& tables,
                            const AnswerMatrix& answers, ItemId item,
                            const sweep::ClusterActivity* activity,

@@ -19,34 +19,49 @@ namespace {
 /// honest workers and locks the reinforcement loop into noise.
 constexpr std::size_t kMinAnswersForReliability = 4;
 
+/// Workers per reliability shard: a worker's seen answers are few, so
+/// shards stay coarse enough to amortise the pool hand-off.
+constexpr std::size_t kWorkerGrain = 256;
+
 /// Reliability weights for `workers` from their *seen* answers: mean
 /// soft-Jaccard agreement with the current consensus over corroborated
 /// items, then relative pow/floor weighting — the incremental-seen-state
 /// analogue of `sweep::ComputeWorkerReliability` (which scores a full
 /// matrix), shared by the batch reinforcement rounds and GlobalRefresh.
-/// Only scored workers' entries of `worker_weight` are written.
+/// Only scored workers' entries of `worker_weight` are written. The
+/// per-worker agreements are independent, so they are sharded over the
+/// scheduler; the best agreement is a max (a pure selection) taken after
+/// them, so the weights do not depend on the thread count.
 void UpdateSeenWorkerReliability(
     const CpaModel& model, const AnswerView& view,
     const std::vector<std::vector<std::uint32_t>>& seen_by_worker,
     const std::vector<std::vector<std::uint32_t>>& seen_by_item,
-    std::span<const WorkerId> workers, std::vector<double>& worker_weight) {
+    std::span<const WorkerId> workers, const SweepScheduler& scheduler,
+    std::vector<double>& worker_weight) {
   const CpaOptions& options = model.options();
   std::vector<double> agreements(model.num_workers(), -1.0);
+  scheduler.ParallelFor(
+      workers.size(),
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t w = begin; w < end; ++w) {
+          const WorkerId u = workers[w];
+          double agreement = 0.0;
+          double counted = 0.0;
+          for (std::uint32_t index : seen_by_worker[u]) {
+            const ItemId item = view.item(index);
+            const auto& evidence = model.y_evidence[item];
+            if (evidence.empty()) continue;
+            if (seen_by_item[item].size() < kMinAnswersForReliability) continue;
+            agreement += sweep::SoftJaccardAgreement(view.labels(index), evidence);
+            counted += 1.0;
+          }
+          if (counted > 0.0) agreements[u] = agreement / counted;
+        }
+      },
+      /*min_shard=*/kWorkerGrain);
   double best = 0.0;
   for (WorkerId u : workers) {
-    double agreement = 0.0;
-    double counted = 0.0;
-    for (std::uint32_t index : seen_by_worker[u]) {
-      const ItemId item = view.item(index);
-      const auto& evidence = model.y_evidence[item];
-      if (evidence.empty()) continue;
-      if (seen_by_item[item].size() < kMinAnswersForReliability) continue;
-      agreement += sweep::SoftJaccardAgreement(view.labels(index), evidence);
-      counted += 1.0;
-    }
-    if (counted <= 0.0) continue;
-    agreements[u] = agreement / counted;
-    best = std::max(best, agreements[u]);
+    if (agreements[u] >= 0.0) best = std::max(best, agreements[u]);
   }
   // Relative weighting, as in the offline path (sweep_kernels.cc).
   if (best <= 1e-9) return;
@@ -183,7 +198,12 @@ Status CpaOnline::ObserveBatch(const AnswerMatrix& answers,
   for (const auto& [i, unused] : by_item) batch_items.push_back(i);
 
   // --- MAP phase: local κ updates for the batch workers (parallel; rows
-  // are disjoint), through the shared Eq. 2 kernel.
+  // are disjoint), through the shared Eq. 2 kernel. The persistent activity
+  // lists are current with ϕ here — the previous batch patched them after
+  // its last ϕ write, GlobalRefresh rebuilds them after its own, and a
+  // restored learner rebuilds them lazily — so each answer visits its
+  // item's listed clusters instead of scanning a T-wide ϕ row.
+  EnsureActivity(scheduler);
   if (!options.singleton_communities) {
     scheduler.ParallelFor(
         batch_workers.size(),
@@ -191,7 +211,7 @@ Status CpaOnline::ObserveBatch(const AnswerMatrix& answers,
           for (std::size_t w = begin; w < end; ++w) {
             const WorkerId u = batch_workers[w];
             sweep::UpdateWorkerResponsibility(model, view_, u, seen_by_worker_[u],
-                                              /*activity=*/nullptr);
+                                              &activity_);
           }
         },
         /*min_shard=*/4);
@@ -202,10 +222,9 @@ Status CpaOnline::ObserveBatch(const AnswerMatrix& answers,
   // times (the offline fit gets this reinforcement for free across its
   // sweeps; a single pass leaves the online consensus noticeably mushier).
   // Each round writes ϕ only for the batch items, so the persistent
-  // activity lists are patched (|batch| × T + one splice) instead of
-  // rebuilt from the full I×T ϕ; they stay current through the REDUCE
-  // phase below (nothing there writes ϕ).
-  EnsureActivity(scheduler);
+  // activity lists are patched (|batch| × T, rows rewritten in place)
+  // instead of rebuilt from the full I×T ϕ; they stay current through the
+  // REDUCE phase below (nothing there writes ϕ).
   std::vector<ItemId> seeded_now;
   std::vector<double> worker_weight(model.num_workers(), 1.0);
   for (std::size_t round = 0; round < svi_options_.reinforcement_rounds; ++round) {
@@ -215,7 +234,7 @@ Status CpaOnline::ObserveBatch(const AnswerMatrix& answers,
     if (options.label_evidence == LabelEvidence::kReliabilityWeighted &&
         (batch_count_ > 1 || round > 0)) {
       UpdateSeenWorkerReliability(model, view_, seen_by_worker_, seen_by_item_,
-                                  batch_workers, worker_weight);
+                                  batch_workers, scheduler, worker_weight);
     }
     std::vector<double> dense(C, 0.0);
     for (const auto& [item, unused] : by_item) {
@@ -343,15 +362,18 @@ Status CpaOnline::ObserveBatch(const AnswerMatrix& answers,
   // accumulation never starves a bank; early contributions are merely
   // stale. (The paper-literal updates remain available via
   // `SviOptions::exact_local_phi = false` for λ's companion µ path.)
+  // The item's activity list holds exactly its clusters with ϕ ≥ kSkipMass,
+  // ascending — the same (cluster, weight) sequence as a T-wide ϕ scan.
   for (std::size_t index : batch) {
     const auto labels = view_.labels(index);
-    const auto phi_row = model.phi.Row(view_.item(index));
+    const ItemId item = view_.item(index);
+    const auto active = activity_.ClustersOf(item);
+    const auto phi_weights = activity_.WeightsOf(item);
     const auto kappa_row = model.kappa.Row(view_.worker(index));
-    for (std::size_t t = 0; t < T; ++t) {
-      if (phi_row[t] < 1e-8) continue;
-      Matrix& bank = model.lambda[t];
+    for (std::size_t k = 0; k < active.size(); ++k) {
+      Matrix& bank = model.lambda[active[k]];
       for (std::size_t m = 0; m < M; ++m) {
-        const double weight = phi_row[t] * kappa_row[m];
+        const double weight = phi_weights[k] * kappa_row[m];
         if (weight < 1e-10) continue;
         auto row = bank.Row(m);
         for (LabelId c : labels) row[c] += weight;
@@ -387,9 +409,13 @@ Status CpaOnline::ObserveBatch(const AnswerMatrix& answers,
   // re-scan every answer and erase the SVI speedup — it gets the
   // natural-gradient treatment above), the label-channel statistics cost
   // O(seen items × nnz(ỹ) × T) and blending them would drag clusters that a
-  // batch does not touch back toward their prior.
+  // batch does not touch back toward their prior. The last reinforcement
+  // round already computed θ from the same ϕ, ỹ, evidence weights and
+  // prior, so it is recomputed here only when no round ran.
   sweep::UpdateZeta(model, activity_, scheduler);
-  sweep::UpdateThetaChannel(model, activity_, scheduler);
+  if (svi_options_.reinforcement_rounds == 0) {
+    sweep::UpdateThetaChannel(model, activity_, scheduler);
+  }
 
   // --- Size-prior counts (plain data statistic, no decay).
   if (max_answer_size + 3 > size_counts_.cols()) {
@@ -446,7 +472,7 @@ void CpaOnline::GlobalRefresh(const AnswerMatrix& answers) {
     // Reliability weights over every seen answer on corroborated items.
     if (options.label_evidence == LabelEvidence::kReliabilityWeighted) {
       UpdateSeenWorkerReliability(model, view_, seen_by_worker_, seen_by_item_,
-                                  all_workers, worker_weight);
+                                  all_workers, scheduler, worker_weight);
     }
     // Consensus evidence for every seen item.
     for (ItemId i = 0; i < model.num_items(); ++i) {

@@ -144,12 +144,13 @@ class CpaOnline {
   /// fleet-wide total.
   std::unique_ptr<SweepScheduler> scheduler_;
 
-  /// Persistent per-item active-cluster lists kept consistent with ϕ: the
-  /// reinforcement rounds patch just the batch items' rows
-  /// (`sweep::UpdateClusterActivityRows`) instead of rescanning the full
-  /// I×T ϕ each round; passes that rewrite ϕ globally rebuild it. Debug
-  /// builds assert equality against a from-scratch rebuild after every
-  /// patch.
+  /// Persistent per-item active-cluster lists kept consistent with ϕ at
+  /// every point a batch reads them (the κ MAP, the θ rounds, the λ and ζ
+  /// REDUCE): the reinforcement rounds patch just the batch items' rows in
+  /// place (`sweep::UpdateClusterActivityRows`) instead of rescanning the
+  /// full I×T ϕ each round; passes that rewrite ϕ globally rebuild it.
+  /// Debug builds assert equality against a from-scratch rebuild after
+  /// every patch.
   sweep::ClusterActivity activity_;
   bool activity_valid_ = false;
 

@@ -35,6 +35,20 @@
 ///   polynomial would diverge from libm in the last ulp), and no variant may
 ///   use FMA (it rounds once where mul+add rounds twice).
 ///
+/// ### Sparse rows
+///
+/// `SoftmaxActive` (util/special_functions.h) is the softmax of a row whose
+/// only non-−inf entries sit at a known ascending id list — prediction's
+/// per-item cluster posterior. It reproduces the dense softmax's operations
+/// from the listed ids alone: the max skips −inf (selection); once the max
+/// is finite each skipped −inf would add exp(−inf) = +0.0 to its lane,
+/// which leaves the lane unchanged; and each listed id t adds into lane
+/// t % 4, the lane the dense sum uses for element t in its main loop and
+/// its tail alike (the tail starts at a multiple of 4). The combine, the
+/// log, the per-id exp and the uniform fallback are the dense ones. It has
+/// one body for every level, since the dense variants differ only in how
+/// they take the max.
+///
 /// A kernel that cannot keep this contract ships scalar-only. The contract
 /// is enforced by `tests/core/simd_kernels_test.cc`: exact scalar↔AVX2
 /// equality on randomized spans (all alignments and remainder tails) plus a

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <string>
 #include <utility>
@@ -33,7 +34,8 @@ void BuildClusterActivity(const Matrix& phi, const SweepScheduler& scheduler,
                           ClusterActivity& out, double threshold) {
   const std::size_t I = phi.rows();
   const std::size_t T = phi.cols();
-  out.offsets.assign(I + 1, 0);
+  out.begin.assign(I, 0);
+  out.count.assign(I, 0);
   scheduler.ParallelFor(
       I,
       [&](std::size_t begin, std::size_t end) {
@@ -43,19 +45,24 @@ void BuildClusterActivity(const Matrix& phi, const SweepScheduler& scheduler,
           for (std::size_t t = 0; t < T; ++t) {
             if (row[t] >= threshold) ++count;
           }
-          out.offsets[i + 1] = count;
+          out.count[i] = count;
         }
       },
       /*min_shard=*/kItemGrain);
-  for (std::size_t i = 0; i < I; ++i) out.offsets[i + 1] += out.offsets[i];
-  out.clusters.resize(out.offsets[I]);
-  out.weights.resize(out.offsets[I]);
+  std::uint32_t slots = 0;
+  for (std::size_t i = 0; i < I; ++i) {
+    out.begin[i] = slots;
+    slots += out.count[i];
+  }
+  out.live = slots;
+  out.clusters.resize(slots);
+  out.weights.resize(slots);
   scheduler.ParallelFor(
       I,
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
           const auto row = phi.Row(i);
-          std::uint32_t cursor = out.offsets[i];
+          std::uint32_t cursor = out.begin[i];
           for (std::size_t t = 0; t < T; ++t) {
             if (row[t] < threshold) continue;
             out.clusters[cursor] = static_cast<std::uint32_t>(t);
@@ -71,82 +78,65 @@ void UpdateClusterActivityRows(const Matrix& phi, std::span<const ItemId> items,
                                ClusterActivity& out) {
   const std::size_t I = phi.rows();
   const std::size_t T = phi.cols();
-  CPA_CHECK_EQ(out.offsets.size(), I + 1);
-  if (items.empty()) return;
-  std::vector<ItemId> touched(items.begin(), items.end());
-  std::sort(touched.begin(), touched.end());
-  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-
-  // Recompute the touched rows into side buffers (|touched| × T scans —
-  // the only ϕ reads of the whole update).
-  std::vector<std::uint32_t> row_offsets(touched.size() + 1, 0);
-  std::vector<std::uint32_t> row_clusters;
-  std::vector<double> row_weights;
-  bool sizes_unchanged = true;
-  for (std::size_t j = 0; j < touched.size(); ++j) {
-    const ItemId i = touched[j];
+  CPA_CHECK_EQ(out.begin.size(), I);
+  CPA_CHECK_EQ(out.count.size(), I);
+  for (const ItemId i : items) {
     CPA_CHECK_LT(i, I);
     const auto row = phi.Row(i);
+    std::uint32_t count = 0;
+    for (std::size_t t = 0; t < T; ++t) {
+      if (row[t] >= kSkipMass) ++count;
+    }
+    // A row that fits keeps its slots (its tail, if it shrank, goes dead);
+    // a row that grows moves to the end and leaves all its old slots dead.
+    if (count > out.count[i]) {
+      CPA_CHECK_LE(out.clusters.size() + count,
+                   std::numeric_limits<std::uint32_t>::max());
+      out.begin[i] = static_cast<std::uint32_t>(out.clusters.size());
+      out.clusters.resize(out.clusters.size() + count);
+      out.weights.resize(out.weights.size() + count);
+    }
+    out.live = out.live - out.count[i] + count;
+    out.count[i] = count;
+    std::uint32_t cursor = out.begin[i];
     for (std::size_t t = 0; t < T; ++t) {
       if (row[t] < kSkipMass) continue;
-      row_clusters.push_back(static_cast<std::uint32_t>(t));
-      row_weights.push_back(row[t]);
-    }
-    row_offsets[j + 1] = static_cast<std::uint32_t>(row_clusters.size());
-    const std::uint32_t new_count = row_offsets[j + 1] - row_offsets[j];
-    if (new_count != out.offsets[i + 1] - out.offsets[i]) {
-      sizes_unchanged = false;
+      out.clusters[cursor] = static_cast<std::uint32_t>(t);
+      out.weights[cursor] = row[t];
+      ++cursor;
     }
   }
+  if (out.clusters.size() - out.live <= out.live) return;
 
-  if (sizes_unchanged) {
-    // Fast path (rows concentrate quickly, so the active set is usually
-    // stable between rounds): overwrite each row in place.
-    for (std::size_t j = 0; j < touched.size(); ++j) {
-      const std::uint32_t from = row_offsets[j];
-      const std::uint32_t count = row_offsets[j + 1] - from;
-      std::copy_n(row_clusters.begin() + from, count,
-                  out.clusters.begin() + out.offsets[touched[j]]);
-      std::copy_n(row_weights.begin() + from, count,
-                  out.weights.begin() + out.offsets[touched[j]]);
-    }
-    return;
+  // Compaction: one pass over the rows in item order into fresh arrays —
+  // the compact layout a full build emits.
+  std::vector<std::uint32_t> clusters(out.live);
+  std::vector<double> weights(out.live);
+  std::uint32_t slots = 0;
+  for (std::size_t i = 0; i < I; ++i) {
+    const std::uint32_t from = out.begin[i];
+    std::copy_n(out.clusters.begin() + from, out.count[i], clusters.begin() + slots);
+    std::copy_n(out.weights.begin() + from, out.count[i], weights.begin() + slots);
+    out.begin[i] = slots;
+    slots += out.count[i];
   }
-
-  // Splice: one pass over the CSR, copying untouched rows and inserting
-  // the recomputed ones. O(I + nnz) moves, no ϕ scans.
-  std::vector<std::uint32_t> new_offsets(I + 1, 0);
-  std::vector<std::uint32_t> new_clusters;
-  std::vector<double> new_weights;
-  new_clusters.reserve(out.clusters.size());
-  new_weights.reserve(out.weights.size());
-  std::size_t next_touched = 0;
-  for (ItemId i = 0; i < I; ++i) {
-    if (next_touched < touched.size() && touched[next_touched] == i) {
-      const std::uint32_t from = row_offsets[next_touched];
-      const std::uint32_t to = row_offsets[next_touched + 1];
-      new_clusters.insert(new_clusters.end(), row_clusters.begin() + from,
-                          row_clusters.begin() + to);
-      new_weights.insert(new_weights.end(), row_weights.begin() + from,
-                         row_weights.begin() + to);
-      ++next_touched;
-    } else {
-      new_clusters.insert(new_clusters.end(),
-                          out.clusters.begin() + out.offsets[i],
-                          out.clusters.begin() + out.offsets[i + 1]);
-      new_weights.insert(new_weights.end(), out.weights.begin() + out.offsets[i],
-                         out.weights.begin() + out.offsets[i + 1]);
-    }
-    new_offsets[i + 1] = static_cast<std::uint32_t>(new_clusters.size());
-  }
-  out.offsets = std::move(new_offsets);
-  out.clusters = std::move(new_clusters);
-  out.weights = std::move(new_weights);
+  out.clusters = std::move(clusters);
+  out.weights = std::move(weights);
 }
 
 bool ClusterActivityEquals(const ClusterActivity& lhs, const ClusterActivity& rhs) {
-  return lhs.offsets == rhs.offsets && lhs.clusters == rhs.clusters &&
-         lhs.weights == rhs.weights;
+  if (lhs.count != rhs.count) return false;
+  for (ItemId i = 0; i < lhs.count.size(); ++i) {
+    const auto lhs_clusters = lhs.ClustersOf(i);
+    const auto lhs_weights = lhs.WeightsOf(i);
+    const auto rhs_clusters = rhs.ClustersOf(i);
+    const auto rhs_weights = rhs.WeightsOf(i);
+    if (!std::equal(lhs_clusters.begin(), lhs_clusters.end(), rhs_clusters.begin()) ||
+        !std::equal(lhs_weights.begin(), lhs_weights.end(), rhs_weights.begin())) {
+      return false;
+    }
+  }
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -156,34 +146,22 @@ bool ClusterActivityEquals(const ClusterActivity& lhs, const ClusterActivity& rh
 void UpdateWorkerResponsibility(CpaModel& model, const AnswerView& view, WorkerId u,
                                 std::span<const std::uint32_t> indices,
                                 const ClusterActivity* activity) {
+  CPA_CHECK(activity != nullptr);
   const std::size_t M = model.num_communities();
-  const std::size_t T = model.num_clusters();
   auto scores = model.kappa.Row(u);
   for (std::size_t m = 0; m < M; ++m) scores[m] = model.elog_pi[m];
-  const auto accumulate = [&](std::span<const LabelId> labels, std::size_t t,
-                              double weight) {
-    const Matrix& elog_psi_t = model.elog_psi[t];
-    for (std::size_t m = 0; m < M; ++m) {
-      const auto psi_row = elog_psi_t.Row(m);
-      double loglik = 0.0;
-      for (LabelId c : labels) loglik += psi_row[c];
-      scores[m] += weight * loglik;
-    }
-  };
   for (std::uint32_t index : indices) {
     const ItemId item = view.item(index);
     const auto labels = view.labels(index);
-    if (activity != nullptr) {
-      const auto active = activity->ClustersOf(item);
-      const auto weights = activity->WeightsOf(item);
-      for (std::size_t k = 0; k < active.size(); ++k) {
-        accumulate(labels, active[k], weights[k]);
-      }
-    } else {
-      const auto phi_row = model.phi.Row(item);
-      for (std::size_t t = 0; t < T; ++t) {
-        if (phi_row[t] < kSkipMass) continue;
-        accumulate(labels, t, phi_row[t]);
+    const auto active = activity->ClustersOf(item);
+    const auto weights = activity->WeightsOf(item);
+    for (std::size_t k = 0; k < active.size(); ++k) {
+      const Matrix& elog_psi_t = model.elog_psi[active[k]];
+      for (std::size_t m = 0; m < M; ++m) {
+        const auto psi_row = elog_psi_t.Row(m);
+        double loglik = 0.0;
+        for (LabelId c : labels) loglik += psi_row[c];
+        scores[m] += weights[k] * loglik;
       }
     }
   }

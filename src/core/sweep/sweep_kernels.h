@@ -42,22 +42,33 @@ inline constexpr double kSkipMass = 1e-8;
 /// four orders of magnitude below `kSkipMass`.
 inline constexpr double kSoftmaxFloorNats = 27.6;
 
-/// \brief Per-item CSR of the clusters carrying at least `kSkipMass` of ϕ.
+/// \brief Per-item lists of the clusters carrying at least `kSkipMass` of ϕ.
 ///
-/// Rebuilt from ϕ whenever a kernel group needs current activity (ϕ changes
-/// between the MAP and REDUCE phases of a sweep). Kernels accepting a
-/// nullable activity fall back to scanning the full ϕ row — the right trade
-/// for the SVI batch path, which touches few items per batch.
+/// Slot layout: item i's entries are the `count[i]` slots starting at
+/// `begin[i]` of the parallel `clusters`/`weights` arrays. A full build
+/// (`BuildClusterActivity`) emits the compact layout — rows back to back in
+/// item order, no dead slots. An incremental patch
+/// (`UpdateClusterActivityRows`) rewrites a row that shrinks or keeps its
+/// size in place and appends a row that grows at the end, leaving its old
+/// slots dead; `live` counts the slots some row still owns. Readers only
+/// ever go through `ClustersOf`/`WeightsOf`, so both layouts read the same.
+///
+/// Offline VI rebuilds it from ϕ whenever a kernel group needs current
+/// activity (ϕ changes between the MAP and REDUCE phases of a sweep); the
+/// online learner keeps one list current across batches by patching the
+/// rows a batch rewrites.
 struct ClusterActivity {
-  std::vector<std::uint32_t> offsets;   ///< I+1
-  std::vector<std::uint32_t> clusters;  ///< active t, ascending per item
-  std::vector<double> weights;          ///< matching ϕ_it values
+  std::vector<std::uint32_t> begin;     ///< I: first slot of each row
+  std::vector<std::uint32_t> count;     ///< I: entries of each row
+  std::vector<std::uint32_t> clusters;  ///< per slot: active t, ascending per row
+  std::vector<double> weights;          ///< per slot: matching ϕ_it value
+  std::size_t live = 0;                 ///< Σ count (slots not dead)
 
   std::span<const std::uint32_t> ClustersOf(ItemId i) const {
-    return {clusters.data() + offsets[i], offsets[i + 1] - offsets[i]};
+    return {clusters.data() + begin[i], count[i]};
   }
   std::span<const double> WeightsOf(ItemId i) const {
-    return {weights.data() + offsets[i], offsets[i + 1] - offsets[i]};
+    return {weights.data() + begin[i], count[i]};
   }
 };
 
@@ -67,27 +78,30 @@ struct ClusterActivity {
 void BuildClusterActivity(const Matrix& phi, const SweepScheduler& scheduler,
                           ClusterActivity& out, double threshold = kSkipMass);
 
-/// Recomputes only the activity rows of `items` from the current ϕ,
-/// leaving every other row untouched — the incremental companion of
-/// `BuildClusterActivity` for the SVI batch path, where a reinforcement
-/// round changes just the batch items' ϕ rows (an I×T rescan per round was
-/// the cost flagged in ROADMAP). `out` must already span `phi.rows()`
-/// items; duplicate ids in `items` are fine. When every recomputed row
-/// keeps its entry count the CSR is patched in place; otherwise the arrays
-/// are spliced in one O(nnz) pass — never an I×T scan. The result is
-/// byte-identical to a full rebuild (the SVI loop asserts this in Debug).
+/// Recomputes only the activity rows of `items` from the current ϕ (at
+/// `kSkipMass`), leaving every other row untouched — the incremental
+/// companion of `BuildClusterActivity` for the SVI batch path, where a
+/// reinforcement round changes just the batch items' ϕ rows. `out` must
+/// already span `phi.rows()` items; duplicate ids in `items` are fine. A
+/// row that shrinks or keeps its size is overwritten in place, a row that
+/// grows moves to the end of the slot arrays, and once dead slots
+/// outnumber live ones the arrays are compacted in one pass. Cost is
+/// O(|items| × T) plus the amortised compaction — never an I×T scan, never
+/// a per-call copy of the whole list. Every row reads identically to a
+/// full rebuild (the SVI loop asserts this in Debug).
 void UpdateClusterActivityRows(const Matrix& phi, std::span<const ItemId> items,
                                ClusterActivity& out);
 
-/// True when `lhs` and `rhs` hold identical lists (offsets, clusters, and
-/// bit-identical weights) — the Debug-mode incremental-vs-rebuilt check.
+/// True when `lhs` and `rhs` hold identical lists row by row (clusters and
+/// weights), whatever their slot layouts — the incremental-vs-rebuilt check.
 bool ClusterActivityEquals(const ClusterActivity& lhs, const ClusterActivity& rhs);
 
 /// \name MAP kernels (one disjoint row each).
 /// @{
 
 /// Eq. 2: recomputes κ row `u` from the given answers of worker `u`.
-/// `activity` (nullable) supplies the active clusters of each answered item.
+/// `activity` (non-null, current with ϕ) supplies the active clusters of
+/// each answered item.
 void UpdateWorkerResponsibility(CpaModel& model, const AnswerView& view, WorkerId u,
                                 std::span<const std::uint32_t> indices,
                                 const ClusterActivity* activity);

@@ -508,4 +508,29 @@ double SoftmaxInPlace(std::span<double> log_weights, double floor_nats) {
                                         floor_nats);
 }
 
+// Not dispatched: the exps are per-lane scalar at every level and the max
+// is a selection, so one body serves both (simd.h, "Sparse rows").
+double SoftmaxActive(std::span<const double> log_weights,
+                     std::span<const std::size_t> active, std::span<double> out) {
+  const std::size_t n = log_weights.size();
+  if (n == 0) return 0.0;
+  // Element t goes to lane t % 4, as in SumExpScalar's main loop and tail.
+  double max = -std::numeric_limits<double>::infinity();
+  for (std::size_t t : active) max = std::max(max, log_weights[t]);
+  double log_norm = max;
+  if (std::isfinite(max)) {
+    double lane[4] = {0.0, 0.0, 0.0, 0.0};
+    for (std::size_t t : active) lane[t % 4] += std::exp(log_weights[t] - max);
+    log_norm = max + std::log((lane[0] + lane[1]) + (lane[2] + lane[3]));
+  }
+  if (!std::isfinite(log_norm)) {
+    std::fill_n(out.begin(), active.size(), 1.0 / static_cast<double>(n));
+    return log_norm;
+  }
+  for (std::size_t k = 0; k < active.size(); ++k) {
+    out[k] = std::exp(log_weights[active[k]] - log_norm);
+  }
+  return log_norm;
+}
+
 }  // namespace cpa

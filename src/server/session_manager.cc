@@ -23,7 +23,9 @@ constexpr std::uint16_t kSessionCheckpointVersion = 1;
 
 /// \brief One live session. `mutex` serialises the engine calls (and the
 /// stream-matrix appends feeding them); the poll state is a handful of
-/// atomics — `Snapshot(refresh=false)` and `List` never wait on `mutex`.
+/// atomics plus the published-snapshot pointer under its own small
+/// `publish_mutex` — `Snapshot(refresh=false)` and `List` never wait on
+/// `mutex`.
 struct SessionManager::Session {
   std::mutex mutex;
   EngineConfig config;  ///< effective config (lane-bound, no owned pool)
@@ -37,10 +39,29 @@ struct SessionManager::Session {
   /// answers to a session that no longer exists.
   bool closed = false;
 
-  /// The published snapshot: written under `mutex` on refresh/finalize,
-  /// read lock-free by polls. The pointee is immutable, so handing the
+  /// The published snapshot: swapped in under `mutex` on refresh/finalize
+  /// and read by polls under `publish_mutex` alone, which guards nothing
+  /// but this pointer — a poll holds it for one refcount bump and never
+  /// waits on an engine call. The pointee is immutable, so handing the
   /// same shared body to any number of pollers is safe and copy-free.
-  std::atomic<SharedSnapshot> published;
+  /// (A plain mutex, not `std::atomic<std::shared_ptr>`: libstdc++ 12's
+  /// lock-bit implementation of the latter is opaque to TSan.)
+  mutable std::mutex publish_mutex;
+  SharedSnapshot published;
+
+  SharedSnapshot LoadPublished() const {
+    std::lock_guard<std::mutex> lock(publish_mutex);
+    return published;
+  }
+
+  /// Swaps `snapshot` in; the previous body is released after the lock
+  /// drops, so a last-reference destructor never runs under it.
+  void StorePublished(SharedSnapshot snapshot) {
+    {
+      std::lock_guard<std::mutex> lock(publish_mutex);
+      published.swap(snapshot);
+    }
+  }
 
   /// Items whose prediction changed at the last publish (the ObserveAck
   /// consensus delta); the published snapshot itself carries the counters.
@@ -56,7 +77,7 @@ struct SessionManager::Session {
   /// Publishes `snapshot` (under `mutex`) and refreshes the delta against
   /// the previously published predictions.
   void Publish(SharedSnapshot snapshot) {
-    const SharedSnapshot previous = published.load(std::memory_order_acquire);
+    const SharedSnapshot previous = LoadPublished();
     std::size_t changed = 0;
     if (previous != nullptr && previous.get() != snapshot.get()) {
       const std::vector<LabelSet>& before = previous->predictions;
@@ -74,12 +95,12 @@ struct SessionManager::Session {
       }
       delta_changed_items.store(changed, std::memory_order_relaxed);
     }
-    published.store(std::move(snapshot), std::memory_order_release);
+    StorePublished(std::move(snapshot));
   }
 
   ConsensusDelta Delta() const {
     ConsensusDelta delta;
-    const SharedSnapshot snapshot = published.load(std::memory_order_acquire);
+    const SharedSnapshot snapshot = LoadPublished();
     delta.changed_items = delta_changed_items.load(std::memory_order_relaxed);
     if (snapshot != nullptr) {
       delta.snapshot_batches_seen = snapshot->batches_seen;
@@ -243,9 +264,10 @@ Result<SharedSnapshot> SessionManager::Snapshot(std::string_view session_id,
   }
   session->last_touch.store(NowSeconds(), std::memory_order_relaxed);
   if (!refresh) {
-    // Pure poll: one atomic snapshot load — never the engine mutex, never
-    // a prediction copy; every poller shares the same immutable body.
-    return session->published.load(std::memory_order_acquire);
+    // Pure poll: one pointer copy under the publish mutex — never the
+    // engine mutex, never a prediction copy; every poller shares the same
+    // immutable body.
+    return session->LoadPublished();
   }
   std::lock_guard<std::mutex> lock(session->mutex);
   if (session->closed) {
@@ -306,8 +328,7 @@ Result<std::string> SessionManager::Checkpoint(std::string_view session_id) {
     writer.WriteU32(answer.worker);
     writer.WriteLabelSet(answer.labels);
   }
-  const SharedSnapshot published =
-      session->published.load(std::memory_order_acquire);
+  const SharedSnapshot published = session->LoadPublished();
   writer.WriteBool(published != nullptr);
   if (published != nullptr) WriteConsensusSnapshot(writer, *published);
   writer.WriteU64(

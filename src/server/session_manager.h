@@ -17,10 +17,10 @@
 /// - Per session, `Observe` / `Snapshot(refresh=true)` / `Finalize` are
 ///   serialised (they mutate or refit the engine).
 /// - `Snapshot(refresh=false)` is a poll: it hands out the most recently
-///   published `SharedSnapshot` from one atomic load — it never touches
-///   the session's engine mutex and never copies the predictions — so
-///   pollers can never block behind an in-flight `Observe` batch or
-///   refit.
+///   published `SharedSnapshot` by one pointer copy under a small
+///   per-session publish mutex — it never touches the session's engine
+///   mutex and never copies the predictions — so pollers can never block
+///   behind an in-flight `Observe` batch or refit.
 /// - `List` reads per-session atomic counters — exact counters,
 ///   predictions as of the last refresh.
 ///
@@ -59,8 +59,8 @@ struct SessionManagerOptions {
 /// \brief The cheap consensus delta riding on every `Observe` ack: how far
 /// the published snapshot lags the stream, and how much the consensus
 /// moved at the last refresh. Computed once per refresh (an O(items)
-/// prediction diff), read lock-free afterwards — a client can decide
-/// whether to pull a fresh snapshot without ever forcing one.
+/// prediction diff), read without the engine mutex afterwards — a client
+/// can decide whether to pull a fresh snapshot without ever forcing one.
 struct ConsensusDelta {
   /// Items whose predicted label set changed at the last published
   /// refresh (vs the previously published snapshot).
@@ -124,7 +124,7 @@ class SessionManager {
   /// The session's consensus as an immutable shared snapshot. `refresh`
   /// (default) runs the engine's snapshot (offline methods refit on
   /// everything seen) and publishes the result; `refresh=false` polls the
-  /// atomically published snapshot of the last refresh/finalize without
+  /// published snapshot of the last refresh/finalize without
   /// ever taking the session's engine mutex — it never blocks behind an
   /// in-flight batch, and repeated polls return the *same* object (zero
   /// prediction copies per poll).

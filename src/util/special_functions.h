@@ -57,6 +57,19 @@ double SoftmaxInPlace(std::span<double> log_weights);
 /// invariance of the sweeps is unaffected.
 double SoftmaxInPlace(std::span<double> log_weights, double floor_nats);
 
+/// \brief The softmax of a row whose entries outside `active` are all −inf,
+/// computed over `active` alone: writes the probability of `active[k]` to
+/// `out[k]` and returns the log-normaliser.
+///
+/// `active` must be ascending. The result is bit-identical to
+/// `SoftmaxInPlace(log_weights)` read back at the active ids, at every SIMD
+/// level (the lane argument is in core/sweep/simd.h), and it falls back to
+/// the same uniform 1/|log_weights| on a non-finite normaliser. Prediction
+/// uses it for the per-item cluster posterior, where a few dozen of ~1000
+/// clusters are live.
+double SoftmaxActive(std::span<const double> log_weights,
+                     std::span<const std::size_t> active, std::span<double> out);
+
 /// \brief Entropy of a Dirichlet(α) distribution.
 double DirichletEntropy(std::span<const double> alpha);
 

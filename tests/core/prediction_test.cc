@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "data/dataset.h"
 
 #include "core/vi.h"
+#include "util/special_functions.h"
 #include "simulation/crowd_simulator.h"
 
 namespace cpa {
@@ -326,6 +329,112 @@ TEST(PredictLabelsTest, ParallelAndArenaPathsAreBitIdentical) {
           << "item " << i;
     }
   }
+}
+
+/// The per-(answer, cluster) likelihood term exactly as the dense loop
+/// computed it before the live-community rewrite: an M-wide row with −inf
+/// for dead communities and ln κ_um + Σ_c ln ψ̂_tmc elsewhere, then
+/// `LogSumExp`.
+double DenseCommunityTerm(std::span<const double> kappa_row, const Matrix& log_psi_t,
+                          const LabelSet& labels) {
+  std::vector<double> member_terms(kappa_row.size());
+  for (std::size_t m = 0; m < kappa_row.size(); ++m) {
+    if (kappa_row[m] <= 0.0) {
+      member_terms[m] = -std::numeric_limits<double>::infinity();
+      continue;
+    }
+    const auto psi_row = log_psi_t.Row(m);
+    double loglik = std::log(kappa_row[m]);
+    for (LabelId c : labels) loglik += psi_row[c];
+    member_terms[m] = loglik;
+  }
+  return LogSumExp(member_terms);
+}
+
+/// The item's dense cluster log-weights: ln ϕ_it on clusters above the
+/// prune threshold (−inf elsewhere) plus every answer's community term.
+std::vector<double> DenseItemLogWeights(const CpaModel& model,
+                                        const internal::PredictionTables& tables,
+                                        const AnswerMatrix& answers, ItemId item) {
+  const std::size_t T = model.num_clusters();
+  std::vector<double> log_weights(T, -std::numeric_limits<double>::infinity());
+  for (std::size_t t = 0; t < T; ++t) {
+    if (model.phi(item, t) >= internal::kClusterPrune) {
+      log_weights[t] = std::log(model.phi(item, t));
+    }
+  }
+  for (std::size_t index : answers.AnswersOfItem(item)) {
+    const Answer& a = answers.answer(index);
+    for (std::size_t t = 0; t < T; ++t) {
+      if (model.phi(item, t) < internal::kClusterPrune) continue;
+      log_weights[t] +=
+          DenseCommunityTerm(model.kappa.Row(a.worker), tables.log_psi_mean[t], a.labels);
+    }
+  }
+  return log_weights;
+}
+
+TEST(ItemClusterLogWeightsTest, LiveCommunityPathEqualsDenseFormula) {
+  FittedWorld world = FitWorld(17, PopulationMix::PaperSimulationDefault(),
+                               PredictionMode::kMultinomialSizePrior);
+  CpaModel& model = world.model;
+  const std::size_t M = model.num_communities();
+  ASSERT_GE(M, 5u);
+  // κ rows of every shape the live-community loop distinguishes: one-hot
+  // and one live entry below 1 (the shortcut), spread over three and over
+  // all communities (the log-sum-exp path), zero-holed at the first and
+  // last community, and all-zero (every term −inf).
+  const std::size_t U = model.num_workers();
+  for (WorkerId u = 0; u < U; ++u) {
+    auto row = model.kappa.Row(u);
+    std::fill(row.begin(), row.end(), 0.0);
+    switch (u % 7) {
+      case 0:
+        row[u % M] = 1.0;
+        break;
+      case 1:
+        row[0] = 0.5;
+        row[2] = 0.3;
+        row[4] = 0.2;
+        break;
+      case 2:
+        for (double& value : row) value = 1.0 / static_cast<double>(M);
+        break;
+      case 3:
+        row[1] = 0.7;
+        row[M - 2] = 0.3;
+        break;
+      case 4:
+        row[M - 1] = 1.0;
+        break;
+      case 5:
+        row[M - 1] = 0.37;
+        break;
+      default:
+        break;  // all zero
+    }
+  }
+  const auto tables = internal::BuildPredictionTables(model);
+  sweep::ClusterActivity activity;
+  sweep::BuildClusterActivity(model.phi, SweepScheduler(nullptr), activity,
+                              internal::kClusterPrune);
+  internal::PredictionScratch scratch(model.num_clusters(), M);
+  std::size_t compared = 0;
+  for (ItemId i = 0; i < world.dataset.num_items(); ++i) {
+    if (world.dataset.answers.AnswersOfItem(i).empty()) continue;
+    const std::vector<double> dense =
+        DenseItemLogWeights(model, tables, world.dataset.answers, i);
+    const sweep::ClusterActivity* lists[] = {&activity, nullptr};
+    for (const sweep::ClusterActivity* list : lists) {
+      internal::ItemClusterLogWeights(model, tables, world.dataset.answers, i, list,
+                                      scratch);
+      for (std::size_t t = 0; t < dense.size(); ++t) {
+        EXPECT_EQ(scratch.log_weights[t], dense[t]) << "item " << i << " cluster " << t;
+      }
+    }
+    ++compared;
+  }
+  EXPECT_GT(compared, 100u);
 }
 
 TEST(PredictionCompletionTest, ClusterCompletionLiftsRecallOverRawAnswers) {

@@ -10,6 +10,7 @@
 
 #include "core/vi.h"
 #include "simulation/dataset_factory.h"
+#include "util/special_functions.h"
 
 namespace cpa::simd {
 namespace {
@@ -203,6 +204,55 @@ TEST_F(SimdKernelsTest, FitCpaBitIdenticalScalarVsAvx2) {
   for (std::size_t t = 0; t < a.num_clusters(); ++t) {
     EXPECT_DOUBLE_EQ(a.lambda[t].MaxAbsDiff(b.lambda[t]), 0.0) << t;
   }
+}
+
+// The active-only softmax of prediction against the dense dispatched
+// softmax, at both levels: −inf holes at every lane position, listed ids
+// that are themselves −inf, widths that are not multiples of 4, and the
+// degenerate rows that take the uniform fallback.
+TEST(SoftmaxActiveTest, BitIdenticalToDenseSoftmaxAtEveryLevel) {
+  std::mt19937_64 rng(7);
+  std::uniform_real_distribution<double> value(-40.0, 5.0);
+  std::uniform_real_distribution<double> coin(0.0, 1.0);
+  const Level original = ActiveLevel();
+  for (Level level : {Level::kScalar, Level::kAvx2}) {
+    SetLevelForTesting(level);
+    for (std::size_t n : {1u, 2u, 3u, 5u, 6u, 7u, 9u, 13u, 31u, 33u, 97u, 1023u}) {
+      // hole_lane 0..3: every id ≡ hole_lane (mod 4) is a hole; 4: random
+      // holes; 5: a single live id; 6: all holes; 7: a NaN among the ids.
+      for (int pattern = 0; pattern < 8; ++pattern) {
+        std::vector<double> row(n);
+        std::vector<std::size_t> active;
+        for (std::size_t t = 0; t < n; ++t) {
+          bool hole = false;
+          if (pattern < 4) hole = t % 4 == static_cast<std::size_t>(pattern);
+          if (pattern == 4) hole = coin(rng) < 0.6;
+          if (pattern == 5) hole = t != n / 2;
+          if (pattern == 6) hole = true;
+          row[t] = kNegInf;
+          if (hole) continue;
+          active.push_back(t);
+          // A listed id may still carry −inf (zero answer likelihood).
+          if (coin(rng) >= 0.1) row[t] = value(rng);
+        }
+        if (pattern == 7 && !active.empty()) {
+          row[active[active.size() / 2]] = std::numeric_limits<double>::quiet_NaN();
+        }
+        std::vector<double> dense = row;
+        const double dense_norm = SoftmaxInPlace(dense);
+        std::vector<double> out(active.size(), -1.0);
+        const double active_norm = SoftmaxActive(row, active, out);
+        EXPECT_TRUE(BitEqual(dense_norm, active_norm))
+            << "level=" << LevelName(level) << " n=" << n << " pattern=" << pattern;
+        for (std::size_t k = 0; k < active.size(); ++k) {
+          ASSERT_TRUE(BitEqual(out[k], dense[active[k]]))
+              << "level=" << LevelName(level) << " n=" << n << " pattern=" << pattern
+              << " id=" << active[k];
+        }
+      }
+    }
+  }
+  SetLevelForTesting(original);
 }
 
 // ---------------------------------------------------------------------------

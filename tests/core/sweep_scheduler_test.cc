@@ -8,6 +8,7 @@
 #include "core/sweep/sweep_kernels.h"
 #include "core/vi.h"
 #include "simulation/dataset_factory.h"
+#include "util/rng.h"
 #include "util/string_utils.h"
 #include "util/thread_pool.h"
 
@@ -285,7 +286,17 @@ TEST(SweepDeterminismTest, ClusterActivityMatchesPhiThreshold) {
     SweepScheduler scheduler(p);
     sweep::ClusterActivity activity;
     sweep::BuildClusterActivity(model.value().phi, scheduler, activity);
-    ASSERT_EQ(activity.offsets.size(), model.value().num_items() + 1);
+    ASSERT_EQ(activity.begin.size(), model.value().num_items());
+    ASSERT_EQ(activity.count.size(), model.value().num_items());
+    // A full build is compact: rows back to back in item order.
+    std::size_t slot = 0;
+    for (ItemId i = 0; i < model.value().num_items(); ++i) {
+      EXPECT_EQ(activity.begin[i], slot) << i;
+      slot += activity.count[i];
+    }
+    EXPECT_EQ(activity.live, slot);
+    EXPECT_EQ(activity.clusters.size(), slot);
+    EXPECT_EQ(activity.weights.size(), slot);
     for (ItemId i = 0; i < model.value().num_items(); ++i) {
       const auto row = model.value().phi.Row(i);
       const auto active = activity.ClustersOf(i);
@@ -301,6 +312,113 @@ TEST(SweepDeterminismTest, ClusterActivityMatchesPhiThreshold) {
       EXPECT_EQ(k, active.size()) << i;
     }
   }
+}
+
+/// Rewrites row `i` of `phi` with `live` entries of mass ≥ kSkipMass at
+/// clusters drawn from `rng` (the rest stay below the threshold, some at
+/// exactly 0).
+void WriteRow(Matrix& phi, ItemId i, std::size_t live, Rng& rng) {
+  auto row = phi.Row(i);
+  for (std::size_t t = 0; t < row.size(); ++t) {
+    row[t] = (t % 3 == 0) ? 0.0 : 1e-9;
+  }
+  for (std::size_t k = 0; k < live; ++k) {
+    row[rng.NextBounded(row.size())] = 0.01 + rng.NextDouble();
+  }
+}
+
+/// Patches `items` in `activity` and checks it against a full rebuild,
+/// plus the slot-layout invariants a reader relies on.
+void ExpectPatchMatchesRebuild(const Matrix& phi, std::span<const ItemId> items,
+                               sweep::ClusterActivity& activity) {
+  sweep::UpdateClusterActivityRows(phi, items, activity);
+  sweep::ClusterActivity rebuilt;
+  sweep::BuildClusterActivity(phi, SweepScheduler(nullptr), rebuilt);
+  EXPECT_TRUE(sweep::ClusterActivityEquals(activity, rebuilt));
+  EXPECT_EQ(activity.live, rebuilt.live);
+  // Compaction keeps the dead slots at most equal to the live ones.
+  EXPECT_LE(activity.clusters.size() - activity.live, activity.live);
+  for (ItemId i = 0; i < phi.rows(); ++i) {
+    EXPECT_LE(activity.begin[i] + activity.count[i], activity.clusters.size()) << i;
+  }
+}
+
+TEST(ClusterActivityUpdateTest, GrowShrinkAndSameSizeRowsMatchRebuild) {
+  Rng rng(3);
+  Matrix phi(12, 20, 0.0);
+  for (ItemId i = 0; i < phi.rows(); ++i) WriteRow(phi, i, 3, rng);
+  sweep::ClusterActivity activity;
+  sweep::BuildClusterActivity(phi, SweepScheduler(nullptr), activity);
+
+  // Item 2 grows (moves to the end), item 5 shrinks in place, item 7 keeps
+  // its size with new clusters and weights, item 9 empties.
+  WriteRow(phi, 2, 9, rng);
+  WriteRow(phi, 5, 1, rng);
+  auto row7 = phi.Row(7);
+  std::vector<std::size_t> live7;
+  for (std::size_t t = 0; t < row7.size(); ++t) {
+    if (row7[t] >= sweep::kSkipMass) live7.push_back(t);
+  }
+  for (std::size_t t = 0; t < row7.size(); ++t) row7[t] = 0.0;
+  for (std::size_t k = 0; k < live7.size(); ++k) row7[19 - k] = 0.5 + 0.01 * k;
+  auto row9 = phi.Row(9);
+  for (double& value : row9) value = 1e-9;
+  const sweep::ClusterActivity before = activity;
+  const std::vector<ItemId> items = {2, 5, 7, 9};
+  ExpectPatchMatchesRebuild(phi, items, activity);
+  EXPECT_GT(activity.count[2], before.count[2]);
+  EXPECT_EQ(activity.begin[2], before.clusters.size());  // appended
+  EXPECT_LT(activity.count[5], before.count[5]);
+  EXPECT_EQ(activity.begin[5], before.begin[5]);  // in place
+  EXPECT_EQ(activity.count[7], before.count[7]);
+  EXPECT_EQ(activity.begin[7], before.begin[7]);
+  EXPECT_EQ(activity.count[9], 0u);
+}
+
+TEST(ClusterActivityUpdateTest, DuplicateAndEmptyIdListsMatchRebuild) {
+  Rng rng(5);
+  Matrix phi(8, 16, 0.0);
+  for (ItemId i = 0; i < phi.rows(); ++i) WriteRow(phi, i, 2, rng);
+  sweep::ClusterActivity activity;
+  sweep::BuildClusterActivity(phi, SweepScheduler(nullptr), activity);
+
+  // An empty list changes nothing.
+  const sweep::ClusterActivity before = activity;
+  ExpectPatchMatchesRebuild(phi, {}, activity);
+  EXPECT_EQ(activity.clusters, before.clusters);
+  EXPECT_EQ(activity.begin, before.begin);
+
+  // A grown row listed twice: appended once, then rewritten in place.
+  WriteRow(phi, 4, 10, rng);
+  WriteRow(phi, 1, 6, rng);
+  const std::vector<ItemId> items = {4, 1, 4, 4, 1};
+  ExpectPatchMatchesRebuild(phi, items, activity);
+}
+
+TEST(ClusterActivityUpdateTest, ChurnCompactsAndStaysEqualToRebuild) {
+  Rng rng(7);
+  const std::size_t T = 32;
+  Matrix phi(40, T, 0.0);
+  // Start uniform (every cluster live), as unseen items are in the online
+  // learner, so early patches mostly shrink rows and leave dead tails.
+  for (ItemId i = 0; i < phi.rows(); ++i) {
+    for (double& value : phi.Row(i)) value = 1.0 / static_cast<double>(T);
+  }
+  sweep::ClusterActivity activity;
+  sweep::BuildClusterActivity(phi, SweepScheduler(nullptr), activity);
+  bool compacted = false;
+  for (int round = 0; round < 60; ++round) {
+    std::vector<ItemId> items;
+    for (int k = 0; k < 5; ++k) {
+      const ItemId i = static_cast<ItemId>(rng.NextBounded(phi.rows()));
+      WriteRow(phi, i, rng.NextBounded(8), rng);
+      items.push_back(i);
+    }
+    const std::size_t slots_before = activity.clusters.size();
+    ExpectPatchMatchesRebuild(phi, items, activity);
+    if (activity.clusters.size() < slots_before) compacted = true;
+  }
+  EXPECT_TRUE(compacted);
 }
 
 }  // namespace
