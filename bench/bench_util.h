@@ -55,11 +55,6 @@ double Percentile(std::vector<double> values, double p);
 void PrintHeader(const std::string& artefact, const std::string& description,
                  const BenchConfig& config);
 
-/// The JSON document type now lives in `util/json.h` (the engine layer
-/// round-trips `EngineConfig` through it too); the alias keeps existing
-/// `bench::JsonValue` call sites working.
-using ::cpa::JsonValue;
-
 /// \brief Collects a bench binary's headline numbers and writes
 /// `BENCH_<name>.json`.
 ///

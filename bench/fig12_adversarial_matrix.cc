@@ -6,14 +6,16 @@
 /// `EngineRegistry::Global()` as a batched stream. Per cell the bench
 /// records final accuracy, the batch at which predictions stopped moving,
 /// and per-batch Observe/Snapshot latency percentiles; per batch it also
-/// asserts the robustness invariants (finite scores, monotone counters) so
+/// asserts the robustness invariants (finite scores, exact counters) so
 /// a regression fails the run rather than skewing the numbers.
 ///
 /// A second axis replays the nastiest scenario (lowest CPA F1 among the
-/// non-degenerate cells) through a live TCP `cpa_server`: N concurrent
-/// binary-protocol connections each stream the full adversarial plan and
-/// the report carries the tail latency of the wire under hostile input,
-/// comparable against BENCH_fig11_server_throughput.json.
+/// non-degenerate cells) through a live TCP server with fig11's load
+/// driver (bench/load_driver.h): N concurrent binary-protocol connections
+/// each stream the full adversarial plan, and the `replay_*` rows carry
+/// the tail latency of the wire under hostile input, comparable against
+/// BENCH_fig11_server_throughput.json. Every replayed session must
+/// finalize to the same predictions.
 ///
 ///   $ fig12_adversarial_matrix                   # full matrix + replay
 ///   $ fig12_adversarial_matrix --quick           # CI smoke
@@ -22,23 +24,18 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "bench/load_driver.h"
 #include "engine/engine_registry.h"
 #include "eval/metrics.h"
-#include "server/binary_codec.h"
 #include "server/consensus_server.h"
-#include "server/tcp_client.h"
-#include "server/tcp_transport.h"
 #include "simulation/adversary.h"
-#include "util/json.h"
 #include "util/stopwatch.h"
 #include "util/string_utils.h"
 
@@ -47,10 +44,6 @@ using namespace cpa;
 namespace {
 
 using bench::Percentile;
-using server::BinaryResponse;
-using server::Frame;
-using server::FrameKind;
-using server::TcpFrameClient;
 
 /// One (scenario, method) cell of the matrix.
 struct CellResult {
@@ -64,10 +57,8 @@ struct CellResult {
   std::vector<double> snapshot_ms;
 };
 
-/// The robustness invariants: every score finite, counters monotone.
-void CheckSnapshotInvariants(const ConsensusSnapshot& snapshot,
-                             const char* where, std::size_t min_batches,
-                             std::size_t min_answers) {
+/// The robustness invariant every snapshot keeps: every score finite.
+void CheckFinite(const ConsensusSnapshot& snapshot, const char* where) {
   for (std::size_t r = 0; r < snapshot.label_scores.rows(); ++r) {
     for (double score : snapshot.label_scores.Row(r)) {
       CPA_CHECK(std::isfinite(score))
@@ -75,8 +66,6 @@ void CheckSnapshotInvariants(const ConsensusSnapshot& snapshot,
     }
   }
   CPA_CHECK(std::isfinite(snapshot.learning_rate)) << where;
-  CPA_CHECK_GE(snapshot.batches_seen, min_batches) << where;
-  CPA_CHECK_GE(snapshot.answers_seen, min_answers) << where;
 }
 
 /// Streams one scenario through one engine, timing each op.
@@ -112,8 +101,9 @@ CellResult RunCell(const AdversarialScenario& scenario,
     CPA_CHECK(snapshot.ok())
         << scenario.name << "@" << method << ": "
         << snapshot.status().ToString();
-    CheckSnapshotInvariants(*snapshot.value(), scenario.name.c_str(),
-                            batches_seen, answers_seen);
+    CheckFinite(*snapshot.value(), scenario.name.c_str());
+    CPA_CHECK_EQ(snapshot.value()->batches_seen, batches_seen) << scenario.name;
+    CPA_CHECK_EQ(snapshot.value()->answers_seen, answers_seen) << scenario.name;
     if (snapshot.value()->predictions != previous_predictions) {
       cell.convergence_batch = batches_seen;
       previous_predictions = snapshot.value()->predictions;
@@ -121,143 +111,14 @@ CellResult RunCell(const AdversarialScenario& scenario,
   }
   auto final_snapshot = engine.Finalize();
   CPA_CHECK(final_snapshot.ok()) << final_snapshot.status().ToString();
-  CheckSnapshotInvariants(*final_snapshot.value(), "finalize", batches_seen,
-                          answers_seen);
+  CheckFinite(*final_snapshot.value(), "finalize");
+  CPA_CHECK_GE(final_snapshot.value()->batches_seen, batches_seen);
+  CPA_CHECK_GE(final_snapshot.value()->answers_seen, answers_seen);
   cell.wall_s = wall.ElapsedSeconds();
   cell.answers = answers_seen;
   cell.metrics = ComputeSetMetrics(final_snapshot.value()->predictions,
                                    stream.dataset.ground_truth);
   return cell;
-}
-
-void CheckJsonOk(const Frame& frame, const char* what) {
-  CPA_CHECK(frame.kind == FrameKind::kJson) << what;
-  const auto parsed = JsonValue::Parse(frame.payload);
-  CPA_CHECK(parsed.ok()) << what << ": " << frame.payload;
-  const JsonValue* ok = parsed.value().Find("ok");
-  CPA_CHECK(ok != nullptr && ok->bool_value()) << what << ": " << frame.payload;
-}
-
-BinaryResponse CheckBinaryOk(const Frame& frame, const char* what) {
-  CPA_CHECK(frame.kind == FrameKind::kBinary) << what;
-  auto decoded = server::DecodeBinaryResponse(frame.payload);
-  CPA_CHECK(decoded.ok()) << what << ": " << decoded.status().ToString();
-  CPA_CHECK(decoded.value().ok)
-      << what << ": " << decoded.value().error.ToString();
-  return std::move(decoded).value();
-}
-
-double TimedRoundtrip(TcpFrameClient& client, FrameKind kind,
-                      std::string_view payload, Frame& reply) {
-  const Stopwatch stopwatch;
-  auto result = client.Roundtrip(kind, payload);
-  const double ms = stopwatch.ElapsedMillis();
-  CPA_CHECK(result.ok()) << result.status().ToString();
-  reply = std::move(result).value();
-  return ms;
-}
-
-/// Latency samples of the wire-replay axis.
-struct ReplayResult {
-  double wall_s = 0.0;
-  std::size_t answers = 0;
-  std::vector<double> observe_ms;
-  std::vector<double> snapshot_ms;
-};
-
-/// Replays the scenario stream through a live TCP server: `connections`
-/// concurrent binary-protocol sessions, each streaming the full plan.
-ReplayResult ReplayOverTcp(const AdversarialStream& stream,
-                           const std::string& method,
-                           std::size_t cpa_iterations,
-                           std::size_t connections) {
-  EngineConfig engine_config =
-      EngineConfig::ForDataset(method, stream.dataset);
-  engine_config.cpa.max_iterations = cpa_iterations;
-
-  ConsensusServerOptions server_options;
-  server_options.sessions.max_sessions = connections + 1;
-  ConsensusServer server(server_options);
-  TcpTransportOptions tcp_options;
-  tcp_options.max_connections = connections + 8;
-  TcpTransport transport(server, tcp_options);
-  CPA_CHECK_OK(transport.Start());
-
-  std::vector<ReplayResult> stats(connections);
-  std::vector<std::thread> clients;
-  clients.reserve(connections);
-  std::atomic<bool> go{false};
-  for (std::size_t s = 0; s < connections; ++s) {
-    clients.emplace_back([&, s] {
-      auto connect = TcpFrameClient::Connect("127.0.0.1", transport.port());
-      CPA_CHECK(connect.ok()) << connect.status().ToString();
-      TcpFrameClient client = std::move(connect).value();
-      const std::string session = StrFormat("adversarial-%zu", s);
-      Frame reply;
-
-      JsonValue::Object open;
-      open["op"] = JsonValue(std::string("open"));
-      open["session"] = JsonValue(session);
-      open["config"] = engine_config.ToJson();
-      auto opened = client.Roundtrip(FrameKind::kJson,
-                                     JsonValue(std::move(open)).DumpCompact());
-      CPA_CHECK(opened.ok()) << opened.status().ToString();
-      CheckJsonOk(opened.value(), "open");
-      while (!go.load(std::memory_order_acquire)) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-
-      std::vector<Answer> batch_answers;
-      for (const auto& batch : stream.plan.batches) {
-        batch_answers.clear();
-        batch_answers.reserve(batch.size());
-        for (std::size_t index : batch) {
-          batch_answers.push_back(stream.dataset.answers.answer(index));
-        }
-        stats[s].observe_ms.push_back(TimedRoundtrip(
-            client, FrameKind::kBinary,
-            server::EncodeObserveRequest(session, batch_answers), reply));
-        CheckBinaryOk(reply, "observe");
-        stats[s].snapshot_ms.push_back(TimedRoundtrip(
-            client, FrameKind::kBinary,
-            server::EncodeSnapshotRequest(session, /*refresh=*/true,
-                                          /*include_predictions=*/true),
-            reply));
-        CheckBinaryOk(reply, "snapshot");
-        stats[s].answers += batch.size();
-      }
-      auto finalized = client.Roundtrip(
-          FrameKind::kBinary, server::EncodeFinalizeRequest(session, false));
-      CPA_CHECK(finalized.ok()) << finalized.status().ToString();
-      CheckBinaryOk(finalized.value(), "finalize");
-      auto closed = client.Roundtrip(
-          FrameKind::kJson,
-          StrFormat("{\"op\":\"close\",\"session\":\"%s\"}", session.c_str()));
-      CPA_CHECK(closed.ok()) << closed.status().ToString();
-      CheckJsonOk(closed.value(), "close");
-    });
-  }
-
-  ReplayResult result;
-  while (transport.num_connections() < connections) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  const Stopwatch wall;
-  go.store(true, std::memory_order_release);
-  for (auto& client : clients) client.join();
-  result.wall_s = wall.ElapsedSeconds();
-  for (ReplayResult& client : stats) {
-    result.answers += client.answers;
-    result.observe_ms.insert(result.observe_ms.end(),
-                             client.observe_ms.begin(),
-                             client.observe_ms.end());
-    result.snapshot_ms.insert(result.snapshot_ms.end(),
-                              client.snapshot_ms.begin(),
-                              client.snapshot_ms.end());
-  }
-  CPA_CHECK_EQ(server.sessions().num_sessions(), 0u);
-  transport.Shutdown();
-  return result;
 }
 
 }  // namespace
@@ -378,20 +239,23 @@ int main(int argc, char** argv) {
   CPA_CHECK(nasty_stream.ok()) << nasty_stream.status().ToString();
   std::printf("\nreplaying '%s' over TCP (%zu connections, CPA-SVI)...\n",
               nasty.name.c_str(), connections);
-  const ReplayResult replay = ReplayOverTcp(
-      nasty_stream.value(), "CPA-SVI", config.cpa_iterations, connections);
-  report.Add("replay_wall", replay.wall_s, "s");
-  report.Add("replay_answers_per_s",
-             static_cast<double>(replay.answers) / replay.wall_s, "1/s");
-  report.Add("replay_observe_p50", Percentile(replay.observe_ms, 0.5), "ms");
-  report.Add("replay_observe_p95", Percentile(replay.observe_ms, 0.95), "ms");
-  report.Add("replay_observe_p99", Percentile(replay.observe_ms, 0.99), "ms");
-  report.Add("replay_snapshot_p50", Percentile(replay.snapshot_ms, 0.5),
-             "ms");
-  report.Add("replay_snapshot_p95", Percentile(replay.snapshot_ms, 0.95),
-             "ms");
-  report.Add("replay_snapshot_p99", Percentile(replay.snapshot_ms, 0.99),
-             "ms");
+  EngineConfig replay_config =
+      EngineConfig::ForDataset("CPA-SVI", nasty_stream.value().dataset);
+  replay_config.cpa.max_iterations = config.cpa_iterations;
+  ConsensusServerOptions server_options;
+  server_options.sessions.max_sessions = connections + 1;
+  ConsensusServer server(server_options);
+  const bench::ReplayResult replay = bench::ReplaySessions(
+      server, replay_config, nasty_stream.value().dataset,
+      std::vector<BatchPlan>(connections, nasty_stream.value().plan),
+      /*binary=*/true);
+  CPA_CHECK_EQ(server.sessions().num_sessions(), 0u);
+  // One stream under one config: every session must reach one consensus.
+  for (std::size_t s = 1; s < replay.final_predictions.size(); ++s) {
+    CPA_CHECK(replay.final_predictions[s] == replay.final_predictions[0])
+        << "replayed sessions 0 and " << s << " disagree";
+  }
+  bench::AddReplayRows(report, "replay", replay);
   std::printf("replay: %.0f answers/s, observe p95 %.3f ms, snapshot p95 "
               "%.3f ms\n",
               static_cast<double>(replay.answers) / replay.wall_s,

@@ -280,10 +280,8 @@ void BM_PredictLabels(benchmark::State& state) {
 }
 BENCHMARK(BM_PredictLabels);
 
-// The arena-vs-heap prediction pair: the per-item multinomial pipeline
-// (reweight → candidates → greedy instantiation) with one arena-backed
-// scratch reused across items versus a fresh heap scratch per item (the
-// pre-arena per-item allocation pattern). Label sets are identical.
+// The per-item multinomial pipeline (reweight → candidates → greedy
+// instantiation) with one arena-backed scratch reused across items.
 void BM_PredictionItemsArena(benchmark::State& state) {
   FittedFixture& f = FittedFixture::Get();
   const auto tables = internal::BuildPredictionTables(f.model);
@@ -296,7 +294,7 @@ void BM_PredictionItemsArena(benchmark::State& state) {
   ItemId i = 0;
   for (auto _ : state) {
     internal::ItemClusterLogWeights(f.model, tables, f.dataset.answers, i,
-                                    &activity, scratch);
+                                    activity, scratch);
     internal::CollectCandidates(tables, f.dataset.answers, i, scratch.log_weights,
                                 scratch);
     benchmark::DoNotOptimize(internal::GreedyInstantiate(
@@ -305,22 +303,6 @@ void BM_PredictionItemsArena(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PredictionItemsArena);
-
-void BM_PredictionItemsHeap(benchmark::State& state) {
-  FittedFixture& f = FittedFixture::Get();
-  const auto tables = internal::BuildPredictionTables(f.model);
-  ItemId i = 0;
-  for (auto _ : state) {
-    const auto log_weights =
-        internal::ItemClusterLogWeights(f.model, tables, f.dataset.answers, i);
-    const auto candidates = internal::CollectCandidates(
-        tables, f.dataset.answers, i, log_weights);
-    benchmark::DoNotOptimize(
-        internal::GreedyInstantiate(tables, log_weights, candidates));
-    i = (i + 1) % f.model.num_items();
-  }
-}
-BENCHMARK(BM_PredictionItemsHeap);
 
 void BM_ComputeElbo(benchmark::State& state) {
   FittedFixture& f = FittedFixture::Get();

@@ -54,23 +54,6 @@ double SetScore(const PredictionTables& tables, PredictionScratch& scratch,
 
 }  // namespace
 
-PredictionScratch::PredictionScratch(std::size_t num_clusters,
-                                     std::size_t num_communities)
-    : owned_doubles_(6 * num_clusters + 2 * num_communities, 0.0),
-      owned_ids_(num_clusters + num_communities, 0) {
-  double* base = owned_doubles_.data();
-  log_weights = {base, num_clusters};
-  weights = {base + num_clusters, num_clusters};
-  active_log_weights = {base + 2 * num_clusters, num_clusters};
-  acc = {base + 3 * num_clusters, num_clusters};
-  trial = {base + 4 * num_clusters, num_clusters};
-  terms = {base + 5 * num_clusters, num_clusters};
-  member_terms = {base + 6 * num_clusters, num_communities};
-  live_log_kappa = {base + 6 * num_clusters + num_communities, num_communities};
-  active_ids = {owned_ids_.data(), num_clusters};
-  live_communities = {owned_ids_.data() + num_clusters, num_communities};
-}
-
 PredictionScratch::PredictionScratch(ScratchArena& arena, std::size_t num_clusters,
                                      std::size_t num_communities) {
   log_weights = arena.AllocZeroed<double>(num_clusters);
@@ -133,34 +116,19 @@ PredictionTables BuildPredictionTables(const CpaModel& model) {
 
 void ItemClusterLogWeights(const CpaModel& model, const PredictionTables& tables,
                            const AnswerMatrix& answers, ItemId item,
-                           const sweep::ClusterActivity* activity,
+                           const sweep::ClusterActivity& activity,
                            PredictionScratch& scratch) {
-  const std::size_t T = model.num_clusters();
   const std::size_t M = model.num_communities();
   auto log_weights = scratch.log_weights;
   // Clusters holding no posterior mass for this item cannot win the
-  // softmax; their (answers × M) likelihood work is skipped. With an
-  // activity list the live set is read directly; the fallback scans ϕ —
-  // both produce the same prefix of finite entries, so the paths are
-  // bit-identical.
+  // softmax; their (answers × M) likelihood work is skipped.
+  std::fill(log_weights.begin(), log_weights.end(), kNegInf);
+  const auto active = activity.ClustersOf(item);
+  const auto weights = activity.WeightsOf(item);
   scratch.active_count = 0;
-  if (activity != nullptr) {
-    std::fill(log_weights.begin(), log_weights.end(), kNegInf);
-    const auto active = activity->ClustersOf(item);
-    const auto weights = activity->WeightsOf(item);
-    for (std::size_t k = 0; k < active.size(); ++k) {
-      log_weights[active[k]] = SafeLog(weights[k]);
-      scratch.active_ids[scratch.active_count++] = active[k];
-    }
-  } else {
-    for (std::size_t t = 0; t < T; ++t) {
-      if (model.phi(item, t) < kClusterPrune) {
-        log_weights[t] = kNegInf;
-        continue;
-      }
-      log_weights[t] = SafeLog(model.phi(item, t));
-      scratch.active_ids[scratch.active_count++] = t;
-    }
+  for (std::size_t k = 0; k < active.size(); ++k) {
+    log_weights[active[k]] = SafeLog(weights[k]);
+    scratch.active_ids[scratch.active_count++] = active[k];
   }
   auto member_terms = scratch.member_terms;
   for (std::size_t index : answers.AnswersOfItem(item)) {
@@ -205,14 +173,6 @@ void ItemClusterLogWeights(const CpaModel& model, const PredictionTables& tables
   }
 }
 
-std::vector<double> ItemClusterLogWeights(const CpaModel& model,
-                                          const PredictionTables& tables,
-                                          const AnswerMatrix& answers, ItemId item) {
-  PredictionScratch scratch(model.num_clusters(), model.num_communities());
-  ItemClusterLogWeights(model, tables, answers, item, /*activity=*/nullptr, scratch);
-  return {scratch.log_weights.begin(), scratch.log_weights.end()};
-}
-
 void CollectCandidates(const PredictionTables& tables, const AnswerMatrix& answers,
                        ItemId item, std::span<const double> cluster_log_weights,
                        PredictionScratch& scratch) {
@@ -240,14 +200,6 @@ void CollectCandidates(const PredictionTables& tables, const AnswerMatrix& answe
   std::sort(candidates.begin(), candidates.end());
   candidates.erase(std::unique(candidates.begin(), candidates.end()),
                    candidates.end());
-}
-
-std::vector<LabelId> CollectCandidates(const PredictionTables& tables,
-                                       const AnswerMatrix& answers, ItemId item,
-                                       std::span<const double> cluster_log_weights) {
-  PredictionScratch scratch(cluster_log_weights.size(), 0);
-  CollectCandidates(tables, answers, item, cluster_log_weights, scratch);
-  return scratch.candidates;
 }
 
 LabelSet GreedyInstantiate(const PredictionTables& tables,
@@ -293,13 +245,6 @@ LabelSet GreedyInstantiate(const PredictionTables& tables,
   return selected;
 }
 
-LabelSet GreedyInstantiate(const PredictionTables& tables,
-                           std::span<const double> cluster_log_weights,
-                           const std::vector<LabelId>& candidates) {
-  PredictionScratch scratch(cluster_log_weights.size(), 0);
-  return GreedyInstantiate(tables, cluster_log_weights, candidates, scratch);
-}
-
 LabelSet ExhaustiveInstantiate(const PredictionTables& tables,
                                std::span<const double> cluster_log_weights,
                                std::span<const LabelId> candidates,
@@ -341,15 +286,6 @@ LabelSet ExhaustiveInstantiate(const PredictionTables& tables,
   return LabelSet::FromUnsorted(std::vector<LabelId>(best_set));
 }
 
-LabelSet ExhaustiveInstantiate(const PredictionTables& tables,
-                               std::span<const double> cluster_log_weights,
-                               const std::vector<LabelId>& candidates,
-                               std::size_t max_size) {
-  PredictionScratch scratch(cluster_log_weights.size(), 0);
-  return ExhaustiveInstantiate(tables, cluster_log_weights, candidates, max_size,
-                               scratch);
-}
-
 namespace {
 
 /// Predicts one item into `prediction` using shard-owned scratch. The
@@ -361,7 +297,7 @@ void PredictOneItem(const CpaModel& model, const PredictionTables& tables,
                     PredictionScratch& scratch, CpaPrediction& prediction) {
   const ItemId item = static_cast<ItemId>(i);
   if (answers.AnswersOfItem(item).empty()) return;  // stays empty
-  ItemClusterLogWeights(model, tables, answers, item, &activity, scratch);
+  ItemClusterLogWeights(model, tables, answers, item, activity, scratch);
   const std::span<const double> log_weights = scratch.log_weights;
 
   // Marginal scores from the mixed Bernoulli profile. Only the item's

@@ -88,16 +88,11 @@ struct PredictionTables {
 /// the shard's items.
 ///
 /// The fixed-width spans (cluster- and community-shaped) live in a
-/// `ScratchArena` lane (or, via the heap constructor, in owned vectors —
-/// the pre-arena baseline used by the legacy wrappers, the microbenchmarks,
-/// and the arena-vs-heap bit-identity tests). The variable-width members
-/// are plain vectors whose capacity survives across items.
+/// `ScratchArena` lane; the variable-width members are plain vectors whose
+/// capacity survives across items.
 struct PredictionScratch {
-  /// Heap-backed: owns its buffers (T clusters, M communities).
-  PredictionScratch(std::size_t num_clusters, std::size_t num_communities);
-
-  /// Arena-backed: buffers are checkouts of `arena` and live until the
-  /// arena frame closes.
+  /// Buffers are checkouts of `arena` and live until the arena frame
+  /// closes.
   PredictionScratch(ScratchArena& arena, std::size_t num_clusters,
                     std::size_t num_communities);
 
@@ -118,10 +113,6 @@ struct PredictionScratch {
   std::vector<LabelId> subset;       ///< exhaustive DFS stack
   std::vector<LabelId> best_subset;  ///< exhaustive best-so-far
   std::vector<char> used;            ///< greedy candidate marks
-
- private:
-  std::vector<double> owned_doubles_;
-  std::vector<std::size_t> owned_ids_;
 };
 
 /// Builds the tables from a fitted model.
@@ -130,31 +121,20 @@ PredictionTables BuildPredictionTables(const CpaModel& model);
 /// Posterior cluster log-weights of one item, answer-likelihood-reweighted
 /// (unnormalised), written into `scratch.log_weights`; the item's clusters
 /// above `kClusterPrune` are left (ascending) in the active prefix of
-/// `scratch.active_ids`, and every other entry is −inf. `activity`
-/// (nullable) supplies those clusters; without it the full ϕ row is
-/// scanned — both paths are bit-identical. Per answer, only the worker's
-/// live communities (κ_um > 0) are visited: with one, the community
-/// log-sum-exp is that community's term exactly.
+/// `scratch.active_ids`, and every other entry is −inf. `activity` (built
+/// at `kClusterPrune`) supplies those clusters. Per answer, only the
+/// worker's live communities (κ_um > 0) are visited: with one, the
+/// community log-sum-exp is that community's term exactly.
 void ItemClusterLogWeights(const CpaModel& model, const PredictionTables& tables,
                            const AnswerMatrix& answers, ItemId item,
-                           const sweep::ClusterActivity* activity,
+                           const sweep::ClusterActivity& activity,
                            PredictionScratch& scratch);
-
-/// Legacy allocation-per-call form (tests and external callers).
-std::vector<double> ItemClusterLogWeights(const CpaModel& model,
-                                          const PredictionTables& tables,
-                                          const AnswerMatrix& answers, ItemId item);
 
 /// Greedy MAP instantiation over `candidates` given cluster log-weights.
 LabelSet GreedyInstantiate(const PredictionTables& tables,
                            std::span<const double> cluster_log_weights,
                            std::span<const LabelId> candidates,
                            PredictionScratch& scratch);
-
-/// Legacy allocation-per-call form.
-LabelSet GreedyInstantiate(const PredictionTables& tables,
-                           std::span<const double> cluster_log_weights,
-                           const std::vector<LabelId>& candidates);
 
 /// Bounded exhaustive instantiation (all subsets of `candidates` up to
 /// `max_size`); the oracle for GreedyInstantiate and the No L search.
@@ -163,22 +143,11 @@ LabelSet ExhaustiveInstantiate(const PredictionTables& tables,
                                std::span<const LabelId> candidates,
                                std::size_t max_size, PredictionScratch& scratch);
 
-/// Legacy allocation-per-call form.
-LabelSet ExhaustiveInstantiate(const PredictionTables& tables,
-                               std::span<const double> cluster_log_weights,
-                               const std::vector<LabelId>& candidates,
-                               std::size_t max_size);
-
 /// Candidate labels for an item (answered labels + top cluster labels),
 /// deduplicated and sorted into `scratch.candidates`.
 void CollectCandidates(const PredictionTables& tables, const AnswerMatrix& answers,
                        ItemId item, std::span<const double> cluster_log_weights,
                        PredictionScratch& scratch);
-
-/// Legacy allocation-per-call form.
-std::vector<LabelId> CollectCandidates(const PredictionTables& tables,
-                                       const AnswerMatrix& answers, ItemId item,
-                                       std::span<const double> cluster_log_weights);
 
 }  // namespace internal
 }  // namespace cpa

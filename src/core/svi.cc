@@ -103,8 +103,7 @@ Status SviOptions::Validate() const {
 
 Result<CpaOnline> CpaOnline::Create(std::size_t num_items, std::size_t num_workers,
                                     std::size_t num_labels, const CpaOptions& options,
-                                    const SviOptions& svi_options, Executor* pool,
-                                    ScratchArena::Mode arena_mode) {
+                                    const SviOptions& svi_options, Executor* pool) {
   CPA_RETURN_NOT_OK(svi_options.Validate());
   CPA_ASSIGN_OR_RETURN(CpaModel model,
                        CpaModel::Create(num_items, num_workers, num_labels, options));
@@ -112,7 +111,7 @@ Result<CpaOnline> CpaOnline::Create(std::size_t num_items, std::size_t num_worke
   online.model_ = std::move(model);
   online.svi_options_ = svi_options;
   online.pool_ = pool;
-  online.scheduler_ = std::make_unique<SweepScheduler>(pool, arena_mode);
+  online.scheduler_ = std::make_unique<SweepScheduler>(pool);
   online.worker_seen_.assign(num_workers, false);
   online.item_seen_.assign(num_items, false);
   online.item_seeded_.assign(num_items, false);

@@ -69,11 +69,10 @@ class CpaOnline {
  public:
   /// Creates the learner over fixed dimensions (items/workers may be upper
   /// bounds; unseen entities simply keep their initial state).
-  static Result<CpaOnline> Create(
-      std::size_t num_items, std::size_t num_workers, std::size_t num_labels,
-      const CpaOptions& options, const SviOptions& svi_options,
-      Executor* pool = nullptr,
-      ScratchArena::Mode arena_mode = ScratchArena::Mode::kReuse);
+  static Result<CpaOnline> Create(std::size_t num_items, std::size_t num_workers,
+                                  std::size_t num_labels, const CpaOptions& options,
+                                  const SviOptions& svi_options,
+                                  Executor* pool = nullptr);
 
   /// Consumes one batch: `batch` holds flat indices into
   /// `answers.answers()`. Only those answers are read — the learner never

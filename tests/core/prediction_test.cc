@@ -64,6 +64,49 @@ FittedWorld FitWorld(std::uint64_t seed, const PopulationMix& mix,
   return world;
 }
 
+/// The scratch-form per-item pipeline over a test-local arena: the activity
+/// list at the prediction prune threshold and one scratch reused across
+/// items, as each `PredictLabels` shard runs it.
+struct ItemPipeline {
+  explicit ItemPipeline(const CpaModel& fitted)
+      : model(fitted),
+        tables(internal::BuildPredictionTables(fitted)),
+        scratch(arena, fitted.num_clusters(), fitted.num_communities()) {
+    sweep::BuildClusterActivity(fitted.phi, SweepScheduler(nullptr), activity,
+                                internal::kClusterPrune);
+  }
+
+  /// The item's reweighted cluster log-weights (a view into the scratch,
+  /// valid until the next call).
+  std::span<const double> LogWeights(const AnswerMatrix& answers, ItemId item) {
+    internal::ItemClusterLogWeights(model, tables, answers, item, activity, scratch);
+    return scratch.log_weights;
+  }
+
+  std::vector<LabelId> Candidates(const AnswerMatrix& answers, ItemId item,
+                                  std::span<const double> log_weights) {
+    internal::CollectCandidates(tables, answers, item, log_weights, scratch);
+    return scratch.candidates;
+  }
+
+  LabelSet Greedy(std::span<const double> log_weights,
+                  std::span<const LabelId> candidates) {
+    return internal::GreedyInstantiate(tables, log_weights, candidates, scratch);
+  }
+
+  LabelSet Exhaustive(std::span<const double> log_weights,
+                      std::span<const LabelId> candidates, std::size_t max_size) {
+    return internal::ExhaustiveInstantiate(tables, log_weights, candidates, max_size,
+                                           scratch);
+  }
+
+  const CpaModel& model;
+  ScratchArena arena;
+  internal::PredictionTables tables;
+  sweep::ClusterActivity activity;
+  internal::PredictionScratch scratch;
+};
+
 double MeanF1(const std::vector<LabelSet>& predictions,
               const std::vector<LabelSet>& truth) {
   double total = 0.0;
@@ -155,22 +198,19 @@ TEST(PredictLabelsTest, ParallelPredictionMatchesSequential) {
 TEST(GreedyVsExhaustiveTest, GreedyMatchesOracleOnMostItems) {
   const FittedWorld world = FitWorld(13, PopulationMix::PaperSimulationDefault(),
                                      PredictionMode::kMultinomialSizePrior, 80);
-  const auto tables = internal::BuildPredictionTables(world.model);
+  ItemPipeline pipeline(world.model);
   std::size_t matches = 0;
   std::size_t compared = 0;
   double greedy_total = 0.0;
   double oracle_total = 0.0;
   for (ItemId i = 0; i < 80; ++i) {
     if (world.dataset.answers.AnswersOfItem(i).empty()) continue;
-    const auto log_weights = internal::ItemClusterLogWeights(
-        world.model, tables, world.dataset.answers, i);
-    auto candidates = internal::CollectCandidates(tables, world.dataset.answers,
-                                                  i, log_weights);
+    const auto log_weights = pipeline.LogWeights(world.dataset.answers, i);
+    auto candidates = pipeline.Candidates(world.dataset.answers, i, log_weights);
     if (candidates.size() > 14) candidates.resize(14);  // keep the oracle cheap
-    const LabelSet greedy =
-        internal::GreedyInstantiate(tables, log_weights, candidates);
-    const LabelSet oracle = internal::ExhaustiveInstantiate(
-        tables, log_weights, candidates, tables.log_size_prior.cols() - 1);
+    const LabelSet greedy = pipeline.Greedy(log_weights, candidates);
+    const LabelSet oracle = pipeline.Exhaustive(
+        log_weights, candidates, pipeline.tables.log_size_prior.cols() - 1);
     ++compared;
     matches += (greedy == oracle);
     greedy_total += static_cast<double>(greedy.size());
@@ -186,35 +226,30 @@ TEST(GreedyVsExhaustiveTest, GreedyMatchesOracleOnMostItems) {
 TEST(GreedyInstantiateTest, EmptyCandidatesGiveEmptySet) {
   const FittedWorld world = FitWorld(17, PopulationMix::AllReliable(),
                                      PredictionMode::kMultinomialSizePrior, 40);
-  const auto tables = internal::BuildPredictionTables(world.model);
-  const auto log_weights = internal::ItemClusterLogWeights(
-      world.model, tables, world.dataset.answers, 0);
-  EXPECT_TRUE(internal::GreedyInstantiate(tables, log_weights, {}).empty());
+  ItemPipeline pipeline(world.model);
+  const auto log_weights = pipeline.LogWeights(world.dataset.answers, 0);
+  EXPECT_TRUE(pipeline.Greedy(log_weights, {}).empty());
 }
 
 TEST(ExhaustiveInstantiateTest, RespectsMaxSize) {
   const FittedWorld world = FitWorld(19, PopulationMix::AllReliable(),
                                      PredictionMode::kMultinomialSizePrior, 40);
-  const auto tables = internal::BuildPredictionTables(world.model);
-  const auto log_weights = internal::ItemClusterLogWeights(
-      world.model, tables, world.dataset.answers, 0);
+  ItemPipeline pipeline(world.model);
+  const auto log_weights = pipeline.LogWeights(world.dataset.answers, 0);
   const std::vector<LabelId> candidates = {0, 1, 2, 3, 4, 5};
-  const LabelSet set =
-      internal::ExhaustiveInstantiate(tables, log_weights, candidates, 2);
+  const LabelSet set = pipeline.Exhaustive(log_weights, candidates, 2);
   EXPECT_LE(set.size(), 2u);
 }
 
 TEST(CollectCandidatesTest, ContainsAnsweredLabels) {
   const FittedWorld world = FitWorld(23, PopulationMix::AllReliable(),
                                      PredictionMode::kMultinomialSizePrior, 60);
-  const auto tables = internal::BuildPredictionTables(world.model);
+  ItemPipeline pipeline(world.model);
   for (ItemId i = 0; i < 10; ++i) {
     const auto indices = world.dataset.answers.AnswersOfItem(i);
     if (indices.empty()) continue;
-    const auto log_weights = internal::ItemClusterLogWeights(
-        world.model, tables, world.dataset.answers, i);
-    const auto candidates = internal::CollectCandidates(
-        tables, world.dataset.answers, i, log_weights);
+    const auto log_weights = pipeline.LogWeights(world.dataset.answers, i);
+    const auto candidates = pipeline.Candidates(world.dataset.answers, i, log_weights);
     for (std::size_t index : indices) {
       for (LabelId c : world.dataset.answers.answer(index).labels) {
         EXPECT_NE(std::find(candidates.begin(), candidates.end(), c), candidates.end())
@@ -254,21 +289,16 @@ TEST(GreedyInstantiateTest, WeightsPrunedToSingleClusterStillInstantiate) {
   // cluster and still produce that cluster's labels.
   const FittedWorld world = FitWorld(31, PopulationMix::AllReliable(),
                                      PredictionMode::kMultinomialSizePrior, 60);
-  const auto tables = internal::BuildPredictionTables(world.model);
+  ItemPipeline pipeline(world.model);
   std::vector<double> log_weights(world.model.num_clusters(), -1e6);
   log_weights[1] = 0.0;  // all the mass on cluster 1
-  std::vector<LabelId> candidates = tables.top_labels[1];
-  const LabelSet greedy = internal::GreedyInstantiate(tables, log_weights, candidates);
-  internal::PredictionScratch scratch(log_weights.size(), 0);
-  const LabelSet via_scratch = internal::GreedyInstantiate(
-      tables, log_weights, std::span<const LabelId>(candidates), scratch);
-  EXPECT_EQ(scratch.active_count, 1u);
-  EXPECT_EQ(scratch.active_ids[0], 1u);
-  EXPECT_EQ(greedy, via_scratch);
+  const std::vector<LabelId> candidates = pipeline.tables.top_labels[1];
+  const LabelSet greedy = pipeline.Greedy(log_weights, candidates);
+  EXPECT_EQ(pipeline.scratch.active_count, 1u);
+  EXPECT_EQ(pipeline.scratch.active_ids[0], 1u);
   // The single-cluster oracle agrees.
-  EXPECT_EQ(greedy, internal::ExhaustiveInstantiate(
-                        tables, log_weights, candidates,
-                        tables.log_size_prior.cols() - 1));
+  EXPECT_EQ(greedy, pipeline.Exhaustive(log_weights, candidates,
+                                        pipeline.tables.log_size_prior.cols() - 1));
 }
 
 TEST(GreedyInstantiateTest, CandidatePoolBeyondSizePriorSupportIsCapped) {
@@ -278,25 +308,22 @@ TEST(GreedyInstantiateTest, CandidatePoolBeyondSizePriorSupportIsCapped) {
   // well.
   const FittedWorld world = FitWorld(37, PopulationMix::AllReliable(),
                                      PredictionMode::kMultinomialSizePrior, 60);
-  const auto tables = internal::BuildPredictionTables(world.model);
-  ASSERT_GT(tables.log_size_prior.cols(), 1u);
-  const auto log_weights = internal::ItemClusterLogWeights(
-      world.model, tables, world.dataset.answers, 0);
+  ItemPipeline pipeline(world.model);
+  const std::size_t support = pipeline.tables.log_size_prior.cols();
+  ASSERT_GT(support, 1u);
+  const auto log_weights = pipeline.LogWeights(world.dataset.answers, 0);
   std::vector<LabelId> all_labels(world.model.num_labels());
   std::iota(all_labels.begin(), all_labels.end(), 0u);
-  ASSERT_GE(all_labels.size(), tables.log_size_prior.cols());
-  const LabelSet greedy =
-      internal::GreedyInstantiate(tables, log_weights, all_labels);
-  EXPECT_LT(greedy.size(), tables.log_size_prior.cols());
-  const LabelSet exhaustive = internal::ExhaustiveInstantiate(
-      tables, log_weights, all_labels, all_labels.size());
-  EXPECT_LT(exhaustive.size(), tables.log_size_prior.cols());
+  ASSERT_GE(all_labels.size(), support);
+  EXPECT_LT(pipeline.Greedy(log_weights, all_labels).size(), support);
+  EXPECT_LT(pipeline.Exhaustive(log_weights, all_labels, all_labels.size()).size(),
+            support);
 }
 
 TEST(PredictLabelsTest, ParallelAndArenaPathsAreBitIdentical) {
   // The memory-plane acceptance on the prediction side: sequential
   // (inline, lane-0 arena), 4-thread (per-lane arenas), and the
-  // heap-scratch per-item pipeline all produce identical labels and
+  // scratch-form per-item pipeline all produce identical labels and
   // bit-identical scores — in both prediction modes.
   for (PredictionMode mode :
        {PredictionMode::kBernoulliProfile, PredictionMode::kMultinomialSizePrior}) {
@@ -315,17 +342,15 @@ TEST(PredictLabelsTest, ParallelAndArenaPathsAreBitIdentical) {
         sequential.value().scores.MaxAbsDiff(parallel.value().scores), 0.0);
 
     if (mode != PredictionMode::kMultinomialSizePrior) continue;
-    // Heap-scratch per-item pipeline (the pre-arena behaviour, kept as the
-    // legacy wrappers) against the arena-backed PredictLabels output.
-    const auto tables = internal::BuildPredictionTables(world.model);
+    // The scratch forms, one item at a time over a local arena, against
+    // the sharded PredictLabels output.
+    ItemPipeline pipeline(world.model);
     for (ItemId i = 0; i < world.dataset.num_items(); ++i) {
       if (world.dataset.answers.AnswersOfItem(i).empty()) continue;
-      const auto log_weights = internal::ItemClusterLogWeights(
-          world.model, tables, world.dataset.answers, i);
-      const auto candidates = internal::CollectCandidates(
-          tables, world.dataset.answers, i, log_weights);
-      EXPECT_EQ(internal::GreedyInstantiate(tables, log_weights, candidates),
-                sequential.value().labels[i])
+      const auto log_weights = pipeline.LogWeights(world.dataset.answers, i);
+      const auto candidates =
+          pipeline.Candidates(world.dataset.answers, i, log_weights);
+      EXPECT_EQ(pipeline.Greedy(log_weights, candidates), sequential.value().labels[i])
           << "item " << i;
     }
   }
@@ -414,23 +439,15 @@ TEST(ItemClusterLogWeightsTest, LiveCommunityPathEqualsDenseFormula) {
         break;  // all zero
     }
   }
-  const auto tables = internal::BuildPredictionTables(model);
-  sweep::ClusterActivity activity;
-  sweep::BuildClusterActivity(model.phi, SweepScheduler(nullptr), activity,
-                              internal::kClusterPrune);
-  internal::PredictionScratch scratch(model.num_clusters(), M);
+  ItemPipeline pipeline(model);
   std::size_t compared = 0;
   for (ItemId i = 0; i < world.dataset.num_items(); ++i) {
     if (world.dataset.answers.AnswersOfItem(i).empty()) continue;
     const std::vector<double> dense =
-        DenseItemLogWeights(model, tables, world.dataset.answers, i);
-    const sweep::ClusterActivity* lists[] = {&activity, nullptr};
-    for (const sweep::ClusterActivity* list : lists) {
-      internal::ItemClusterLogWeights(model, tables, world.dataset.answers, i, list,
-                                      scratch);
-      for (std::size_t t = 0; t < dense.size(); ++t) {
-        EXPECT_EQ(scratch.log_weights[t], dense[t]) << "item " << i << " cluster " << t;
-      }
+        DenseItemLogWeights(model, pipeline.tables, world.dataset.answers, i);
+    const auto log_weights = pipeline.LogWeights(world.dataset.answers, i);
+    for (std::size_t t = 0; t < dense.size(); ++t) {
+      EXPECT_EQ(log_weights[t], dense[t]) << "item " << i << " cluster " << t;
     }
     ++compared;
   }

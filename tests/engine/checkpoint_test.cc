@@ -236,49 +236,6 @@ TEST(CheckpointEngineTest, OfflineSaveRestoreContinueIsBitIdentical) {
   CheckSaveRestoreContinue("CPA", 2);
 }
 
-TEST(CheckpointEngineTest, ArenaAndHeapSchedulerModesRestoreIdentically) {
-  const Dataset dataset = StreamDataset(17);
-  const EngineConfig config = FastConfig("CPA-SVI", dataset);
-  Rng rng(23);
-  const BatchPlan plan = MakeArrivalSchedule(dataset.answers, 4, rng);
-
-  auto arena = CpaOnline::Create(config.num_items, config.num_workers,
-                                 config.num_labels, config.cpa, config.svi,
-                                 nullptr, ScratchArena::Mode::kReuse);
-  ASSERT_TRUE(arena.ok());
-  for (std::size_t b = 0; b < 2; ++b) {
-    ASSERT_TRUE(arena.value().ObserveBatch(dataset.answers, plan.batches[b]).ok());
-  }
-  CheckpointWriter writer;
-  arena.value().SaveState(writer);
-
-  // Restore into a learner running heap-mode scratch buffers: the arena
-  // strategy is a runtime choice, invisible to the serialized state.
-  auto heap = CpaOnline::Create(config.num_items, config.num_workers,
-                                config.num_labels, config.cpa, config.svi,
-                                nullptr, ScratchArena::Mode::kHeap);
-  ASSERT_TRUE(heap.ok());
-  CheckpointReader reader(writer.bytes());
-  ASSERT_TRUE(heap.value().RestoreState(reader).ok());
-  ASSERT_TRUE(reader.ExpectEnd().ok());
-
-  for (std::size_t b = 2; b < plan.num_batches(); ++b) {
-    ASSERT_TRUE(arena.value().ObserveBatch(dataset.answers, plan.batches[b]).ok());
-    ASSERT_TRUE(heap.value().ObserveBatch(dataset.answers, plan.batches[b]).ok());
-  }
-  const auto from_arena = arena.value().Predict(dataset.answers);
-  const auto from_heap = heap.value().Predict(dataset.answers);
-  ASSERT_TRUE(from_arena.ok());
-  ASSERT_TRUE(from_heap.ok());
-  ASSERT_EQ(from_arena.value().labels.size(), from_heap.value().labels.size());
-  for (std::size_t i = 0; i < from_arena.value().labels.size(); ++i) {
-    EXPECT_EQ(from_arena.value().labels[i], from_heap.value().labels[i])
-        << "item " << i;
-  }
-  EXPECT_EQ(
-      from_arena.value().scores.MaxAbsDiff(from_heap.value().scores), 0.0);
-}
-
 TEST(CheckpointEngineTest, RestoreRejectsCorruptBlobs) {
   const Dataset dataset = StreamDataset(29, 60);
   const EngineConfig config = FastConfig("CPA-SVI", dataset);

@@ -5,8 +5,8 @@
 ///   worker SIGKILLed mid-stream and respawned on the same port, its
 ///   session restored from the latest client-held checkpoint — surviving
 ///   and restored sessions must finalize byte-identical to an
-///   uninterrupted run (declared FIRST: it forks, and fork must happen
-///   before this process ever spawns a thread — the fig11 rule);
+///   uninterrupted run (declared FIRST: it forks — the fork rule in
+///   bench/load_driver.h);
 /// - every registry method against every standard adversarial scenario:
 ///   finite posteriors, monotone counters, and CPA beating MV on every
 ///   non-degenerate scenario;
@@ -25,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/load_driver.h"
 #include "engine/engine_registry.h"
 #include "eval/metrics.h"
 #include "server/binary_codec.h"
@@ -83,14 +84,6 @@ std::vector<std::vector<Answer>> BatchAnswers(const AdversarialStream& stream) {
   return batches;
 }
 
-std::string OpenPayload(const std::string& session, const EngineConfig& config) {
-  JsonValue::Object open;
-  open["op"] = JsonValue(std::string("open"));
-  open["session"] = JsonValue(session);
-  open["config"] = config.ToJson();
-  return JsonValue(std::move(open)).DumpCompact();
-}
-
 void ExpectJsonOk(const Frame& frame, const char* what) {
   ASSERT_EQ(frame.kind, FrameKind::kJson) << what;
   const auto parsed = JsonValue::Parse(frame.payload);
@@ -107,72 +100,16 @@ BinaryResponse DecodeBinary(const Frame& frame, const char* what) {
   return std::move(decoded).value();
 }
 
-/// One forked fleet worker (the fig11 recipe: fork before any thread,
-/// port over a pipe, control-pipe EOF = clean shutdown).
-struct FleetWorker {
-  pid_t pid = -1;
-  int control_fd = -1;
-  std::uint32_t port = 0;
-};
-
-void FleetWorkerMain(int port_fd, int control_fd, std::uint32_t fixed_port) {
+/// Forks one fleet worker; `port` 0 picks an ephemeral port, a fixed one
+/// rebinds a respawn.
+bench::FleetWorker SpawnWorker(std::uint16_t port,
+                               const std::vector<bench::FleetWorker>& siblings) {
   ConsensusServerOptions options;
   options.sessions.max_sessions = 8;
-  ConsensusServer server(options);
   TcpTransportOptions tcp_options;
-  tcp_options.port =
-      static_cast<std::uint16_t>(fixed_port);  // 0 = ephemeral; fixed on respawn
+  tcp_options.port = port;
   tcp_options.max_connections = 8;
-  TcpTransport transport(server, tcp_options);
-  CPA_CHECK_OK(transport.Start());
-  const std::uint32_t port = transport.port();
-  CPA_CHECK_EQ(::write(port_fd, &port, sizeof(port)),
-               static_cast<ssize_t>(sizeof(port)));
-  ::close(port_fd);
-  char byte = 0;
-  while (::read(control_fd, &byte, 1) > 0) {
-  }
-  ::close(control_fd);
-  transport.Shutdown();
-}
-
-FleetWorker SpawnFleetWorker(std::uint32_t fixed_port,
-                             const std::vector<FleetWorker>& siblings) {
-  int port_pipe[2];
-  int control_pipe[2];
-  CPA_CHECK_EQ(::pipe(port_pipe), 0);
-  CPA_CHECK_EQ(::pipe(control_pipe), 0);
-  const pid_t pid = ::fork();
-  CPA_CHECK_GE(pid, 0);
-  if (pid == 0) {
-    ::close(port_pipe[0]);
-    ::close(control_pipe[1]);
-    // A dead sibling's fd slot (-1) may have been reused by this very
-    // spawn's pipes — closing it here would sever our own port pipe.
-    for (const FleetWorker& sibling : siblings) {
-      if (sibling.control_fd >= 0) ::close(sibling.control_fd);
-    }
-    FleetWorkerMain(port_pipe[1], control_pipe[0], fixed_port);
-    ::_exit(0);
-  }
-  ::close(port_pipe[1]);
-  ::close(control_pipe[0]);
-  FleetWorker worker;
-  worker.pid = pid;
-  worker.control_fd = control_pipe[1];
-  CPA_CHECK_EQ(::read(port_pipe[0], &worker.port, sizeof(worker.port)),
-               static_cast<ssize_t>(sizeof(worker.port)));
-  ::close(port_pipe[0]);
-  return worker;
-}
-
-void JoinFleetWorker(FleetWorker& worker) {
-  ::close(worker.control_fd);
-  int status = 0;
-  CPA_CHECK_EQ(::waitpid(worker.pid, &status, 0), worker.pid);
-  CPA_CHECK(WIFEXITED(status) && WEXITSTATUS(status) == 0)
-      << "worker " << worker.pid << " died uncleanly";
-  worker.pid = -1;
+  return bench::ForkFleetWorker(options, tcp_options, siblings);
 }
 
 /// Routes one binary frame, retrying once: after a worker is killed the
@@ -189,8 +126,8 @@ BinaryResponse RoutedBinary(Router& router, const std::string& payload,
   return response;
 }
 
-// MUST run first in this binary: it forks a worker fleet, and fork is only
-// safe (and TSan-legal) while the parent has never spawned a thread.
+// MUST run first in this binary: it forks a worker fleet (the fork rule in
+// bench/load_driver.h).
 TEST(AdversarialFaultInjectionTest,
      KilledWorkerRestoredFromCheckpointFinishesByteIdentical) {
   const AdversarialStream stream = WireStream();
@@ -201,11 +138,11 @@ TEST(AdversarialFaultInjectionTest,
   // Fleet of two forked workers behind an in-process router. The router
   // dials lazily over plain sockets and HandleFrame runs on this thread,
   // so the parent stays thread-free for the respawn fork below.
-  std::vector<FleetWorker> fleet;
-  fleet.push_back(SpawnFleetWorker(0, fleet));
-  fleet.push_back(SpawnFleetWorker(0, fleet));
+  std::vector<bench::FleetWorker> fleet;
+  fleet.push_back(SpawnWorker(0, fleet));
+  fleet.push_back(SpawnWorker(0, fleet));
   RouterOptions router_options;
-  for (const FleetWorker& worker : fleet) {
+  for (const bench::FleetWorker& worker : fleet) {
     router_options.workers.push_back(StrFormat("127.0.0.1:%u", worker.port));
   }
   Router router(router_options);
@@ -225,7 +162,7 @@ TEST(AdversarialFaultInjectionTest,
 
   for (const std::string& session : sessions) {
     ExpectJsonOk(router.HandleFrame(
-                     {FrameKind::kJson, OpenPayload(session, engine_config)}),
+                     {FrameKind::kJson, bench::OpenRequest(session, engine_config)}),
                  "open");
   }
 
@@ -250,14 +187,14 @@ TEST(AdversarialFaultInjectionTest,
 
   // SIGKILL the victim's worker mid-stream and respawn it on the same
   // port (SO_REUSEADDR on the listener makes the rebind race-free).
-  const std::uint32_t victim_port = fleet[0].port;
+  const auto victim_port = static_cast<std::uint16_t>(fleet[0].port);
   ASSERT_EQ(::kill(fleet[0].pid, SIGKILL), 0);
   int status = 0;
   ASSERT_EQ(::waitpid(fleet[0].pid, &status, 0), fleet[0].pid);
   ASSERT_TRUE(WIFSIGNALED(status));
   ::close(fleet[0].control_fd);
   fleet[0].control_fd = -1;
-  fleet[0] = SpawnFleetWorker(victim_port, fleet);
+  fleet[0] = SpawnWorker(victim_port, fleet);
   ASSERT_EQ(fleet[0].port, victim_port);
 
   // The respawned worker is empty: the victim session is gone until
@@ -298,14 +235,14 @@ TEST(AdversarialFaultInjectionTest,
         "close");
   }
   router.Shutdown();
-  for (FleetWorker& worker : fleet) JoinFleetWorker(worker);
+  for (bench::FleetWorker& worker : fleet) bench::StopFleetWorker(worker);
 
   // Reference: the same two sessions, uninterrupted, on one in-process
   // server (constructed only now — after the last fork of this test).
   ConsensusServer reference;
   for (const std::string& session : sessions) {
     ExpectJsonOk(reference.HandleFrame(
-                     {FrameKind::kJson, OpenPayload(session, engine_config)}),
+                     {FrameKind::kJson, bench::OpenRequest(session, engine_config)}),
                  "reference open");
     for (const auto& batch : batches) {
       const BinaryResponse observed = DecodeBinary(
