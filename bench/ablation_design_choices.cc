@@ -1,7 +1,8 @@
-/// Ablation bench for the design decisions DESIGN.md §4 documents — the
-/// places where the paper is under-specified and this implementation had
-/// to choose: the unsupervised label-evidence strategy, the prediction
-/// mode, the Eq. 3 answer term, and the consensus re-seeding schedule.
+/// Ablation bench for the design decisions docs/BENCHMARKS.md "Design
+/// choices" documents — the places where the paper is under-specified and
+/// this implementation had to choose: the unsupervised label-evidence
+/// strategy, the prediction mode, the Eq. 3 answer term, and the consensus
+/// re-seeding schedule.
 
 #include <cstdio>
 
@@ -28,7 +29,8 @@ SetMetrics Run(const Dataset& dataset, const CpaOptions& options) {
 int main(int argc, char** argv) {
   const bench::BenchConfig config = bench::ParseBenchConfig(argc, argv, 0.25);
   bench::PrintHeader(
-      "Ablation — design choices of this reproduction (DESIGN.md §4)",
+      "Ablation — design choices of this reproduction "
+      "(BENCHMARKS.md \"Design choices\")",
       "Each row switches one resolved ambiguity back to an alternative; "
       "image (strong label correlation) and movie (little correlation).",
       config);
@@ -97,7 +99,7 @@ int main(int argc, char** argv) {
   std::printf(
       "\nReading: the default should dominate or tie each single-switch "
       "alternative; 'observed-only' collapses recall (the cluster profiles "
-      "never see label evidence), which is why DESIGN.md argues the paper's "
+      "never see label evidence), which is why BENCHMARKS.md argues the paper's "
       "literal Eq. 7 cannot be what its implementation did.\n");
   return 0;
 }

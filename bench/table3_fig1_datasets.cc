@@ -15,7 +15,8 @@ int main(int argc, char** argv) {
   const bench::BenchConfig config = bench::ParseBenchConfig(argc, argv);
   bench::PrintHeader("Table 3 + Fig 1 — dataset statistics & label co-occurrence",
                      "Simulated stand-ins for the five crowdsourced datasets "
-                     "(DESIGN.md §3); statistics follow the published Table 3.",
+                     "(BENCHMARKS.md \"Design choices\"); statistics follow "
+                     "the published Table 3.",
                      config);
 
   TablePrinter table({"Quantity", "image", "topic", "aspect", "entity", "movie"});

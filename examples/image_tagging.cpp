@@ -9,8 +9,9 @@
 #include <memory>
 
 #include "data/dataset_stats.h"
-#include "engine/cpa_engines.h"
+#include "core/cpa.h"
 #include "engine/engine_registry.h"
+#include "engine/offline_engine.h"
 #include "eval/experiment.h"
 #include "simulation/dataset_factory.h"
 #include "util/flags.h"
@@ -57,9 +58,12 @@ int main(int argc, char** argv) {
   table.Print();
 
   // --- Inspect the posterior: communities and clusters the model formed.
-  auto* cpa_engine = dynamic_cast<CpaOfflineEngine*>(cpa_session.get());
-  CPA_CHECK(cpa_engine != nullptr && cpa_engine->model() != nullptr);
-  const CpaModel& model = *cpa_engine->model();
+  // Offline CPA sessions are a `CpaAggregator` behind `OfflineEngine`.
+  auto* offline = dynamic_cast<OfflineEngine*>(cpa_session.get());
+  CPA_CHECK(offline != nullptr);
+  const auto* cpa = dynamic_cast<const CpaAggregator*>(&offline->aggregator());
+  CPA_CHECK(cpa != nullptr && cpa->model() != nullptr);
+  const CpaModel& model = *cpa->model();
   std::printf("\nCPA posterior: %zu effective worker communities (of %zu), "
               "%zu effective item clusters (of %zu)\n",
               model.EffectiveCommunities(1.0), model.num_communities(),
@@ -70,6 +74,6 @@ int main(int argc, char** argv) {
     if (s >= 1.0) std::printf(" %.0f", s);
   }
   std::printf("\nconverged in %zu sweeps (final change %.5f)\n",
-              cpa_engine->fit_stats().iterations, cpa_engine->fit_stats().final_change);
+              cpa->fit_stats().iterations, cpa->fit_stats().final_change);
   return 0;
 }

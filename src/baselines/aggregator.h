@@ -20,6 +20,24 @@
 
 namespace cpa {
 
+/// \brief Diagnostics of a fit. Iterative methods fill `iterations`; CPA's
+/// VI fills every field.
+struct FitStats {
+  std::size_t iterations = 0;
+  double final_change = 0.0;
+  bool converged = false;
+
+  /// Wall-clock seconds of the prediction phase behind this solution's
+  /// labels (`PredictLabels` for offline CPA solves, the snapshot predict
+  /// for the online learner); 0 when no separate prediction ran. Fig 7
+  /// reports it as the `prediction_ms` column.
+  double prediction_seconds = 0.0;
+
+  /// ELBO after each sweep (filled only when requested — the trace costs
+  /// one extra data pass per sweep).
+  std::vector<double> elbo_trace;
+};
+
 /// \brief Output of an aggregation run.
 struct AggregationResult {
   /// The deterministic assignment `d`: one label set per item. Items
@@ -31,8 +49,8 @@ struct AggregationResult {
   /// model-based methods). May be empty for methods without soft output.
   Matrix label_scores;
 
-  /// Iterations the solver used (0 for non-iterative methods).
-  std::size_t iterations = 0;
+  /// Fit diagnostics (all zero for non-iterative methods).
+  FitStats stats;
 };
 
 /// \brief Interface implemented by every aggregation method (the baselines

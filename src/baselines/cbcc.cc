@@ -213,7 +213,7 @@ Result<AggregationResult> Cbcc::Aggregate(const AnswerMatrix& answers,
       if (score > options_.threshold) result.predictions[i].Add(c);
     }
   }
-  result.iterations = total_iterations;
+  result.stats.iterations = total_iterations;
   return result;
 }
 

@@ -1,6 +1,7 @@
 #include "core/cpa.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/stopwatch.h"
 #include "util/string_utils.h"
@@ -72,7 +73,18 @@ Result<CpaSolution> SolveCpaOffline(const AnswerMatrix& answers,
 CpaAggregator::CpaAggregator(CpaOptions options, CpaVariant variant, Executor* pool)
     : options_(options), variant_(variant), pool_(pool) {}
 
-// CpaAggregator::Aggregate lives in engine/cpa_engines.cc: it drives a
-// CpaOfflineEngine session, and core/ does not include engine/ headers.
+Result<AggregationResult> CpaAggregator::Aggregate(const AnswerMatrix& answers,
+                                                   std::size_t num_labels) {
+  CPA_ASSIGN_OR_RETURN(CpaSolution solution,
+                       SolveCpaOffline(answers, num_labels, options_, variant_, pool_));
+  model_ = std::move(solution.model);
+  stats_ = solution.stats;
+  fitted_ = true;
+  AggregationResult result;
+  result.predictions = std::move(solution.predictions);
+  result.label_scores = std::move(solution.label_scores);
+  result.stats = std::move(solution.stats);
+  return result;
+}
 
 }  // namespace cpa

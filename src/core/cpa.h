@@ -7,9 +7,9 @@
 /// The primary entry point for running CPA (or any other method) is the
 /// engine layer: open a streaming session via `EngineRegistry::Global()`
 /// (engine/engine_registry.h) and drive it with
-/// `Observe → Snapshot → Finalize`. The `CpaAggregator` below is the
-/// one-shot convenience wrapper — a thin engine client that opens a
-/// "CPA" session, feeds it all answers as one batch, and finalizes:
+/// `Observe → Snapshot → Finalize`. The offline variants run there as the
+/// `CpaAggregator` below, behind the generic `OfflineEngine` adapter. On
+/// its own, `CpaAggregator` is the one-shot entry point:
 /// ```cpp
 ///   cpa::CpaAggregator cpa;                       // default options
 ///   auto result = cpa.Aggregate(answers, C);      // fit + predict
@@ -54,8 +54,8 @@ struct CpaSolution {
   Matrix label_scores;
 };
 
-/// \brief Offline fit + prediction for the given variant — the refit
-/// kernel behind the engine layer's CPA sessions and `CpaAggregator`.
+/// \brief Offline fit + prediction for the given variant — the kernel
+/// behind `CpaAggregator` (and so behind the engine layer's CPA sessions).
 /// Applies the variant switches (singleton communities/clusters, the No L
 /// exhaustive-instantiation guard, the No Z parameter-budget clamp) to
 /// `options` before fitting.
@@ -64,8 +64,8 @@ Result<CpaSolution> SolveCpaOffline(const AnswerMatrix& answers,
                                     CpaVariant variant = CpaVariant::kFull,
                                     Executor* pool = nullptr);
 
-/// \brief `Aggregator` adapter: offline fit + prediction in one call (a
-/// thin client of the engine layer's CPA offline session).
+/// \brief `Aggregator` adapter: offline fit + prediction in one call
+/// (`SolveCpaOffline`), keeping the posterior for diagnostics.
 class CpaAggregator : public Aggregator {
  public:
   explicit CpaAggregator(CpaOptions options = {}, CpaVariant variant = CpaVariant::kFull,

@@ -13,10 +13,10 @@
 ///   ζ (Dirichlet params of φ_t, T×C)            → `zeta`
 ///
 /// The model additionally maintains the per-item soft label evidence ỹ
-/// (sparse I×C) driving ζ when true labels are unobserved (DESIGN.md
-/// §4.2), cached digamma expectations refreshed once per sweep, and the
-/// per-cluster label-set-size distribution used by prediction (DESIGN.md
-/// §4.3).
+/// (sparse I×C) driving ζ when true labels are unobserved (`LabelEvidence`),
+/// cached digamma expectations refreshed once per sweep, and the
+/// per-cluster label-set-size distribution used by prediction
+/// (`PredictionMode::kMultinomialSizePrior`).
 ///
 /// The parameter members are deliberately public: the inference modules
 /// (vi.cc, svi.cc) own their mutation. External consumers use the
@@ -71,7 +71,7 @@ class CpaModel {
 
   /// Beta-Bernoulli label channel: per (cluster, label) Beta(a, b)
   /// posteriors of θ_tc = P(label c applies to items of cluster t). This is
-  /// the emission the pseudo-label evidence ỹ feeds (DESIGN.md §4.2): a
+  /// the emission the pseudo-label evidence ỹ feeds (`LabelEvidence`): a
   /// Bernoulli channel carries *negative* evidence (a cluster asserting
   /// labels an item lacks is penalised), which the multinomial φ cannot.
   Matrix theta_a;               ///< T × C

@@ -13,8 +13,8 @@ namespace cpa {
 
 /// \brief How the cluster label profiles φ obtain evidence when the true
 /// labels `y` are not observed (all of the paper's experiments run with
-/// `y = ∅`; see DESIGN.md §4.2 for why the paper's literal Eq. 7 is
-/// insufficient then).
+/// `y = ∅`, and the paper's literal Eq. 7 then leaves φ at its prior;
+/// docs/BENCHMARKS.md "Design choices" gives the ablation rows).
 enum class LabelEvidence {
   /// Paper-literal: only observed true labels update ζ. With y = ∅ the
   /// profiles stay at their prior (provided for ablation).
@@ -42,7 +42,7 @@ enum class PredictionMode {
   /// label-set-size prior. Provided as the paper-literal design; even with
   /// the size prior the multinomial mass of an n-label set decays like
   /// n!/n^n ≈ e^{−n}, so this mode systematically under-predicts large
-  /// sets (see DESIGN.md §4.3 and the ablation bench).
+  /// sets (docs/BENCHMARKS.md "Design choices").
   kMultinomialSizePrior,
 
   /// Per-cluster Bernoulli label profiles mixed by the answer-reweighted
@@ -97,7 +97,7 @@ struct CpaOptions {
   std::size_t max_iterations = 50;
   double tolerance = 1e-3;
 
-  /// Unsupervised label-evidence strategy (DESIGN.md §4.2).
+  /// Unsupervised label-evidence strategy (see `LabelEvidence`).
   LabelEvidence label_evidence = LabelEvidence::kReliabilityWeighted;
 
   /// Label-set instantiation mode (§3.4).
@@ -141,8 +141,7 @@ struct CpaOptions {
   /// clustering; default false). Restoring it makes the sweep exact
   /// mean-field coordinate ascent on the ELBO — but E[ln ψ] carries a
   /// Jensen penalty proportional to bank sparsity, so data-rich clusters
-  /// are systematically favoured and small clusters starve at scale
-  /// (DESIGN.md §4.1).
+  /// are systematically favoured and small clusters starve at scale.
   bool phi_answer_term = false;
 
   /// Seed for the randomised initialisation of responsibilities.

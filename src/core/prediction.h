@@ -12,7 +12,7 @@
 /// - `kMultinomialSizePrior`: greedy ascent on
 ///   `ln Σ_t w̃_t · SizePrior_t(|y|) · |y|! · Π_{c∈y} φ̂_tc`
 ///   (the paper's greedy, made non-degenerate by the per-cluster size
-///   prior; DESIGN.md §4.3). Candidate labels are the item's answered
+///   prior). Candidate labels are the item's answered
 ///   labels plus top-profile labels of its likely clusters, which is how
 ///   co-occurrence completion (R3) enters without scanning all C labels.
 /// - `kBernoulliProfile`: exact thresholding of the mixed Bernoulli

@@ -147,9 +147,8 @@ Status CpaOnline::ObserveBatch(const AnswerMatrix& answers,
   const CpaOptions& options = model.options();
 
   ++batch_count_;
-  const double rate =
+  last_rate_ =
       std::pow(1.0 + static_cast<double>(batch_count_), -svi_options_.forgetting_rate);
-  last_rate_ = rate;
 
   // Auto-calibrate the θ-channel prior mean on the first batch
   // (cpa_options.h).
@@ -165,7 +164,6 @@ Status CpaOnline::ObserveBatch(const AnswerMatrix& answers,
   // --- Group the batch by worker and by item; update running tallies.
   std::map<WorkerId, std::vector<std::size_t>> by_worker;
   std::map<ItemId, std::vector<std::size_t>> by_item;
-  std::vector<ItemId> new_items;
   std::size_t max_answer_size = 0;
   for (std::size_t index : batch) {
     const WorkerId worker = view_.worker(index);
@@ -182,12 +180,9 @@ Status CpaOnline::ObserveBatch(const AnswerMatrix& answers,
     if (!item_seen_[item]) {
       item_seen_[item] = true;
       ++items_seen_;
-      new_items.push_back(item);
     }
   }
   answers_seen_ += batch.size();
-  const double mean_redundancy =
-      static_cast<double>(answers_seen_) / static_cast<double>(items_seen_);
 
   std::vector<WorkerId> batch_workers;
   batch_workers.reserve(by_worker.size());
@@ -276,10 +271,15 @@ Status CpaOnline::ObserveBatch(const AnswerMatrix& answers,
 
     // --- ϕ update for the batch items. Items seen for the first time keep
     // their label-aligned seed — the global parameters have not yet seen
-    // their data. Re-seen items get either an exact local coordinate
-    // update over their accumulated answers (default; the Hoffman-style
-    // treatment of per-item latents) or the paper-literal natural-gradient
-    // step in the canonical log-odds µ (Eqs. 15–17).
+    // their data. Re-seen items get an exact local coordinate update over
+    // their accumulated answers (the Hoffman-style treatment of per-item
+    // latents), through the evidence-only shared kernel. The answer term of
+    // the offline update (Eq. 3 restored) needs every cluster's confusion
+    // bank to be current; online, banks of rarely-touched clusters are
+    // stale and the term systematically drags items into whichever clusters
+    // accumulated the most mass. The answer likelihood still reweights
+    // clusters at prediction time, where the accumulated λ is used once
+    // rather than amplified through every sweep.
     if (!options.singleton_clusters) {
       std::vector<ItemId> reseen;
       for (const auto& [item, unused] : by_item) {
@@ -288,60 +288,14 @@ Status CpaOnline::ObserveBatch(const AnswerMatrix& answers,
           reseen.push_back(item);
         }
       }
-      if (svi_options_.exact_local_phi) {
-        // Evidence-only coordinate update (the shared kernel). The answer
-        // term of the offline update (Eq. 3 restored) needs every cluster's
-        // confusion bank to be current; online, banks of rarely-touched
-        // clusters are stale and the term systematically drags items into
-        // whichever clusters accumulated the most mass. The answer
-        // likelihood still reweights clusters at prediction time, where the
-        // accumulated λ is used once rather than amplified through every
-        // sweep.
-        scheduler.ParallelFor(
-            reseen.size(),
-            [&](std::size_t begin, std::size_t end) {
-              for (std::size_t j = begin; j < end; ++j) {
-                sweep::UpdateItemResponsibilityFromEvidence(model, reseen[j]);
-              }
-            },
-            /*min_shard=*/4);
-      } else {
-        std::vector<double> target(T);
-        for (ItemId item : reseen) {
-          const auto& seen = seen_by_item_[item];
-          const double amplify =
-              std::max(1.0, mean_redundancy / static_cast<double>(seen.size()));
-          for (std::size_t t = 0; t < T; ++t) target[t] = model.elog_tau[t];
-          sweep::AddEvidenceTerm(model, item, target, amplify);
-          for (std::uint32_t index : seen) {
-            const auto labels = view_.labels(index);
-            const auto kappa_row = model.kappa.Row(view_.worker(index));
-            for (std::size_t t = 0; t < T; ++t) {
-              const Matrix& elog_psi_t = model.elog_psi[t];
-              double expected = 0.0;
-              for (std::size_t m = 0; m < M; ++m) {
-                if (kappa_row[m] < 1e-8) continue;
-                const auto psi_row = elog_psi_t.Row(m);
-                double loglik = 0.0;
-                for (LabelId c : labels) loglik += psi_row[c];
-                expected += kappa_row[m] * loglik;
-              }
-              target[t] += amplify * expected;
+      scheduler.ParallelFor(
+          reseen.size(),
+          [&](std::size_t begin, std::size_t end) {
+            for (std::size_t j = begin; j < end; ++j) {
+              sweep::UpdateItemResponsibilityFromEvidence(model, reseen[j]);
             }
-          }
-          // Blend in µ-space (reference component T−1) and map back via the
-          // softmax transformation of Eqs. 16–17.
-          auto phi_row = model.phi.Row(item);
-          const double ref_old = std::log(std::max(phi_row[T - 1], 1e-12));
-          const double ref_target = target[T - 1];
-          for (std::size_t t = 0; t < T; ++t) {
-            const double mu_old = std::log(std::max(phi_row[t], 1e-12)) - ref_old;
-            const double mu_target = target[t] - ref_target;
-            phi_row[t] = (1.0 - rate) * mu_old + rate * mu_target;
-          }
-          SoftmaxInPlace(phi_row);
-        }
-      }
+          },
+          /*min_shard=*/4);
     }
 
     // θ channel for the next reinforcement round (and for prediction).
@@ -357,10 +311,9 @@ Status CpaOnline::ObserveBatch(const AnswerMatrix& answers,
   // step (Eq. 9) scales each batch statistic by the full data size, which
   // has unbounded variance for clusters a batch barely touches — their
   // confusion banks decay toward the prior and the answer term then drags
-  // every item into the few populated clusters (DESIGN.md §4.4). Pure
-  // accumulation never starves a bank; early contributions are merely
-  // stale. (The paper-literal updates remain available via
-  // `SviOptions::exact_local_phi = false` for λ's companion µ path.)
+  // every item into the few populated clusters (BENCHMARKS.md "Design
+  // choices", SVI estimator). Pure accumulation never starves a bank;
+  // early contributions are merely stale.
   // The item's activity list holds exactly its clusters with ϕ ≥ kSkipMass,
   // ascending — the same (cluster, weight) sequence as a T-wide ϕ scan.
   for (std::size_t index : batch) {

@@ -8,13 +8,14 @@
 ///
 /// Answers arrive as batches of worker answers. Per batch `b`:
 /// (MAP phase, parallel) κ rows of the batch workers are recomputed from
-/// their new answers; (REDUCE phase) natural-gradient steps with learning
-/// rate `ω_b = (1+b)^{−r}` move the global parameters (λ, ρ, ζ, and ϕ via
-/// its canonical log-odds parameterisation µ, Eqs. 15–17) toward the batch
-/// estimates, scaled by running totals (answers/workers/items seen) in
-/// place of the paper's uniform `U` factor — the dimensionally consistent
-/// SVI estimator (DESIGN.md §4.4). υ is updated exactly since the full ϕ
-/// is maintained.
+/// their new answers, and re-seen batch items get an exact local ϕ update
+/// over their accumulated answers, in place of the paper's natural-gradient
+/// step in the log-odds µ (Eqs. 15–17); (REDUCE phase) λ accumulates the
+/// batch's sufficient statistics and ρ, υ, ζ, θ are recomputed exactly over
+/// everything seen, in place of the paper's steps scaled by a uniform `U`
+/// factor (the SVI estimator of BENCHMARKS.md "Design choices"). The
+/// learning rate `ω_b = (1+b)^{−r}` is computed and reported
+/// (`last_learning_rate`), but no update reads it.
 ///
 /// The sweep bodies (Eq. 2 κ rows, evidence-only ϕ rows, label-evidence
 /// accumulation) are the shared kernels of `core/sweep/sweep_kernels.h` —
@@ -47,15 +48,9 @@ struct SviOptions {
   std::size_t workers_per_batch = 25;
 
   /// Forgetting rate r ∈ (0.5, 1]; the paper finds r ∈ [0.85, 0.9] best
-  /// and uses 0.875 in its scalability experiments.
+  /// and uses 0.875 in its scalability experiments. Here it only sets the
+  /// reported ω_b (see the file comment).
   double forgetting_rate = 0.875;
-
-  /// When true (default), batch items receive an exact local ϕ update over
-  /// their accumulated answers (the Hoffman-style treatment of per-item
-  /// latents). When false, the paper-literal natural-gradient step in the
-  /// canonical log-odds µ (Eqs. 15–17) is used instead; the ablation bench
-  /// compares both.
-  bool exact_local_phi = true;
 
   /// Reliability ↔ consensus ↔ cluster reinforcement rounds per batch (the
   /// offline fit gets the equivalent reinforcement across its sweeps).
@@ -163,6 +158,7 @@ class CpaOnline {
   std::size_t batch_count_ = 0;
   double last_rate_ = 0.0;
   std::size_t answers_seen_ = 0;
+  // Only the v1 checkpoint layout reads these two and `cluster_consensus_`.
   std::size_t workers_seen_ = 0;
   std::size_t items_seen_ = 0;
   std::vector<bool> worker_seen_;

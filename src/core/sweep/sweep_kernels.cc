@@ -174,11 +174,10 @@ void UpdateWorkerResponsibility(CpaModel& model, const AnswerView& view, WorkerI
 ///       + Σ_{c: ỹ>0} (w_i ỹ_ic)(E ln θ_tc − E ln(1−θ_tc)),
 /// with w_i the item's pseudo-observation multiplicity. The base sum is
 /// cached per cluster; the per-label deltas are label-major AXPYs over t.
-void AddEvidenceTerm(const CpaModel& model, ItemId i, std::span<double> scores,
-                     double extra_scale) {
+void AddEvidenceTerm(const CpaModel& model, ItemId i, std::span<double> scores) {
   if (model.y_evidence[i].empty()) return;
   const std::size_t T = model.num_clusters();
-  const double evidence_scale = model.y_evidence_weight[i] * extra_scale;
+  const double evidence_scale = model.y_evidence_weight[i];
   Axpy(evidence_scale, model.elog_theta_base, scores.first(T));
   for (const auto& [c, weight] : model.y_evidence[i]) {
     Axpy(evidence_scale * weight, model.elog_theta_delta_t.Row(c), scores);

@@ -116,15 +116,13 @@ void UpdateItemResponsibility(CpaModel& model, const AnswerView& view, ItemId i,
 void UpdateItemResponsibilityFromEvidence(CpaModel& model, ItemId i);
 
 /// Adds the label-evidence term of the ϕ update onto `scores` (length T),
-/// scaled by `extra_scale` on top of the item's pseudo-observation weight
-/// (the SVI µ path amplifies by the batch redundancy). Uses the label-major
+/// scaled by the item's pseudo-observation weight. Uses the label-major
 /// `elog_theta_delta_t` cache; no-op when the item carries no evidence.
-void AddEvidenceTerm(const CpaModel& model, ItemId i, std::span<double> scores,
-                     double extra_scale = 1.0);
+void AddEvidenceTerm(const CpaModel& model, ItemId i, std::span<double> scores);
 
 /// @}
 
-/// \name Label-evidence accumulation (DESIGN.md §4.2).
+/// \name Label-evidence accumulation (`LabelEvidence`, cpa_options.h).
 /// @{
 
 /// Soft-Jaccard agreement of one answer against an item's evidence:

@@ -94,7 +94,7 @@ Result<CpaModel> FitCpa(const AnswerMatrix& answers, std::size_t num_labels,
     sweep::UpdateSticks(model.upsilon, model.phi, options.epsilon, scheduler);
     sweep::UpdateLambda(model, view, activity, scheduler);
 
-    // --- Label evidence for ζ (strategy-dependent; DESIGN.md §4.2). Once
+    // --- Label evidence for ζ (strategy-dependent; `LabelEvidence`). Once
     // the responsibilities are close to converged, the evidence is frozen
     // so the remaining sweeps are pure coordinate ascent on a fixed
     // objective (the adaptive strategies would otherwise keep the target

@@ -5,9 +5,11 @@
 /// \brief Offline variational inference for the CPA model (Algorithm 1).
 ///
 /// Coordinate ascent on the mean-field ELBO: local responsibilities
-/// (κ per worker — Eq. 2, ϕ per item — Eq. 3 with the answer-evidence term
-/// restored, DESIGN.md §4.1), then the global stick/Dirichlet parameters
-/// (Eqs. 4–7), then the unsupervised label evidence ỹ (DESIGN.md §4.2).
+/// (κ per worker — Eq. 2, ϕ per item — Eq. 3, with the answer term as an
+/// option, `CpaOptions::phi_answer_term`), then the global stick/Dirichlet
+/// parameters (Eqs. 4–7), then the unsupervised label evidence ỹ
+/// (`LabelEvidence`). docs/BENCHMARKS.md "Design choices" gives the
+/// reasons and the ablation rows for both choices.
 ///
 /// `FitCpa` is the orchestration loop only; the sweep bodies live in
 /// `core/sweep/` (shared with the SVI local phase of svi.h): the kernels in
@@ -20,6 +22,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "baselines/aggregator.h"  // FitStats
 #include "core/cpa_model.h"
 #include "data/answer_matrix.h"
 #include "data/label_set.h"
@@ -27,23 +30,6 @@
 #include "util/thread_pool.h"
 
 namespace cpa {
-
-/// \brief Diagnostics of a fit.
-struct FitStats {
-  std::size_t iterations = 0;
-  double final_change = 0.0;
-  bool converged = false;
-
-  /// Wall-clock seconds of the prediction phase behind this solution's
-  /// labels (`PredictLabels` for offline solves, the snapshot predict for
-  /// the online learner); 0 when no prediction ran. Fig 7 reports it as
-  /// the `prediction_ms` column.
-  double prediction_seconds = 0.0;
-
-  /// ELBO after each sweep (filled only when requested — the trace costs
-  /// one extra data pass per sweep).
-  std::vector<double> elbo_trace;
-};
 
 /// \brief Options of a single Fit call that are not model properties.
 struct FitOptions {

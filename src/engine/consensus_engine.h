@@ -13,10 +13,10 @@
 ///   auto final = engine->Finalize();                       // once, at end
 /// ```
 ///
-/// Offline methods (MV, EM, cBCC, CPA variants) run behind an
-/// accumulate-then-refit adapter (`offline_engine.h`, `cpa_engines.h`):
-/// `Snapshot` refits on everything observed so far, so mid-stream snapshots
-/// are exactly the "offline re-run on the data so far" reference of Fig 6.
+/// Offline methods (MV, EM, cBCC, CPA variants) run behind one
+/// accumulate-then-refit adapter (`offline_engine.h`): `Snapshot` refits
+/// on everything observed so far, so mid-stream snapshots are exactly the
+/// "offline re-run on the data so far" reference of Fig 6.
 /// `CpaOnline` (Algorithm 2) plugs in natively via `CpaSviEngine` and never
 /// refits. Either way callers see one lifecycle, which is what lets the
 /// benches, examples and the eval harness switch methods by string name.
@@ -28,7 +28,7 @@
 #include <string_view>
 #include <vector>
 
-#include "core/vi.h"
+#include "baselines/aggregator.h"
 #include "data/answer_matrix.h"
 #include "data/label_set.h"
 #include "util/matrix.h"
@@ -152,11 +152,10 @@ class ConsensusEngine {
   /// Called only once a stream is bound — i.e. after at least one
   /// `Observe` call, which may have carried an empty batch, so `OnObserve`
   /// may not have run yet. Implementations must tolerate zero observed
-  /// answers.
+  /// answers. The base class publishes the result and serves it until the
+  /// counters or the stream binding move, so implementations keep no
+  /// snapshot cache of their own.
   virtual Result<ConsensusSnapshot> OnSnapshot(const AnswerMatrix& stream) = 0;
-
-  /// The stream matrix bound by the first batch (nullptr before).
-  const AnswerMatrix* stream() const { return stream_; }
 
   /// \name Checkpoint hooks
   ///
@@ -188,8 +187,8 @@ class ConsensusEngine {
 };
 
 /// Feeds every answer of `answers` to `engine` as one batch — the one-shot
-/// (non-streaming) use of a session, shared by `CpaAggregator` and the
-/// engine overload of `RunExperiment`.
+/// (non-streaming) use of a session, as in the engine overload of
+/// `RunExperiment`.
 Status ObserveAll(ConsensusEngine& engine, const AnswerMatrix& answers);
 
 }  // namespace cpa

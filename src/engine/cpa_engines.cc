@@ -4,36 +4,35 @@
 
 #include "engine/checkpoint.h"
 #include "engine/engine_registry.h"
+#include "engine/offline_engine.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
 
 namespace cpa {
 
-// ---------------------------------------------------------------------------
-// CpaOfflineEngine
-// ---------------------------------------------------------------------------
+namespace {
 
-CpaOfflineEngine::CpaOfflineEngine(CpaOptions options, CpaVariant variant,
-                                   std::size_t num_labels, Executor* pool,
-                                   std::size_t num_threads)
-    : AccumulatingEngine(std::string(CpaVariantName(variant)), num_labels),
-      options_(options),
-      variant_(variant),
-      owned_pool_(pool == nullptr && num_threads > 1
-                      ? std::make_unique<ThreadPool>(num_threads)
-                      : nullptr),
-      pool_(pool != nullptr ? pool : owned_pool_.get()) {}
+/// The executor a CPA session runs its sweeps on, plus the pool it owns.
+struct SessionPool {
+  std::unique_ptr<ThreadPool> owned;
+  Executor* executor = nullptr;
+};
 
-Result<ConsensusSnapshot> CpaOfflineEngine::Refit(const AnswerMatrix& accumulated) {
-  CPA_ASSIGN_OR_RETURN(
-      solution_, SolveCpaOffline(accumulated, num_labels(), options_, variant_, pool_));
-  solved_ = true;
-  ConsensusSnapshot snapshot;
-  snapshot.predictions = solution_.predictions;
-  snapshot.label_scores = solution_.label_scores;
-  snapshot.fit_stats = solution_.stats;
-  return snapshot;
+/// The one rule for session-owned pools: a runtime `config.pool` wins and
+/// stays caller-owned; otherwise the session owns a pool of
+/// `config.num_threads` workers, or none at 1 (sequential). The caller
+/// must destroy `owned` after everything that holds `executor`.
+SessionPool MakeSessionPool(const EngineConfig& config) {
+  SessionPool pool;
+  pool.executor = config.pool;
+  if (pool.executor == nullptr && config.num_threads > 1) {
+    pool.owned = std::make_unique<ThreadPool>(config.num_threads);
+    pool.executor = pool.owned.get();
+  }
+  return pool;
 }
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // CpaSviEngine
@@ -46,18 +45,13 @@ CpaSviEngine::CpaSviEngine(CpaOnline online, std::unique_ptr<ThreadPool> owned_p
 
 Result<std::unique_ptr<CpaSviEngine>> CpaSviEngine::Create(const EngineConfig& config) {
   CPA_RETURN_NOT_OK(config.Validate());
-  std::unique_ptr<ThreadPool> owned_pool;
-  Executor* pool = config.pool;
-  if (pool == nullptr && config.num_threads > 1) {
-    owned_pool = std::make_unique<ThreadPool>(config.num_threads);
-    pool = owned_pool.get();
-  }
+  SessionPool pool = MakeSessionPool(config);
   CPA_ASSIGN_OR_RETURN(
       CpaOnline online,
       CpaOnline::Create(config.num_items, config.num_workers, config.num_labels,
-                        config.cpa, config.svi, pool));
+                        config.cpa, config.svi, pool.executor));
   return std::unique_ptr<CpaSviEngine>(
-      new CpaSviEngine(std::move(online), std::move(owned_pool)));
+      new CpaSviEngine(std::move(online), std::move(pool.owned)));
 }
 
 Status CpaSviEngine::OnObserve(const AnswerMatrix& answers,
@@ -92,24 +86,25 @@ Status CpaSviEngine::OnRestoreState(CheckpointReader& reader) {
 
 namespace {
 
-EngineRegistry::Factory OfflineFactory(
-    std::function<std::unique_ptr<Aggregator>(const EngineConfig&)> make) {
-  return [make = std::move(make)](const EngineConfig& config)
+/// Builds a session's aggregator; `executor` is the session's sweep pool
+/// (nullptr = sequential).
+using AggregatorMaker = std::function<std::unique_ptr<Aggregator>(
+    const EngineConfig& config, Executor* executor)>;
+
+/// Registers an offline method behind `OfflineEngine`. Only methods with
+/// parallel sweeps (`parallel`) get a session pool; the others never spawn
+/// threads.
+EngineRegistry::Factory OfflineFactory(AggregatorMaker make, bool parallel = false) {
+  return [make = std::move(make), parallel](const EngineConfig& config)
              -> Result<std::unique_ptr<ConsensusEngine>> {
+    SessionPool pool = parallel ? MakeSessionPool(config) : SessionPool();
     // The session carries the registry name it was opened under
     // (config.method), which may differ from the aggregator's display name
     // (e.g. "EM" opens a DawidSkene that calls itself "EM+cost" when the
     // cost refinement is on) — callers key results by what they asked for.
     return std::unique_ptr<ConsensusEngine>(std::make_unique<OfflineEngine>(
-        config.method, make(config), config.num_labels));
-  };
-}
-
-EngineRegistry::Factory CpaOfflineFactory(CpaVariant variant) {
-  return [variant](const EngineConfig& config)
-             -> Result<std::unique_ptr<ConsensusEngine>> {
-    return std::unique_ptr<ConsensusEngine>(std::make_unique<CpaOfflineEngine>(
-        config.cpa, variant, config.num_labels, config.pool, config.num_threads));
+        config.method, make(config, pool.executor), config.num_labels,
+        std::move(pool.owned)));
   };
 }
 
@@ -120,18 +115,25 @@ void RegisterBuiltinEngines(EngineRegistry& registry) {
     const Status status = registry.Register(std::move(name), std::move(factory));
     CPA_CHECK(status.ok()) << status.ToString();
   };
-  must_register("MV", OfflineFactory([](const EngineConfig& config) {
+  must_register("MV", OfflineFactory([](const EngineConfig& config, Executor*) {
                   return std::make_unique<MajorityVote>(config.majority);
                 }));
-  must_register("EM", OfflineFactory([](const EngineConfig& config) {
+  must_register("EM", OfflineFactory([](const EngineConfig& config, Executor*) {
                   return std::make_unique<DawidSkene>(config.em);
                 }));
-  must_register("cBCC", OfflineFactory([](const EngineConfig& config) {
+  must_register("cBCC", OfflineFactory([](const EngineConfig& config, Executor*) {
                   return std::make_unique<Cbcc>(config.cbcc);
                 }));
-  must_register("CPA", CpaOfflineFactory(CpaVariant::kFull));
-  must_register("CPA-NoZ", CpaOfflineFactory(CpaVariant::kNoZ));
-  must_register("CPA-NoL", CpaOfflineFactory(CpaVariant::kNoL));
+  for (const CpaVariant variant :
+       {CpaVariant::kFull, CpaVariant::kNoZ, CpaVariant::kNoL}) {
+    must_register(std::string(CpaVariantName(variant)),
+                  OfflineFactory(
+                      [variant](const EngineConfig& config, Executor* executor) {
+                        return std::make_unique<CpaAggregator>(config.cpa, variant,
+                                                               executor);
+                      },
+                      /*parallel=*/true));
+  }
   must_register(
       "CPA-SVI",
       [](const EngineConfig& config) -> Result<std::unique_ptr<ConsensusEngine>> {
@@ -139,31 +141,6 @@ void RegisterBuiltinEngines(EngineRegistry& registry) {
                              CpaSviEngine::Create(config));
         return std::unique_ptr<ConsensusEngine>(std::move(engine));
       });
-}
-
-// ---------------------------------------------------------------------------
-// CpaAggregator — declared in core/cpa.h, implemented here so core/ never
-// includes engine/ headers. `Aggregate` is a thin engine client: one
-// session, one batch holding every answer, one Finalize.
-// ---------------------------------------------------------------------------
-
-Result<AggregationResult> CpaAggregator::Aggregate(const AnswerMatrix& answers,
-                                                   std::size_t num_labels) {
-  CpaOfflineEngine engine(options_, variant_, num_labels, pool_);
-  CPA_RETURN_NOT_OK(ObserveAll(engine, answers));
-  CPA_ASSIGN_OR_RETURN(SharedSnapshot snapshot, engine.Finalize());
-  AggregationResult result;
-  result.iterations = snapshot->fit_stats.iterations;
-  // The engine dies with this call: move the solution out rather than
-  // copying the predictions/scores from the immutable shared snapshot.
-  if (CpaSolution* solution = engine.mutable_solution()) {
-    stats_ = solution->stats;
-    model_ = std::move(solution->model);
-    fitted_ = true;
-    result.predictions = std::move(solution->predictions);
-    result.label_scores = std::move(solution->label_scores);
-  }
-  return result;
 }
 
 }  // namespace cpa

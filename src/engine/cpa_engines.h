@@ -2,58 +2,25 @@
 #define CPA_ENGINE_CPA_ENGINES_H_
 
 /// \file cpa_engines.h
-/// \brief The CPA model behind the `ConsensusEngine` session API.
+/// \brief The built-in engine registrations and the native online CPA
+/// session.
 ///
-/// - `CpaOfflineEngine`: accumulate-then-refit over `SolveCpaOffline` for
-///   the offline variants ("CPA", "CPA-NoZ", "CPA-NoL"); exposes the fitted
-///   posterior for diagnostics.
-/// - `CpaSviEngine`: the native online learner — `CpaOnline` (Algorithm 2)
-///   consumes batches incrementally and never refits ("CPA-SVI").
+/// Offline CPA ("CPA", "CPA-NoZ", "CPA-NoL") needs no engine class of its
+/// own: it registers as a `CpaAggregator` behind the generic
+/// `OfflineEngine` adapter, like MV, EM and cBCC. `CpaSviEngine` is the
+/// native online learner — `CpaOnline` (Algorithm 2) consumes batches
+/// incrementally and never refits ("CPA-SVI").
 
 #include <memory>
 #include <string>
 
 #include "core/cpa.h"
 #include "engine/engine_config.h"
-#include "engine/offline_engine.h"
+#include "engine/consensus_engine.h"
 
 namespace cpa {
 
 class EngineRegistry;
-
-/// \brief Offline CPA as a session: refits (VI from scratch on everything
-/// seen) when a snapshot follows new answers.
-class CpaOfflineEngine : public AccumulatingEngine {
- public:
-  /// `pool` overrides `num_threads` when non-null (caller-owned); otherwise
-  /// the session constructs and owns a pool of `num_threads` workers
-  /// (1 = sequential). Fits are bit-identical for any thread count.
-  CpaOfflineEngine(CpaOptions options, CpaVariant variant, std::size_t num_labels,
-                   Executor* pool = nullptr, std::size_t num_threads = 1);
-
-  /// The posterior behind the last snapshot (nullptr before the first).
-  const CpaModel* model() const { return solved_ ? &solution_.model : nullptr; }
-  CpaModel* mutable_model() { return solved_ ? &solution_.model : nullptr; }
-
-  /// The whole last solution (nullptr before the first refit). Lets the
-  /// one-shot `CpaAggregator` adapter move predictions/scores out of a
-  /// dying engine instead of copying them from the shared snapshot.
-  CpaSolution* mutable_solution() { return solved_ ? &solution_ : nullptr; }
-
-  /// Inference diagnostics of the last refit.
-  const FitStats& fit_stats() const { return solution_.stats; }
-
- protected:
-  Result<ConsensusSnapshot> Refit(const AnswerMatrix& accumulated) override;
-
- private:
-  CpaOptions options_;
-  CpaVariant variant_;
-  std::unique_ptr<ThreadPool> owned_pool_;
-  Executor* pool_;
-  CpaSolution solution_;
-  bool solved_ = false;
-};
 
 /// \brief Online CPA as a session: `Observe` is one SVI step, `Snapshot`
 /// predicts from the current model state (no refit, any time).
@@ -84,10 +51,9 @@ class CpaSviEngine : public ConsensusEngine {
   CpaOnline online_;
 };
 
-/// Installs the paper's §5.2 line-up into `registry`: "MV", "EM", "cBCC"
-/// behind the generic offline adapter, "CPA", "CPA-NoZ", "CPA-NoL" behind
-/// `CpaOfflineEngine`, and "CPA-SVI" behind `CpaSviEngine`. Called once by
-/// `EngineRegistry::Global()`.
+/// Installs the paper's §5.2 line-up into `registry`: "MV", "EM", "cBCC",
+/// "CPA", "CPA-NoZ" and "CPA-NoL" behind `OfflineEngine`, and "CPA-SVI"
+/// behind `CpaSviEngine`. Called once by `EngineRegistry::Global()`.
 void RegisterBuiltinEngines(EngineRegistry& registry);
 
 }  // namespace cpa

@@ -99,7 +99,6 @@ JsonValue EngineConfig::ToJson() const {
   JsonValue::Object svi_object;
   svi_object["workers_per_batch"] = Num(svi.workers_per_batch);
   svi_object["forgetting_rate"] = Num(svi.forgetting_rate);
-  svi_object["exact_local_phi"] = JsonValue(svi.exact_local_phi);
   svi_object["reinforcement_rounds"] = Num(svi.reinforcement_rounds);
 
   JsonValue::Object majority_object;
@@ -166,8 +165,18 @@ Result<EngineConfig> EngineConfig::FromJson(const JsonValue& json) {
                                &config.svi.workers_per_batch));
     CPA_RETURN_NOT_OK(ReadDouble(*svi_object, "forgetting_rate",
                                  &config.svi.forgetting_rate));
-    CPA_RETURN_NOT_OK(
-        ReadBool(*svi_object, "exact_local_phi", &config.svi.exact_local_phi));
+    // Retired key: older builds wrote `"exact_local_phi": true` (the
+    // exact local ϕ update, now the only path) into session checkpoints,
+    // so true is accepted and ignored. false asked for the removed
+    // paper-literal µ path and is refused rather than silently ignored.
+    bool exact_local_phi = true;
+    CPA_RETURN_NOT_OK(ReadBool(*svi_object, "exact_local_phi", &exact_local_phi));
+    if (!exact_local_phi) {
+      return Status::InvalidArgument(
+          "svi.exact_local_phi=false (the paper-literal µ natural-gradient "
+          "path, Eqs. 15-17) was removed; only the exact local ϕ update "
+          "remains");
+    }
     CPA_RETURN_NOT_OK(ReadSize(*svi_object, "reinforcement_rounds",
                                &config.svi.reinforcement_rounds));
   }

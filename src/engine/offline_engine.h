@@ -2,73 +2,61 @@
 #define CPA_ENGINE_OFFLINE_ENGINE_H_
 
 /// \file offline_engine.h
-/// \brief Accumulate-then-refit adapters: any offline `Aggregator` as a
+/// \brief The accumulate-then-refit adapter: any offline `Aggregator` as a
 /// streaming `ConsensusEngine`.
 ///
-/// Observed batch indices are accumulated; `Snapshot()` re-solves on the
-/// sub-matrix of everything seen so far (the "offline re-run on the data so
-/// far" reference of Fig 6) and caches the result, so repeated snapshots
-/// without new answers are free. Accumulated indices are refit in stream
-/// order; once a session has observed every answer of the stream the refit
-/// runs on the stream matrix itself, so `Finalize()` equals a direct
-/// `Aggregate()` call.
+/// Every offline method — MV, EM, cBCC and the CPA variants — runs behind
+/// this one adapter. Observed batch indices are accumulated; a snapshot
+/// re-solves on the sub-matrix of everything seen so far (the "offline
+/// re-run on the data so far" reference of Fig 6). The base class's
+/// snapshot cache makes repeated snapshots without new answers free.
+/// Accumulated indices are refit in stream order; once a session has
+/// observed every answer of the stream the refit runs on the stream matrix
+/// itself, so `Finalize()` equals a direct `Aggregate()` call.
 
 #include <cstddef>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "baselines/aggregator.h"
 #include "engine/consensus_engine.h"
+#include "util/thread_pool.h"
 
 namespace cpa {
 
-/// \brief Shared accumulate + dirty-refit machinery. Concrete engines
-/// implement `Refit` over the accumulated sub-matrix.
-class AccumulatingEngine : public ConsensusEngine {
- protected:
-  AccumulatingEngine(std::string name, std::size_t num_labels);
-
-  Status OnObserve(const AnswerMatrix& answers,
-                   std::span<const std::size_t> indices) final;
-  Result<ConsensusSnapshot> OnSnapshot(const AnswerMatrix& stream) final;
-
-  /// Solves on everything observed so far. `accumulated` preserves the
-  /// stream's answer order and dimensions.
-  virtual Result<ConsensusSnapshot> Refit(const AnswerMatrix& accumulated) = 0;
-
-  /// Checkpointing: the accumulated index set plus the refit cache. Any
-  /// method-specific solver state is deliberately not serialized — refits
-  /// are deterministic, so the next dirty snapshot rebuilds it exactly.
-  Status OnSaveState(CheckpointWriter& writer) const override;
-  Status OnRestoreState(CheckpointReader& reader) override;
-
-  std::size_t num_labels() const { return num_labels_; }
-
- private:
-  std::size_t num_labels_;
-  std::vector<std::size_t> seen_;  // sorted, deduplicated after each batch
-  bool fitted_ = false;
-  bool dirty_ = false;
-  ConsensusSnapshot cached_;
-};
-
-/// \brief The generic adapter: wraps any `Aggregator` (MV, EM, cBCC, or a
+/// \brief Wraps an `Aggregator` (MV, EM, cBCC, `CpaAggregator`, or a
 /// caller-provided method) as a `ConsensusEngine`.
-class OfflineEngine : public AccumulatingEngine {
+class OfflineEngine final : public ConsensusEngine {
  public:
   /// `name` is the session/registry name; it may differ from
-  /// `aggregator->name()` (e.g. a registry alias).
+  /// `aggregator->name()` (e.g. a registry alias). `owned_pool` is the
+  /// session-owned pool the aggregator's executor points at, if any; the
+  /// engine keeps it alive for as long as the aggregator.
   OfflineEngine(std::string name, std::unique_ptr<Aggregator> aggregator,
-                std::size_t num_labels);
+                std::size_t num_labels,
+                std::unique_ptr<ThreadPool> owned_pool = nullptr);
 
-  /// The wrapped method (for diagnostics).
+  /// The wrapped method (for diagnostics, e.g. `CpaAggregator::model()`).
   Aggregator& aggregator() { return *aggregator_; }
 
  protected:
-  Result<ConsensusSnapshot> Refit(const AnswerMatrix& accumulated) override;
+  Status OnObserve(const AnswerMatrix& answers,
+                   std::span<const std::size_t> indices) override;
+  Result<ConsensusSnapshot> OnSnapshot(const AnswerMatrix& stream) override;
+
+  /// Checkpointing: the accumulated index set. Solver state is not
+  /// serialized — refits are deterministic, so the next snapshot rebuilds
+  /// it exactly.
+  Status OnSaveState(CheckpointWriter& writer) const override;
+  Status OnRestoreState(CheckpointReader& reader) override;
 
  private:
+  std::size_t num_labels_;
+  std::vector<std::size_t> seen_;  // sorted, deduplicated at each refit
+  // Declared before the aggregator, which may hold a raw pointer to it.
+  std::unique_ptr<ThreadPool> owned_pool_;
   std::unique_ptr<Aggregator> aggregator_;
 };
 

@@ -30,7 +30,7 @@ Result<ExperimentResult> RunExperiment(Aggregator& aggregator, const Dataset& da
                        aggregator.Aggregate(dataset.answers, dataset.num_labels));
   ExperimentResult experiment;
   experiment.seconds = stopwatch.ElapsedSeconds();
-  experiment.iterations = result.iterations;
+  experiment.iterations = result.stats.iterations;
   experiment.metrics = ComputeSetMetrics(result.predictions, dataset.ground_truth);
   return experiment;
 }

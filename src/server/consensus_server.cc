@@ -15,12 +15,14 @@ using server::Request;
 using server::Response;
 
 ConsensusServer::ConsensusServer(const ConsensusServerOptions& options)
-    : options_(options), sessions_(options.sessions) {}
+    : options_(options), sessions_(options.sessions) {
+  if (options_.idle_timeout_seconds > 0.0) {
+    sweeper_ = std::make_unique<IdleSweeper>(sessions_, options_.idle_timeout_seconds);
+    sweeper_->Start();
+  }
+}
 
 Response ConsensusServer::Handle(const Request& request) {
-  if (options_.idle_timeout_seconds > 0.0) {
-    sessions_.ExpireIdle(options_.idle_timeout_seconds);
-  }
   Response response;
   response.op = request.op;
   response.session = request.session;

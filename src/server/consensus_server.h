@@ -22,18 +22,21 @@
 /// a single server instance — and `Serve` wraps the line path in a
 /// blocking read/write loop over line-delimited streams.
 ///
-/// Idle-session expiry: when `idle_timeout_seconds > 0`, every handled
-/// request also sweeps sessions idle longer than the timeout, so an
-/// abandoned stream (or dropped connection) cannot pin its engine state
-/// forever.
+/// Idle-session expiry: when `idle_timeout_seconds > 0`, the server owns
+/// an `IdleSweeper` thread (idle_sweeper.h) that expires sessions idle
+/// longer than the timeout, so an abandoned stream (or dropped connection)
+/// cannot pin its engine state forever, even when no request arrives.
 
 #include <cstddef>
+#include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <string_view>
 
 #include "server/frame_handler.h"
 #include "server/framing.h"
+#include "server/idle_sweeper.h"
 #include "server/protocol.h"
 #include "server/session_manager.h"
 
@@ -44,7 +47,8 @@ struct ConsensusServerOptions {
   /// Shared-pool size and session cap (session_manager.h).
   SessionManagerOptions sessions;
 
-  /// Expire sessions idle longer than this many seconds (0 = never).
+  /// Expire sessions idle longer than this many seconds (0 = never), on
+  /// the server's sweeper thread.
   double idle_timeout_seconds = 0.0;
 
   /// Accept binary frames (`--transport binary`, the default). When
@@ -86,9 +90,17 @@ class ConsensusServer : public FrameHandler {
   SessionManager& sessions() { return sessions_; }
   const ConsensusServerOptions& options() const { return options_; }
 
+  /// Sessions expired by idle timeout so far (the shutdown stats line).
+  std::uint64_t sessions_expired() const {
+    return sweeper_ != nullptr ? sweeper_->expired() : 0;
+  }
+
  private:
   ConsensusServerOptions options_;
   SessionManager sessions_;
+  // Declared after `sessions_`: the sweeper thread stops before the
+  // sessions it sweeps are destroyed. Null when idle expiry is off.
+  std::unique_ptr<IdleSweeper> sweeper_;
 };
 
 }  // namespace cpa

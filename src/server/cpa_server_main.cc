@@ -30,9 +30,9 @@
 /// (src/server/tcp_transport.h). The bound endpoint is announced on
 /// stderr as `cpa_server: listening on <addr>`; the process serves until
 /// SIGINT/SIGTERM, then drains connections and exits 0. When
-/// `--idle-timeout` is set in socket mode, a background sweeper thread
-/// expires idle sessions on a timer — abandoned sessions are reaped even
-/// when no requests arrive (src/server/idle_sweeper.h).
+/// `--idle-timeout` is set (stdio or socket mode), the server's background
+/// sweeper thread expires idle sessions on a timer — abandoned sessions are
+/// reaped even when no requests arrive (src/server/idle_sweeper.h).
 ///
 /// With `--router` the process serves no sessions itself: it
 /// consistent-hashes each session id onto the `--workers` fleet (plain
@@ -52,7 +52,6 @@
 #include "core/sweep/simd.h"
 #include "engine/engine_registry.h"
 #include "server/consensus_server.h"
-#include "server/idle_sweeper.h"
 #include "server/router.h"
 #include "server/tcp_transport.h"
 #include "util/flags.h"
@@ -145,7 +144,6 @@ int main(int argc, char** argv) {
   // router forwarding to the worker fleet.
   std::unique_ptr<cpa::ConsensusServer> server;
   std::unique_ptr<cpa::Router> router;
-  std::unique_ptr<cpa::IdleSweeper> sweeper;
   cpa::FrameHandler* handler = nullptr;
   if (router_mode) {
     cpa::RouterOptions router_options;
@@ -163,11 +161,6 @@ int main(int argc, char** argv) {
   } else {
     server = std::make_unique<cpa::ConsensusServer>(options);
     handler = server.get();
-    if (options.idle_timeout_seconds > 0.0) {
-      sweeper = std::make_unique<cpa::IdleSweeper>(
-          server->sessions(), options.idle_timeout_seconds);
-      sweeper->Start();
-    }
   }
 
   cpa::TcpTransport listener(*handler, tcp_options);
@@ -198,7 +191,6 @@ int main(int argc, char** argv) {
 
   WaitForShutdownSignal();
   listener.Shutdown();
-  if (sweeper != nullptr) sweeper->Stop();
   cpa::TcpTransportStats stats = listener.stats();
   if (router != nullptr) {
     stats.frames_forwarded = router->frames_forwarded();
@@ -216,7 +208,7 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(stats.frames_forwarded),
                static_cast<unsigned long long>(stats.backend_reconnects),
                static_cast<unsigned long long>(
-                   sweeper != nullptr ? sweeper->expired() : 0));
+                   server != nullptr ? server->sessions_expired() : 0));
   std::fprintf(stderr,
                "cpa_server: syscalls: %llu recvs (%.1f frames/recv), "
                "%llu sends, %llu partial writes, %llu wouldblock\n",

@@ -5,13 +5,10 @@
 
 namespace cpa {
 
-IdleSweeper::IdleSweeper(SessionManager& sessions,
-                         double idle_timeout_seconds, double period_seconds)
-    : sessions_(sessions), idle_timeout_seconds_(idle_timeout_seconds) {
-  period_seconds_ = period_seconds > 0.0
-                        ? period_seconds
-                        : std::clamp(idle_timeout_seconds / 4.0, 0.1, 60.0);
-}
+IdleSweeper::IdleSweeper(SessionManager& sessions, double idle_timeout_seconds)
+    : sessions_(sessions),
+      idle_timeout_seconds_(idle_timeout_seconds),
+      period_seconds_(std::clamp(idle_timeout_seconds / 4.0, 0.1, 60.0)) {}
 
 IdleSweeper::~IdleSweeper() { Stop(); }
 

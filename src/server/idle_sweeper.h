@@ -2,17 +2,16 @@
 #define CPA_SERVER_IDLE_SWEEPER_H_
 
 /// \file idle_sweeper.h
-/// \brief Time-driven idle-session expiry for the socket server.
+/// \brief Time-driven idle-session expiry: the server's one expiry
+/// mechanism.
 ///
-/// The stdio server piggybacks `ExpireIdle` on request handling — fine
-/// there, because a stdio server with no requests has no clients. A TCP
-/// server is different: sessions whose clients vanished stay pinned
-/// (engine state, scheduler lane, answer stream) until some *other*
-/// client happens to send a request. The sweeper closes that hole with a
-/// dedicated thread that sweeps on a timer, so an idle fleet converges to
-/// zero sessions without any traffic.
+/// `ConsensusServer` owns a sweeper whenever `idle_timeout_seconds > 0`,
+/// in stdio and socket mode alike. Sessions whose clients vanished would
+/// otherwise stay pinned (engine state, scheduler lane, answer stream);
+/// the sweeper's dedicated thread sweeps on a timer, so an idle server
+/// converges to zero sessions without any traffic.
 ///
-/// The sweep period defaults to a quarter of the idle timeout (clamped to
+/// The sweep period is a quarter of the idle timeout (clamped to
 /// [0.1s, 60s]): a session is reaped at most ~1.25 timeouts after its
 /// last touch, and the sweep itself is cheap (one pass over the session
 /// map, skipping any session with an operation in flight).
@@ -33,12 +32,10 @@ namespace cpa {
 /// \brief Periodically expires idle sessions on a background thread.
 class IdleSweeper {
  public:
-  /// Sweeps `sessions` every `period_seconds`, expiring sessions idle
-  /// longer than `idle_timeout_seconds`. `period_seconds <= 0` picks the
-  /// default (timeout / 4, clamped to [0.1s, 60s]). `sessions` must
-  /// outlive the sweeper.
-  IdleSweeper(SessionManager& sessions, double idle_timeout_seconds,
-              double period_seconds = 0.0);
+  /// Sweeps `sessions` every timeout / 4 (clamped to [0.1s, 60s]),
+  /// expiring sessions idle longer than `idle_timeout_seconds`. `sessions`
+  /// must outlive the sweeper.
+  IdleSweeper(SessionManager& sessions, double idle_timeout_seconds);
 
   /// Stops and joins.
   ~IdleSweeper();

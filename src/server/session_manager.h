@@ -26,7 +26,7 @@
 ///
 /// Sessions never expire on their own; `ExpireIdle` sweeps sessions idle
 /// longer than a threshold (skipping any with an operation in flight) and
-/// is typically driven by the server front-end between requests.
+/// is driven by the server's `IdleSweeper` thread (idle_sweeper.h).
 
 #include <chrono>
 #include <cstddef>

@@ -5,7 +5,7 @@
 /// \brief Factories for the paper's evaluation datasets.
 ///
 /// The paper evaluates on five crowdsourced datasets (Table 3) that are not
-/// publicly available; per DESIGN.md §3 we substitute calibrated
+/// publicly available; we substitute calibrated
 /// simulations that match the published statistics (#items, #labels,
 /// #workers, #answers) and characteristics (§5.1: answer-distribution
 /// skew, task difficulty, label-correlation strength). A separate factory

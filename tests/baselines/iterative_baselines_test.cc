@@ -162,7 +162,7 @@ TEST(DawidSkeneTest, RecoversWorkerQualityOrdering) {
   DawidSkene ds;
   const auto result = ds.Aggregate(dataset.answers, dataset.num_labels);
   ASSERT_TRUE(result.ok());
-  EXPECT_GT(result.value().iterations, 0u);
+  EXPECT_GT(result.value().stats.iterations, 0u);
 }
 
 TEST(DawidSkeneTest, CostVariantNameDiffers) {

@@ -131,7 +131,7 @@ TEST(PredictLabelsTest, AccurateOnReliableCrowd) {
 
 TEST(PredictLabelsTest, MultinomialSizePriorModeIsReasonableButSizeBiased) {
   // The paper-literal multinomial mode systematically under-predicts large
-  // sets (DESIGN.md §4.3): clearly usable, but measurably below the
+  // sets: clearly usable, but measurably below the
   // Bernoulli default on the same data.
   const FittedWorld multinomial =
       FitWorld(3, PopulationMix::AllReliable(), PredictionMode::kMultinomialSizePrior);

@@ -127,7 +127,7 @@ TEST(ConsensusEngineTest, OfflineFinalizeEqualsDirectAggregate) {
           << method;
     }
     EXPECT_EQ(final_snapshot.value()->fit_stats.iterations,
-              direct_result.value().iterations)
+              direct_result.value().stats.iterations)
         << method;
   }
 }

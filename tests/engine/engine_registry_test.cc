@@ -124,7 +124,6 @@ TEST(EngineConfigTest, JsonRoundTripPreservesEverySerializedField) {
   config.cpa.seed = 20180417;
   config.svi.workers_per_batch = 13;
   config.svi.forgetting_rate = 0.9;
-  config.svi.exact_local_phi = false;
   config.svi.reinforcement_rounds = 2;
   config.majority.threshold = 0.6;
   config.majority.fallback_to_top_label = true;
@@ -161,7 +160,6 @@ TEST(EngineConfigTest, JsonRoundTripPreservesEverySerializedField) {
   EXPECT_EQ(r.cpa.seed, config.cpa.seed);
   EXPECT_EQ(r.svi.workers_per_batch, config.svi.workers_per_batch);
   EXPECT_DOUBLE_EQ(r.svi.forgetting_rate, config.svi.forgetting_rate);
-  EXPECT_EQ(r.svi.exact_local_phi, config.svi.exact_local_phi);
   EXPECT_EQ(r.svi.reinforcement_rounds, config.svi.reinforcement_rounds);
   EXPECT_DOUBLE_EQ(r.majority.threshold, config.majority.threshold);
   EXPECT_EQ(r.majority.fallback_to_top_label, config.majority.fallback_to_top_label);
@@ -200,6 +198,21 @@ TEST(EngineConfigTest, FromJsonRejectsWrongKinds) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(EngineConfig::FromJson(JsonValue(3.0)).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+// The retired `svi.exact_local_phi` key: older checkpoints embed `true`,
+// which still parses; `false` named the removed µ path and is refused.
+TEST(EngineConfigTest, FromJsonHandlesRetiredExactLocalPhiKey) {
+  const auto legacy = JsonValue::Parse(
+      R"({"method": "CPA-SVI", "svi": {"exact_local_phi": true}})");
+  ASSERT_TRUE(legacy.ok());
+  EXPECT_TRUE(EngineConfig::FromJson(legacy.value()).ok());
+  const auto removed = JsonValue::Parse(
+      R"({"method": "CPA-SVI", "svi": {"exact_local_phi": false}})");
+  ASSERT_TRUE(removed.ok());
+  const Status status = EngineConfig::FromJson(removed.value()).status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("exact_local_phi"), std::string::npos);
 }
 
 TEST(EngineRegistryTest, SessionsCarryTheRegistryNameTheyWereOpenedUnder) {

@@ -185,13 +185,17 @@ TEST(ConsensusServerTest, IdleTimeoutExpiresSessionsBetweenRequests) {
   options.idle_timeout_seconds = 0.005;
   ConsensusServer server(options);
   MustParse(server.HandleLine(kOpenRequest), true);
-  EXPECT_EQ(server.sessions().num_sessions(), 1u);
 
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  // Any request sweeps idle sessions first.
-  const JsonValue list = MustParse(server.HandleLine(R"({"op":"list"})"), true);
-  EXPECT_TRUE(list.Find("sessions")->array().empty());
+  // No further request: the server's sweeper thread alone must reap the
+  // idle session (it sweeps every 0.1 s at this timeout).
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (server.sessions().num_sessions() != 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
   EXPECT_EQ(server.sessions().num_sessions(), 0u);
+  EXPECT_EQ(server.sessions_expired(), 1u);
 }
 
 TEST(ConsensusServerTest, ObserveRequestBuilderRoundTrips) {
