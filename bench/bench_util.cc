@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <thread>
 
 #include "core/sweep/simd.h"
 #include "util/logging.h"
@@ -97,6 +98,9 @@ std::string BenchReport::ToJson() const {
   config["simd"] =
       JsonValue(std::string(simd::LevelName(simd::ActiveLevel())));
   config["simd_forced"] = JsonValue(simd::ActiveLevelForced());
+  // Logical CPUs of the recording machine: thread-count columns (fig7's
+  // offline-N, fig11's fleet) only compare between equal `nproc`.
+  config["nproc"] = JsonValue(static_cast<double>(std::thread::hardware_concurrency()));
 
   JsonValue::Object report;
   report["bench"] = JsonValue(name_);

@@ -59,9 +59,10 @@ void PrintHeader(const std::string& artefact, const std::string& description,
 /// `BENCH_<name>.json`.
 ///
 /// The report is a JSON object with keys `"bench"` (the name), `"config"`
-/// (scale / seed / cpa_iterations / runs / simd / simd_forced — the last
-/// two record the kernel level the numbers were measured at, see
-/// core/sweep/simd.h) and `"results"` (an array of
+/// (scale / seed / cpa_iterations / runs / simd / simd_forced / nproc —
+/// simd and simd_forced record the kernel level the numbers were measured
+/// at, see core/sweep/simd.h; nproc the recording machine's logical CPUs)
+/// and `"results"` (an array of
 /// `{"name", "value", "unit"}` rows in insertion order). `kRequiredKeys`
 /// names the top-level keys downstream tooling may rely on.
 class BenchReport {

@@ -54,8 +54,9 @@ int main(int argc, char** argv) {
       "Large-scale simulation: 10^4 items, 10^4 workers, 10 labels; the "
       "workers-per-item sweep produces 100K / 300K / 1M answers. online-N "
       "= Algorithm 3 with N map threads, offline-N = thread-pooled VI "
-      "sweeps (this container has few physical cores; wall-clock gains "
-      "saturate there; see EXPERIMENTS.md).",
+      "sweeps. Thread-count gains are bounded by the machine's cores: the "
+      "report's config records nproc, and docs/BENCHMARKS.md (Fig 7) "
+      "lists the recorded runs.",
       config);
 
   const auto parsed = Flags::Parse(argc, argv);
@@ -142,7 +143,7 @@ int main(int argc, char** argv) {
       "computation and 16-way parallelism); EM/cBCC between MV and offline "
       "once normalised per label. The offline-N columns track the "
       "sweep-scheduler speedup (bit-identical results for every N). "
-      "Parallel speed-ups here are bounded by the physical cores of the "
-      "benchmark container.\n");
+      "Parallel speed-ups are bounded by the cores of the machine "
+      "(config.nproc in the report).\n");
   return 0;
 }

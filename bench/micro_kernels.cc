@@ -17,6 +17,7 @@
 #include "util/arena.h"
 #include "util/rng.h"
 #include "util/special_functions.h"
+#include "util/thread_pool.h"
 
 namespace cpa {
 namespace {
@@ -303,6 +304,41 @@ void BM_PredictionItemsArena(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PredictionItemsArena);
+
+/// The size-prior rebuild at the Fig 7 shape: 10^4 items × 1024 clusters
+/// (an 82 MB ϕ) and 100k answers, with the cluster columns sharded over
+/// `state.range(0)` threads. ϕ keeps `CpaModel::Create`'s dense jittered
+/// rows; the cost does not depend on their values.
+void BM_UpdateSizePrior(benchmark::State& state) {
+  static const auto* fixture = [] {
+    struct Fig7Shape {
+      Dataset dataset;
+      CpaModel model;
+      AnswerView view;
+    };
+    auto* f = new Fig7Shape();
+    auto dataset = MakeScalabilityDataset(10'000, 10'000, 10, 10.0, FactoryOptions());
+    CPA_CHECK(dataset.ok());
+    f->dataset = std::move(dataset).value();
+    auto model = CpaModel::Create(
+        f->dataset.num_items(), f->dataset.num_workers(), f->dataset.num_labels,
+        CpaOptions::Recommended(f->dataset.num_items(), f->dataset.num_labels));
+    CPA_CHECK(model.ok());
+    f->model = std::move(model).value();
+    f->view = AnswerView(f->dataset.answers);
+    return f;
+  }();
+  CpaModel model = fixture->model;
+  ThreadPool pool(static_cast<std::size_t>(state.range(0)));
+  const SweepScheduler scheduler(&pool);
+  for (auto _ : state) {
+    model.UpdateSizePrior(fixture->view, scheduler);
+    benchmark::DoNotOptimize(model.size_prior.Data().data());
+  }
+  state.counters["answers"] = static_cast<double>(fixture->view.num_answers());
+  state.counters["clusters"] = static_cast<double>(model.num_clusters());
+}
+BENCHMARK(BM_UpdateSizePrior)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
 
 void BM_ComputeElbo(benchmark::State& state) {
   FittedFixture& f = FittedFixture::Get();

@@ -2,14 +2,25 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ranges>
 #include <utility>
 
+#include "core/sweep/answer_view.h"
+#include "core/sweep/sweep_kernels.h"
+#include "core/sweep/sweep_scheduler.h"
 #include "engine/checkpoint.h"
 #include "util/logging.h"
 #include "util/special_functions.h"
 #include "util/string_utils.h"
 
 namespace cpa {
+namespace {
+
+/// Cluster columns per size-count shard: each answer's row add covers at
+/// least 512 bytes of its ϕ row, enough to outweigh the per-answer loop.
+constexpr std::size_t kSizeCountColumnGrain = 64;
+
+}  // namespace
 
 CpaOptions CpaOptions::Recommended(std::size_t num_items, std::size_t num_labels) {
   CpaOptions options;
@@ -189,20 +200,21 @@ double CpaModel::AnswerExpectedLogLik(std::size_t t, std::size_t m,
   return total;
 }
 
-void CpaModel::UpdateSizePrior(const AnswerMatrix& answers) {
+void CpaModel::UpdateSizePrior(const AnswerView& view, const SweepScheduler& scheduler) {
   std::size_t max_size = 1;
-  for (const Answer& a : answers.answers()) {
-    max_size = std::max(max_size, a.labels.size());
+  for (std::size_t j = 0; j < view.num_answers(); ++j) {
+    max_size = std::max(max_size, view.label_count(j));
   }
   const std::size_t S = max_size + 2;  // allow completion beyond observed sizes
-  size_prior.Reset(T_, S + 1, 0.5);    // Laplace smoothing
-  for (const Answer& a : answers.answers()) {
-    const auto phi_row = phi.Row(a.item);
-    const std::size_t n = a.labels.size();
-    for (std::size_t t = 0; t < T_; ++t) {
-      size_prior(t, n) += phi_row[t];
-    }
-  }
+  Matrix counts(S + 1, T_, 0.5);       // size-major, Laplace smoothing
+  const auto all_answers = std::views::iota(std::size_t{0}, view.num_answers());
+  scheduler.ParallelFor(
+      T_,
+      [&](std::size_t t_begin, std::size_t t_end) {
+        sweep::AccumulateSizeCounts(phi, view, all_answers, t_begin, t_end, counts);
+      },
+      /*min_shard=*/kSizeCountColumnGrain);
+  size_prior = counts.Transposed();
   size_prior.NormalizeRows();
 }
 

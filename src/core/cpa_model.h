@@ -36,8 +36,10 @@
 
 namespace cpa {
 
+class AnswerView;
 class CheckpointWriter;
 class CheckpointReader;
+class SweepScheduler;
 
 /// \brief Variational parameters, expectations and posterior accessors.
 class CpaModel {
@@ -128,8 +130,11 @@ class CpaModel {
                               const LabelSet& labels) const;
 
   /// Rebuilds `size_prior` from ϕ-weighted answer-set-size counts
-  /// (Laplace-smoothed rows over sizes 0..max|x|+2).
-  void UpdateSizePrior(const AnswerMatrix& answers);
+  /// (Laplace-smoothed rows over sizes 0..max|x|+2). The counts are
+  /// accumulated size-major with the cluster columns sharded over
+  /// `scheduler` (`sweep::AccumulateSizeCounts`), then transposed; the
+  /// result is bit-identical for any thread count.
+  void UpdateSizePrior(const AnswerView& view, const SweepScheduler& scheduler);
 
   /// \name Effective Beta prior of the θ channel.
   /// Calibrated from the data when `CpaOptions::theta_prior_mean` is 0

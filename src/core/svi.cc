@@ -117,7 +117,7 @@ Result<CpaOnline> CpaOnline::Create(std::size_t num_items, std::size_t num_worke
   online.item_seeded_.assign(num_items, false);
   online.seen_by_item_.resize(num_items);
   online.seen_by_worker_.resize(num_workers);
-  online.size_counts_.Reset(online.model_.num_clusters(), 4, 0.0);
+  online.size_counts_.Reset(4, online.model_.num_clusters(), 0.0);
   return online;
 }
 
@@ -369,29 +369,17 @@ Status CpaOnline::ObserveBatch(const AnswerMatrix& answers,
     sweep::UpdateThetaChannel(model, activity_, scheduler);
   }
 
-  // --- Size-prior counts (plain data statistic, no decay).
-  if (max_answer_size + 3 > size_counts_.cols()) {
-    Matrix grown(T, max_answer_size + 3, 0.0);
-    for (std::size_t t = 0; t < T; ++t) {
-      for (std::size_t n = 0; n < size_counts_.cols(); ++n) {
-        grown(t, n) = size_counts_(t, n);
-      }
-    }
+  // --- Size-prior counts (plain data statistic, no decay). A batch is
+  // small, so its row adds run inline on the calling thread.
+  if (max_answer_size + 3 > size_counts_.rows()) {
+    Matrix grown(max_answer_size + 3, T, 0.0);
+    std::copy(size_counts_.Data().begin(), size_counts_.Data().end(),
+              grown.Data().begin());
     size_counts_ = std::move(grown);
   }
-  for (std::size_t index : batch) {
-    const auto phi_row = model.phi.Row(view_.item(index));
-    const std::size_t size = view_.label_count(index);
-    for (std::size_t t = 0; t < T; ++t) {
-      size_counts_(t, size) += phi_row[t];
-    }
-  }
-  model.size_prior.Reset(T, size_counts_.cols());
-  for (std::size_t t = 0; t < T; ++t) {
-    for (std::size_t n = 0; n < size_counts_.cols(); ++n) {
-      model.size_prior(t, n) = size_counts_(t, n) + 0.5;
-    }
-  }
+  sweep::AccumulateSizeCounts(model.phi, view_, batch, 0, T, size_counts_);
+  model.size_prior = size_counts_.Transposed();
+  for (double& count : model.size_prior.Data()) count += 0.5;
   model.size_prior.NormalizeRows();
 
   model.RefreshExpectations();
@@ -515,7 +503,7 @@ void CpaOnline::SaveState(CheckpointWriter& writer) const {
     writer.WriteLabelSet(consensus);
   }
   writer.WriteU64(next_cluster_);
-  writer.WriteMatrix(size_counts_);
+  writer.WriteMatrix(size_counts_.Transposed());
 }
 
 Status CpaOnline::RestoreState(CheckpointReader& reader) {
@@ -580,10 +568,11 @@ Status CpaOnline::RestoreState(CheckpointReader& reader) {
   if (next_cluster_ > model_.num_clusters()) {
     return Status::InvalidArgument("checkpoint next_cluster out of range");
   }
-  CPA_ASSIGN_OR_RETURN(size_counts_, reader.ReadMatrix());
-  if (size_counts_.rows() != model_.num_clusters()) {
+  CPA_ASSIGN_OR_RETURN(const Matrix cluster_major_counts, reader.ReadMatrix());
+  if (cluster_major_counts.rows() != model_.num_clusters()) {
     return Status::InvalidArgument("checkpoint size_counts rows != T");
   }
+  size_counts_ = cluster_major_counts.Transposed();
   // Derived caches: rebuilt lazily from the restored state + stream.
   activity_valid_ = false;
   view_ = AnswerView();

@@ -183,7 +183,9 @@ class CpaOnline {
   std::size_t next_cluster_ = 0;
   std::vector<bool> item_seeded_;
 
-  // Undecayed ϕ-weighted answer-set-size counts feeding the size prior.
+  // Undecayed ϕ-weighted answer-set-size counts feeding the size prior,
+  // size-major ((S+1) × T, `sweep::AccumulateSizeCounts`); checkpoints
+  // store the cluster-major transpose (T rows).
   Matrix size_counts_;
 };
 

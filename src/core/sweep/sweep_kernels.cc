@@ -594,16 +594,32 @@ LabelSet ConsensusFromEvidence(const CpaModel& model, ItemId item) {
   return consensus;
 }
 
-void WriteSeedRow(CpaModel& model, ItemId item, std::size_t cluster) {
+double WriteSeedRow(CpaModel& model, ItemId item, std::size_t cluster) {
   // One-hot: any residual spread would leak every seeded item's evidence
   // into every cluster's statistics (the offline fit recomputes ϕ each
   // sweep, but the online learner only revisits items when they reappear).
+  //
+  // The change is max |new − old| over the row: |1 − old| on the seed,
+  // |0 − old| elsewhere. Max is a pure selection and `std::max(acc, term)`
+  // drops NaN terms in any grouping, so four independent lanes give
+  // `MaxAbsDiff`'s value bit for bit without its serial compare chain
+  // (the online learner reseeds every evidenced row per refresh).
   auto row = model.phi.Row(item);
+  double lane[4] = {0.0, 0.0, 0.0, std::max(0.0, std::abs(1.0 - row[cluster]))};
+  row[cluster] = 0.0;
+  std::size_t t = 0;
+  for (; t + 4 <= row.size(); t += 4) {
+    for (std::size_t l = 0; l < 4; ++l) {
+      lane[l] = std::max(lane[l], std::abs(0.0 - row[t + l]));
+    }
+  }
+  for (; t < row.size(); ++t) lane[0] = std::max(lane[0], std::abs(0.0 - row[t]));
   std::fill(row.begin(), row.end(), 0.0);
   row[cluster] = 1.0;
+  return std::max(std::max(lane[0], lane[1]), std::max(lane[2], lane[3]));
 }
 
-void SeedClustersFromConsensus(CpaModel& model) {
+double SeedClustersFromConsensus(CpaModel& model) {
   // Symmetry breaking for the item clusters: items sharing an identical
   // majority-consensus label set start in the same cluster. Distinct
   // consensus sets are ranked by frequency and assigned cluster indices in
@@ -614,7 +630,7 @@ void SeedClustersFromConsensus(CpaModel& model) {
   // aligned seeding the truncated mixture routinely locks into clusterings
   // uncorrelated with the label structure.
   const std::size_t T = model.num_clusters();
-  if (T <= 1) return;
+  if (T <= 1) return 0.0;
 
   struct Group {
     LabelSet consensus;
@@ -636,9 +652,14 @@ void SeedClustersFromConsensus(CpaModel& model) {
     return a->consensus.labels()[0] < b->consensus.labels()[0];  // deterministic
   });
 
+  // Every evidenced item is in exactly one group, so each row is written
+  // once and its seed change is its change over the whole call.
+  double change = 0.0;
   const std::size_t assigned = std::min(ranked.size(), T);
   for (std::size_t rank = 0; rank < assigned; ++rank) {
-    for (ItemId i : ranked[rank]->items) WriteSeedRow(model, i, rank);
+    for (ItemId i : ranked[rank]->items) {
+      change = std::max(change, WriteSeedRow(model, i, rank));
+    }
   }
   // Overflow sets: join the assigned cluster with the best Jaccard match.
   for (std::size_t rank = assigned; rank < ranked.size(); ++rank) {
@@ -652,8 +673,11 @@ void SeedClustersFromConsensus(CpaModel& model) {
         best_cluster = candidate;
       }
     }
-    for (ItemId i : ranked[rank]->items) WriteSeedRow(model, i, best_cluster);
+    for (ItemId i : ranked[rank]->items) {
+      change = std::max(change, WriteSeedRow(model, i, best_cluster));
+    }
   }
+  return change;
 }
 
 }  // namespace cpa::sweep

@@ -27,6 +27,7 @@
 
 #include "core/cpa_model.h"
 #include "core/sweep/answer_view.h"
+#include "core/sweep/simd.h"
 #include "core/sweep/sweep_scheduler.h"
 #include "data/label_set.h"
 #include "util/matrix.h"
@@ -185,6 +186,31 @@ void UpdateThetaChannel(CpaModel& model, const ClusterActivity& activity,
 
 /// @}
 
+/// \name Label-set-size counts (the prediction size prior).
+/// @{
+
+/// Adds ϕ-weighted answer-set-size counts onto `counts`, which is
+/// size-major ((S+1) × T: row n holds the answers of size n): for every
+/// answer index j of `indices`, in order, counts(|x_j|, t) += ϕ(item_j, t)
+/// over the cluster columns [t_begin, t_end). Size-major makes an answer
+/// one contiguous row add instead of a T-long strided column walk, and
+/// each element still receives its additions in answer order from its
+/// starting value, so sharding the columns over threads (the offline
+/// `CpaModel::UpdateSizePrior`) or running them inline (the online
+/// learner's per-batch counts) leaves the bits unchanged.
+template <typename Indices>
+void AccumulateSizeCounts(const Matrix& phi, const AnswerView& view,
+                          const Indices& indices, std::size_t t_begin,
+                          std::size_t t_end, Matrix& counts) {
+  const std::size_t width = t_end - t_begin;
+  for (const std::size_t j : indices) {
+    simd::Accumulate(counts.Row(view.label_count(j)).subspan(t_begin, width),
+                     phi.Row(view.item(j)).subspan(t_begin, width));
+  }
+}
+
+/// @}
+
 /// \name Cluster seeding (label-aligned symmetry breaking).
 /// @{
 
@@ -193,13 +219,16 @@ void UpdateThetaChannel(CpaModel& model, const ClusterActivity& activity,
 /// the item has no evidence.
 LabelSet ConsensusFromEvidence(const CpaModel& model, ItemId item);
 
-/// Seeds one ϕ row one-hot on `cluster`.
-void WriteSeedRow(CpaModel& model, ItemId item, std::size_t cluster);
+/// Seeds one ϕ row one-hot on `cluster`. Returns the row's change, the
+/// largest |new − old| entry (what `MaxAbsDiff` of the row gives), so the
+/// offline fit's convergence check needs no ϕ snapshot.
+double WriteSeedRow(CpaModel& model, ItemId item, std::size_t cluster);
 
 /// Initialises ϕ rows so items with identical majority-consensus label
 /// sets start in the same cluster, with clusters assigned in consensus-
 /// frequency order (matched to the size-biased stick-breaking geometry).
-void SeedClustersFromConsensus(CpaModel& model);
+/// Returns the largest row change over the rows it wrote (0 when none).
+double SeedClustersFromConsensus(CpaModel& model);
 
 /// @}
 

@@ -1,6 +1,9 @@
 #include "core/vi.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <span>
 #include <utility>
 
 #include "core/elbo.h"
@@ -11,6 +14,71 @@
 #include "util/logging.h"
 
 namespace cpa {
+namespace {
+
+/// MAP rows per shard of the κ and ϕ sweeps.
+constexpr std::size_t kMapRowGrain = 8;
+
+/// Runs the MAP update `update(r)` of every row of `rows` (κ or ϕ) on the
+/// scheduler and returns how far the sweep moved the matrix. Each shard
+/// copies a row into its lane scratch before updating it and records the
+/// row's `MaxAbsDiff(new, old)`; the row values are then folded in row
+/// order. Max is a pure selection, and `std::max(acc, term)` drops NaN
+/// terms the same way in both, so this equals `MaxAbsDiff` of the matrix
+/// against a pre-sweep snapshot bit for bit, without keeping the snapshot.
+template <typename Update>
+double UpdateRowsTrackingChange(Matrix& rows, const SweepScheduler& scheduler,
+                                Update&& update) {
+  std::vector<double> row_change(rows.rows(), 0.0);
+  scheduler.ParallelMap(
+      rows.rows(),
+      [&](ScratchArena& arena, std::size_t begin, std::size_t end) {
+        const std::span<double> old_row = arena.Alloc<double>(rows.cols());
+        for (std::size_t r = begin; r < end; ++r) {
+          const auto row = rows.Row(r);
+          std::copy(row.begin(), row.end(), old_row.begin());
+          update(r);
+          row_change[r] = MaxAbsDiff(row, old_row);
+        }
+      },
+      kMapRowGrain);
+  double change = 0.0;
+  for (const double row : row_change) change = std::max(change, row);
+  return change;
+}
+
+/// Debug-only cross-check of the fused convergence measure: keeps the full
+/// κ/ϕ snapshots the Release fit does without and asserts, sweep by sweep,
+/// that the change the writers reported is their `MaxAbsDiff` to the bit.
+#ifndef NDEBUG
+class ChangeCrossCheck {
+ public:
+  explicit ChangeCrossCheck(const CpaModel& model)
+      : kappa_(model.kappa), phi_(model.phi) {}
+
+  void Check(const CpaModel& model, double change) {
+    const double expected =
+        std::max(model.kappa.MaxAbsDiff(kappa_), model.phi.MaxAbsDiff(phi_));
+    CPA_CHECK(std::bit_cast<std::uint64_t>(change) ==
+              std::bit_cast<std::uint64_t>(expected))
+        << "fused sweep change " << change << " != snapshot MaxAbsDiff " << expected;
+    kappa_ = model.kappa;
+    phi_ = model.phi;
+  }
+
+ private:
+  Matrix kappa_;
+  Matrix phi_;
+};
+#else
+class ChangeCrossCheck {
+ public:
+  explicit ChangeCrossCheck(const CpaModel&) {}
+  void Check(const CpaModel&, double) {}
+};
+#endif
+
+}  // namespace
 
 Result<CpaModel> FitCpa(const AnswerMatrix& answers, std::size_t num_labels,
                         const CpaOptions& options, const FitOptions& fit,
@@ -48,8 +116,7 @@ Result<CpaModel> FitCpa(const AnswerMatrix& answers, std::size_t num_labels,
   sweep::UpdateLambda(model, view, activity, scheduler);
   model.RefreshExpectations();
 
-  Matrix previous_kappa = model.kappa;
-  Matrix previous_phi = model.phi;
+  ChangeCrossCheck cross_check(model);
   std::vector<LabelSet> self_training_labels;
   bool evidence_frozen = false;
 
@@ -60,32 +127,25 @@ Result<CpaModel> FitCpa(const AnswerMatrix& answers, std::size_t num_labels,
   for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
     // --- Local updates (MAP phase; disjoint rows → parallel). `activity`
     // reflects the current ϕ here: it is rebuilt after every mutation of ϕ
-    // (item sweep, reseeding) before the next consumer runs.
+    // (item sweep, reseeding) before the next consumer runs. Each κ/ϕ
+    // writer reports how far it moved its rows; a sweep writes every row
+    // at most once, so those are the sweep's convergence measure.
+    double kappa_change = 0.0;
+    double phi_change = 0.0;
     if (!options.singleton_communities) {
-      scheduler.ParallelFor(
-          model.num_workers(),
-          [&](std::size_t begin, std::size_t end) {
-            for (std::size_t u = begin; u < end; ++u) {
-              sweep::UpdateWorkerResponsibility(
-                  model, view, static_cast<WorkerId>(u),
-                  view.AnswersOfWorker(static_cast<WorkerId>(u)), &activity);
-            }
-          },
-          /*min_shard=*/8);
+      kappa_change = UpdateRowsTrackingChange(model.kappa, scheduler, [&](std::size_t u) {
+        sweep::UpdateWorkerResponsibility(model, view, static_cast<WorkerId>(u),
+                                          view.AnswersOfWorker(static_cast<WorkerId>(u)),
+                                          &activity);
+      });
     }
     const bool reseed_sweep =
         !options.singleton_clusters && iter < options.reseed_sweeps && !evidence_frozen;
     if (!options.singleton_clusters && !reseed_sweep) {
-      scheduler.ParallelFor(
-          model.num_items(),
-          [&](std::size_t begin, std::size_t end) {
-            for (std::size_t i = begin; i < end; ++i) {
-              sweep::UpdateItemResponsibility(
-                  model, view, static_cast<ItemId>(i),
-                  view.AnswersOfItem(static_cast<ItemId>(i)));
-            }
-          },
-          /*min_shard=*/8);
+      phi_change = UpdateRowsTrackingChange(model.phi, scheduler, [&](std::size_t i) {
+        sweep::UpdateItemResponsibility(model, view, static_cast<ItemId>(i),
+                                        view.AnswersOfItem(static_cast<ItemId>(i)));
+      });
       sweep::BuildClusterActivity(model.phi, scheduler, activity);
     }
 
@@ -103,7 +163,7 @@ Result<CpaModel> FitCpa(const AnswerMatrix& answers, std::size_t num_labels,
       if (options.label_evidence == LabelEvidence::kSelfTraining && iter > 0) {
         sweep::UpdateThetaChannel(model, activity, scheduler);
         model.RefreshExpectations();
-        model.UpdateSizePrior(answers);
+        model.UpdateSizePrior(view, scheduler);
         // Scheduled on the fit's own scheduler: the self-training predict
         // pass reuses the already-warm lane arenas.
         auto predicted = PredictLabels(model, answers, scheduler);
@@ -120,7 +180,7 @@ Result<CpaModel> FitCpa(const AnswerMatrix& answers, std::size_t num_labels,
     if (reseed_sweep) {
       // Re-derive the hard consensus grouping from the freshly sharpened
       // evidence (see `reseed_sweeps` in cpa_options.h).
-      sweep::SeedClustersFromConsensus(model);
+      phi_change = sweep::SeedClustersFromConsensus(model);
       sweep::BuildClusterActivity(model.phi, scheduler, activity);
       sweep::UpdateSticks(model.upsilon, model.phi, options.epsilon, scheduler);
       sweep::UpdateLambda(model, view, activity, scheduler);
@@ -133,12 +193,10 @@ Result<CpaModel> FitCpa(const AnswerMatrix& answers, std::size_t num_labels,
       out.elbo_trace.push_back(ComputeElbo(model, answers));
     }
 
-    const double change = std::max(model.kappa.MaxAbsDiff(previous_kappa),
-                                   model.phi.MaxAbsDiff(previous_phi));
+    const double change = std::max(kappa_change, phi_change);
+    cross_check.Check(model, change);
     out.iterations = iter + 1;
     out.final_change = change;
-    previous_kappa = model.kappa;
-    previous_phi = model.phi;
     if (change < options.tolerance) {
       out.converged = true;
       break;
@@ -146,7 +204,7 @@ Result<CpaModel> FitCpa(const AnswerMatrix& answers, std::size_t num_labels,
     if (change < 10.0 * options.tolerance) evidence_frozen = true;
   }
 
-  model.UpdateSizePrior(answers);
+  model.UpdateSizePrior(view, scheduler);
   return model;
 }
 

@@ -47,6 +47,16 @@ std::size_t Matrix::ArgMaxRow(std::size_t r) const {
       std::max_element(row.begin(), row.end()) - row.begin());
 }
 
+Matrix Matrix::Transposed() const {
+  Matrix out(cols_, rows_);
+  for (std::size_t r = 0; r < rows_; ++r) {
+    for (std::size_t c = 0; c < cols_; ++c) {
+      out.data_[c * rows_ + r] = data_[r * cols_ + c];
+    }
+  }
+  return out;
+}
+
 // Sum, Dot and Axpy are defined in core/sweep/sweep_kernels_avx2.cc — the
 // dispatched-kernel TU — so the span primitives run the runtime-selected
 // scalar/AVX2 variant everywhere.

@@ -82,6 +82,9 @@ class Matrix {
   /// Index of the largest entry in row `r`.
   std::size_t ArgMaxRow(std::size_t r) const;
 
+  /// The cols x rows transpose (entries copied, never recomputed).
+  Matrix Transposed() const;
+
  private:
   std::size_t rows_;
   std::size_t cols_;

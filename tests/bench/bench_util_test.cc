@@ -5,6 +5,7 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "core/sweep/simd.h"
@@ -120,6 +121,9 @@ TEST(BenchReportTest, ToJsonIsValidJsonWithRequiredKeys) {
   EXPECT_EQ(config->Find("simd")->string_value(),
             simd::LevelName(simd::ActiveLevel()));
   ASSERT_NE(config->Find("simd_forced"), nullptr);
+  ASSERT_NE(config->Find("nproc"), nullptr);
+  EXPECT_DOUBLE_EQ(config->Find("nproc")->number_value(),
+                   static_cast<double>(std::thread::hardware_concurrency()));
 
   const JsonValue* results = doc.Find("results");
   ASSERT_NE(results, nullptr);

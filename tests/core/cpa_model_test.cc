@@ -1,10 +1,16 @@
 #include "core/cpa_model.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
+#include "core/sweep/answer_view.h"
+#include "core/sweep/sweep_scheduler.h"
+#include "util/rng.h"
 #include "util/special_functions.h"
+#include "util/thread_pool.h"
 
 namespace cpa {
 namespace {
@@ -157,7 +163,7 @@ TEST(CpaModelTest, UpdateSizePriorTracksAnswerSizes) {
   ASSERT_TRUE(answers.Add(0, 0, LabelSet{0, 1}).ok());
   ASSERT_TRUE(answers.Add(1, 0, LabelSet{0, 1}).ok());
   ASSERT_TRUE(answers.Add(2, 1, LabelSet{2}).ok());
-  m.UpdateSizePrior(answers);
+  m.UpdateSizePrior(AnswerView(answers), SweepScheduler(nullptr));
   // Rows normalised, with most mass on sizes 1 and 2.
   for (std::size_t t = 0; t < m.num_clusters(); ++t) {
     EXPECT_NEAR(Sum(m.size_prior.Row(t)), 1.0, 1e-9);
@@ -170,6 +176,65 @@ TEST(CpaModelTest, UpdateSizePriorTracksAnswerSizes) {
     size4 += m.size_prior(t, 4);
   }
   EXPECT_GT(size2, size4);
+}
+
+/// The cluster-major strided accumulation `UpdateSizePrior` used to run:
+/// every (t, n) entry starts at 0.5 and receives the ϕ of each answer of
+/// size n, in answer order.
+Matrix StridedSizePriorReference(const Matrix& phi, const AnswerMatrix& answers) {
+  std::size_t max_size = 1;
+  for (const Answer& a : answers.answers()) max_size = std::max(max_size, a.labels.size());
+  Matrix prior(phi.cols(), max_size + 3, 0.5);
+  for (const Answer& a : answers.answers()) {
+    for (std::size_t t = 0; t < phi.cols(); ++t) {
+      prior(t, a.labels.size()) += phi(a.item, t);
+    }
+  }
+  prior.NormalizeRows();
+  return prior;
+}
+
+TEST(CpaModelTest, UpdateSizePriorBitIdenticalToStridedReferenceForAnyThreadCount) {
+  // T = 300 splits the cluster columns into uneven shards on 2 and 4
+  // threads, so shard edges fall inside the SIMD kernel's vector blocks.
+  CpaOptions options = SmallOptions();
+  options.max_clusters = 300;
+  auto model = CpaModel::Create(40, 30, 8, options);
+  ASSERT_TRUE(model.ok());
+  CpaModel& m = model.value();
+  Rng rng(17);
+  AnswerMatrix answers(40, 30);
+  for (ItemId i = 0; i < 40; ++i) {
+    for (WorkerId u = 0; u < 30; u += 1 + static_cast<WorkerId>(rng.NextBounded(3))) {
+      LabelSet labels;
+      const std::uint64_t size = 1 + rng.NextBounded(5);
+      for (std::uint64_t k = 0; k < size; ++k) {
+        labels.Add(static_cast<LabelId>(rng.NextBounded(8)));
+      }
+      ASSERT_TRUE(answers.Add(i, u, labels).ok());
+    }
+  }
+  const Matrix expected = StridedSizePriorReference(m.phi, answers);
+  const AnswerView view(answers);
+  const auto expect_bit_identical = [&](const Matrix& actual) {
+    ASSERT_EQ(actual.rows(), expected.rows());
+    ASSERT_EQ(actual.cols(), expected.cols());
+    EXPECT_EQ(std::memcmp(actual.Data().data(), expected.Data().data(),
+                          expected.size() * sizeof(double)),
+              0);
+  };
+  {
+    SCOPED_TRACE("nullptr executor");
+    m.UpdateSizePrior(view, SweepScheduler(nullptr));
+    expect_bit_identical(m.size_prior);
+  }
+  for (std::size_t threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE(threads);
+    ThreadPool pool(threads);
+    m.size_prior.Reset(1, 1);
+    m.UpdateSizePrior(view, SweepScheduler(&pool));
+    expect_bit_identical(m.size_prior);
+  }
 }
 
 TEST(CpaModelTest, PosteriorMeansNormalised) {

@@ -1,14 +1,19 @@
 #include "core/svi.h"
 
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
 #include "data/dataset.h"
 
 #include "core/cpa.h"
+#include "engine/checkpoint.h"
 #include "simulation/crowd_simulator.h"
 #include "simulation/perturbations.h"
+#include "util/string_utils.h"
 
 namespace cpa {
 namespace {
@@ -231,6 +236,46 @@ TEST(CpaOnlineTest, ParallelObserveMatchesSequential) {
       sequential.value().model().kappa.MaxAbsDiff(parallel.value().model().kappa), 0.0);
   EXPECT_DOUBLE_EQ(
       sequential.value().model().phi.MaxAbsDiff(parallel.value().model().phi), 0.0);
+}
+
+std::uint64_t Fnv1a(std::string_view bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char byte : bytes) {
+    hash ^= static_cast<unsigned char>(byte);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+TEST(CpaOnlineTest, CheckpointBytesMatchGolden) {
+  // Size and FNV-1a hash of a learner's checkpoint after a fixed stream,
+  // recorded at commit cf37490: pins the online fit and the checkpoint's
+  // cluster-major (T-row) layout of the running label-set-size counts to
+  // the byte. A restore and re-save must reproduce the same bytes.
+  const Dataset dataset = OnlineDataset(43, 120);
+  Rng rng(47);
+  const BatchPlan plan = MakeWorkerBatches(dataset.answers, 10, rng);
+  auto online = CpaOnline::Create(dataset.num_items(), dataset.num_workers(), 10,
+                                  FastOptions(), SviOptions());
+  ASSERT_TRUE(online.ok());
+  for (const auto& batch : plan.batches) {
+    ASSERT_TRUE(online.value().ObserveBatch(dataset.answers, batch).ok());
+  }
+  CheckpointWriter writer;
+  online.value().SaveState(writer);
+  const std::string& bytes = writer.bytes();
+  EXPECT_EQ(bytes.size(), 112716u);
+  EXPECT_EQ(Fnv1a(bytes), 0xd59c127fd74b0799ULL) << StrFormat(
+      "0x%016llx", static_cast<unsigned long long>(Fnv1a(bytes)));
+
+  auto restored = CpaOnline::Create(dataset.num_items(), dataset.num_workers(), 10,
+                                    FastOptions(), SviOptions());
+  ASSERT_TRUE(restored.ok());
+  CheckpointReader reader(bytes);
+  ASSERT_TRUE(restored.value().RestoreState(reader).ok());
+  CheckpointWriter resaved;
+  restored.value().SaveState(resaved);
+  EXPECT_TRUE(resaved.bytes() == bytes);
 }
 
 }  // namespace

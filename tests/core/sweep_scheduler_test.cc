@@ -421,5 +421,57 @@ TEST(ClusterActivityUpdateTest, ChurnCompactsAndStaysEqualToRebuild) {
   EXPECT_TRUE(compacted);
 }
 
+// ---------------------------------------------------------------------------
+// Seed-row change: the seeding kernels report how far they moved ϕ, which
+// the offline fit's convergence check reads instead of a ϕ snapshot.
+// ---------------------------------------------------------------------------
+
+CpaModel SeedTestModel(std::size_t items, std::size_t clusters) {
+  CpaOptions options;
+  options.max_communities = 3;
+  options.max_clusters = clusters;
+  auto model = CpaModel::Create(items, 2, 5, options);
+  EXPECT_TRUE(model.ok());
+  return std::move(model).value();
+}
+
+TEST(SeedRowChangeTest, WriteSeedRowReturnsMaxRowChange) {
+  CpaModel model = SeedTestModel(4, 6);
+  const Matrix before = model.phi;
+  const double change = sweep::WriteSeedRow(model, 2, 4);
+  EXPECT_EQ(model.phi(2, 4), 1.0);
+  EXPECT_EQ(model.phi.RowSum(2), 1.0);
+  // Only row 2 moved, so the row's change is the whole matrix's.
+  EXPECT_GT(change, 0.0);
+  EXPECT_EQ(change, model.phi.MaxAbsDiff(before));
+  // Re-seeding the same cluster moves nothing; moving it moves a full unit.
+  EXPECT_EQ(sweep::WriteSeedRow(model, 2, 4), 0.0);
+  EXPECT_EQ(sweep::WriteSeedRow(model, 2, 1), 1.0);
+}
+
+TEST(SeedRowChangeTest, SeedClustersFromConsensusReturnsMaxRowChange) {
+  // Four distinct consensus sets over three clusters, so the overflow set
+  // joins its best Jaccard match; item 5 has no evidence and keeps its row.
+  CpaModel model = SeedTestModel(6, 3);
+  model.y_evidence[0] = {{0, 1.0}, {1, 0.9}};
+  model.y_evidence[1] = {{0, 0.8}, {1, 0.6}};
+  model.y_evidence[2] = {{2, 1.0}};
+  model.y_evidence[3] = {{3, 0.7}, {2, 0.2}};
+  model.y_evidence[4] = {{0, 1.0}, {1, 0.5}, {4, 0.9}};
+  const Matrix before = model.phi;
+  const double change = sweep::SeedClustersFromConsensus(model);
+  EXPECT_GT(change, 0.0);
+  EXPECT_EQ(change, model.phi.MaxAbsDiff(before));
+  for (std::size_t t = 0; t < model.num_clusters(); ++t) {
+    EXPECT_EQ(model.phi(5, t), before(5, t));
+  }
+  // Unchanged evidence reseeds every row onto its current cluster.
+  EXPECT_EQ(sweep::SeedClustersFromConsensus(model), 0.0);
+  // A single cluster leaves ϕ alone.
+  CpaModel single = SeedTestModel(2, 1);
+  single.y_evidence[0] = {{0, 1.0}};
+  EXPECT_EQ(sweep::SeedClustersFromConsensus(single), 0.0);
+}
+
 }  // namespace
 }  // namespace cpa

@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <memory>
+
 #include "data/dataset.h"
 
 #include "core/cpa.h"
 #include "simulation/crowd_simulator.h"
 #include "simulation/dataset_factory.h"
+#include "util/string_utils.h"
+#include "util/thread_pool.h"
 
 namespace cpa {
 namespace {
@@ -295,6 +301,53 @@ TEST(FitCpaTest, LabelEvidenceStrategiesProduceDifferentProfiles) {
   double max_entry = 0.0;
   for (double v : b.value().zeta.Data()) max_entry = std::max(max_entry, v);
   EXPECT_NEAR(max_entry, b.value().options().zeta0, 1e-9);
+}
+
+// FitStats of small fits, recorded at commit cf37490 — before the
+// convergence measure moved from whole-matrix κ/ϕ snapshots into the κ/ϕ
+// writers themselves. `final_change` is compared as raw bits: the fused
+// measure is a max over the same |new − old| terms, so it must not move.
+struct FitStatsGolden {
+  const char* name;
+  CpaVariant variant;
+  LabelEvidence evidence;
+  std::size_t threads;
+  std::size_t iterations;
+  bool converged;
+  std::uint64_t final_change_bits;
+};
+
+constexpr FitStatsGolden kFitStatsGoldens[] = {
+    {"CPA", CpaVariant::kFull, LabelEvidence::kReliabilityWeighted, 0, 23, true,
+     0x3f12b0047777e000},
+    {"CPA 2 threads", CpaVariant::kFull, LabelEvidence::kReliabilityWeighted, 2, 23, true,
+     0x3f12b0047777e000},
+    {"CPA self-training", CpaVariant::kFull, LabelEvidence::kSelfTraining, 0, 7, true,
+     0x3f1c91e986231000},
+    {"CPA-NoZ", CpaVariant::kNoZ, LabelEvidence::kReliabilityWeighted, 0, 14, true,
+     0x3f1ea79eabfa1740},
+    {"CPA-NoL", CpaVariant::kNoL, LabelEvidence::kReliabilityWeighted, 0, 4, true, 0x0},
+};
+
+TEST(FitCpaTest, FitStatsMatchGoldenBits) {
+  const TestWorld world = MakeWorld(13, PopulationMix::PaperSimulationDefault(), 90);
+  for (const FitStatsGolden& golden : kFitStatsGoldens) {
+    SCOPED_TRACE(golden.name);
+    CpaOptions options = FastOptions();
+    options.label_evidence = golden.evidence;
+    std::unique_ptr<ThreadPool> pool;
+    if (golden.threads > 0) pool = std::make_unique<ThreadPool>(golden.threads);
+    const auto solution =
+        SolveCpaOffline(world.dataset.answers, 12, options, golden.variant, pool.get());
+    ASSERT_TRUE(solution.ok()) << solution.status().ToString();
+    const FitStats& stats = solution.value().stats;
+    const std::uint64_t bits = std::bit_cast<std::uint64_t>(stats.final_change);
+    EXPECT_EQ(stats.iterations, golden.iterations);
+    EXPECT_EQ(stats.converged, golden.converged);
+    EXPECT_EQ(bits, golden.final_change_bits)
+        << StrFormat("final_change %.17g = 0x%016llx", stats.final_change,
+                     static_cast<unsigned long long>(bits));
+  }
 }
 
 }  // namespace

@@ -74,6 +74,18 @@ TEST(MatrixTest, ArgMaxRow) {
   EXPECT_EQ(m.ArgMaxRow(1), 0u);
 }
 
+TEST(MatrixTest, TransposedSwapsRowsAndColumns) {
+  const Matrix m = {{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}};
+  const Matrix t = m.Transposed();
+  ASSERT_EQ(t.rows(), 3u);
+  ASSERT_EQ(t.cols(), 2u);
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    for (std::size_t c = 0; c < m.cols(); ++c) EXPECT_EQ(t(c, r), m(r, c));
+  }
+  EXPECT_EQ(t.Transposed().MaxAbsDiff(m), 0.0);
+  EXPECT_TRUE(Matrix().Transposed().empty());
+}
+
 TEST(VectorKernelsTest, SumAndNormalize) {
   std::vector<double> v = {1.0, 3.0};
   EXPECT_DOUBLE_EQ(Sum(v), 4.0);
