@@ -14,13 +14,6 @@
 #include "util/string_utils.h"
 
 namespace cpa {
-namespace {
-
-/// Cluster columns per size-count shard: each answer's row add covers at
-/// least 512 bytes of its ϕ row, enough to outweigh the per-answer loop.
-constexpr std::size_t kSizeCountColumnGrain = 64;
-
-}  // namespace
 
 CpaOptions CpaOptions::Recommended(std::size_t num_items, std::size_t num_labels) {
   CpaOptions options;
@@ -108,23 +101,24 @@ Result<CpaModel> CpaModel::Create(std::size_t num_items, std::size_t num_workers
   Rng rng(options.seed);
 
   // Responsibilities: near-uniform with multiplicative jitter, so symmetry
-  // between the truncated components is broken deterministically.
-  const auto init_responsibilities = [&rng](Matrix& m, bool identity) {
-    if (identity) {
-      m.Fill(0.0);
-      for (std::size_t r = 0; r < m.rows(); ++r) m(r, r % m.cols()) = 1.0;
-      return;
-    }
-    for (std::size_t r = 0; r < m.rows(); ++r) {
-      auto row = m.Row(r);
+  // between the truncated components is broken deterministically. ϕ draws
+  // the same way from the same stream (`PhiRows::ResetJittered`), but keeps
+  // one generator state per row instead of the I×T values.
+  model.kappa.Reset(num_workers, model.M_);
+  if (options.singleton_communities) {
+    for (std::size_t u = 0; u < num_workers; ++u) model.kappa(u, u % model.M_) = 1.0;
+  } else {
+    for (std::size_t u = 0; u < num_workers; ++u) {
+      auto row = model.kappa.Row(u);
       for (double& v : row) v = 1.0 + 0.1 * rng.NextDouble();
       NormalizeInPlace(row);
     }
-  };
-  model.kappa.Reset(num_workers, model.M_);
-  init_responsibilities(model.kappa, options.singleton_communities);
-  model.phi.Reset(num_items, model.T_);
-  init_responsibilities(model.phi, options.singleton_clusters);
+  }
+  if (options.singleton_clusters) {
+    model.phi.ResetOneHot(num_items, model.T_);
+  } else {
+    model.phi.ResetJittered(num_items, model.T_, rng);
+  }
 
   model.rho.Reset(model.M_ > 1 ? model.M_ - 1 : 0, 2, 1.0);
   for (std::size_t m = 0; m + 1 < model.M_; ++m) model.rho(m, 1) = options.alpha;
@@ -200,27 +194,22 @@ double CpaModel::AnswerExpectedLogLik(std::size_t t, std::size_t m,
   return total;
 }
 
-void CpaModel::UpdateSizePrior(const AnswerView& view, const SweepScheduler& scheduler) {
+void CpaModel::UpdateSizePrior(const AnswerView& view) {
   std::size_t max_size = 1;
   for (std::size_t j = 0; j < view.num_answers(); ++j) {
     max_size = std::max(max_size, view.label_count(j));
   }
   const std::size_t S = max_size + 2;  // allow completion beyond observed sizes
   Matrix counts(S + 1, T_, 0.5);       // size-major, Laplace smoothing
-  const auto all_answers = std::views::iota(std::size_t{0}, view.num_answers());
-  scheduler.ParallelFor(
-      T_,
-      [&](std::size_t t_begin, std::size_t t_end) {
-        sweep::AccumulateSizeCounts(phi, view, all_answers, t_begin, t_end, counts);
-      },
-      /*min_shard=*/kSizeCountColumnGrain);
+  sweep::AccumulateSizeCounts(
+      phi, view, std::views::iota(std::size_t{0}, view.num_answers()), counts);
   size_prior = counts.Transposed();
   size_prior.NormalizeRows();
 }
 
 std::size_t CpaModel::WorkerCommunity(WorkerId u) const { return kappa.ArgMaxRow(u); }
 
-std::size_t CpaModel::ItemCluster(ItemId i) const { return phi.ArgMaxRow(i); }
+std::size_t CpaModel::ItemCluster(ItemId i) const { return phi.ArgMax(i); }
 
 std::vector<double> CpaModel::CommunitySizes() const {
   std::vector<double> sizes(M_, 0.0);
@@ -233,10 +222,7 @@ std::vector<double> CpaModel::CommunitySizes() const {
 
 std::vector<double> CpaModel::ClusterSizes() const {
   std::vector<double> sizes(T_, 0.0);
-  for (std::size_t i = 0; i < num_items_; ++i) {
-    const auto row = phi.Row(i);
-    for (std::size_t t = 0; t < T_; ++t) sizes[t] += row[t];
-  }
+  phi.AddRows(0, num_items_, sizes);
   return sizes;
 }
 
@@ -301,7 +287,14 @@ void CpaModel::SaveState(CheckpointWriter& writer) const {
   writer.WriteU64(T_);
   writer.WriteDouble(theta_prior_mean_);
   writer.WriteMatrix(kappa);
-  writer.WriteMatrix(phi);
+  // ϕ in the `WriteMatrix` layout, one densified row at a time.
+  writer.WriteU64(phi.rows());
+  writer.WriteU64(phi.cols());
+  std::vector<double> row(phi.cols());
+  for (std::size_t i = 0; i < phi.rows(); ++i) {
+    phi.CopyRow(i, row);
+    for (const double value : row) writer.WriteDouble(value);
+  }
   writer.WriteMatrix(rho);
   writer.WriteMatrix(upsilon);
   writer.WriteU64(lambda.size());
@@ -351,7 +344,24 @@ Status CpaModel::RestoreState(CheckpointReader& reader) {
   };
 
   CPA_RETURN_NOT_OK(read_matrix(kappa, num_workers_, M_, "kappa"));
-  CPA_RETURN_NOT_OK(read_matrix(phi, num_items_, T_, "phi"));
+  // ϕ row by row from its `WriteMatrix` layout, straight into the sparse
+  // store; `PhiRows::Restore` turns rows bit-equal to their initial draw
+  // back into initial rows.
+  CPA_ASSIGN_OR_RETURN(const std::uint64_t phi_rows, reader.ReadU64());
+  CPA_ASSIGN_OR_RETURN(const std::uint64_t phi_cols, reader.ReadU64());
+  if (phi_rows != num_items_ || phi_cols != T_) {
+    return Status::InvalidArgument(
+        StrFormat("checkpoint phi is %llux%llu, expected %zux%zu",
+                  static_cast<unsigned long long>(phi_rows),
+                  static_cast<unsigned long long>(phi_cols), num_items_, T_));
+  }
+  std::vector<double> row(T_);
+  for (std::size_t i = 0; i < num_items_; ++i) {
+    for (double& value : row) {
+      CPA_ASSIGN_OR_RETURN(value, reader.ReadDouble());
+    }
+    phi.Restore(i, row);
+  }
   CPA_RETURN_NOT_OK(read_matrix(rho, M_ > 0 ? M_ - 1 : 0, 2, "rho"));
   CPA_RETURN_NOT_OK(read_matrix(upsilon, T_ > 0 ? T_ - 1 : 0, 2, "upsilon"));
   CPA_ASSIGN_OR_RETURN(const std::size_t banks, reader.ReadSize());

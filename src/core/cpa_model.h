@@ -6,7 +6,8 @@
 ///
 /// Notation mapping (paper → member):
 ///   κ (worker-community responsibilities, U×M)  → `kappa`
-///   ϕ (item-cluster responsibilities, I×T)      → `phi`
+///   ϕ (item-cluster responsibilities, I×T)      → `phi` (sparse rows,
+///                                                  core/phi_rows.h)
 ///   ρ (Beta params of the π′ sticks, (M−1)×2)   → `rho`
 ///   υ (Beta params of the τ′ sticks, (T−1)×2)   → `upsilon`
 ///   λ (Dirichlet params of ψ_tm, T×M×C)         → `lambda[t](m,c)`
@@ -27,6 +28,7 @@
 #include <vector>
 
 #include "core/cpa_options.h"
+#include "core/phi_rows.h"
 #include "data/answer_matrix.h"
 #include "data/label_set.h"
 #include "data/types.h"
@@ -39,7 +41,6 @@ namespace cpa {
 class AnswerView;
 class CheckpointWriter;
 class CheckpointReader;
-class SweepScheduler;
 
 /// \brief Variational parameters, expectations and posterior accessors.
 class CpaModel {
@@ -65,7 +66,7 @@ class CpaModel {
   /// \name Variational parameters (mutated by the inference modules).
   /// @{
   Matrix kappa;                 ///< U × M responsibilities q(z_u = m)
-  Matrix phi;                   ///< I × T responsibilities q(l_i = t)
+  PhiRows phi;                  ///< I × T responsibilities q(l_i = t), by support
   Matrix rho;                   ///< (M−1) × 2 Beta params of π′
   Matrix upsilon;               ///< (T−1) × 2 Beta params of τ′
   std::vector<Matrix> lambda;   ///< T matrices of M × C Dirichlet params of ψ
@@ -131,10 +132,9 @@ class CpaModel {
 
   /// Rebuilds `size_prior` from ϕ-weighted answer-set-size counts
   /// (Laplace-smoothed rows over sizes 0..max|x|+2). The counts are
-  /// accumulated size-major with the cluster columns sharded over
-  /// `scheduler` (`sweep::AccumulateSizeCounts`), then transposed; the
-  /// result is bit-identical for any thread count.
-  void UpdateSizePrior(const AnswerView& view, const SweepScheduler& scheduler);
+  /// accumulated size-major over each answer's nonzero ϕ entries
+  /// (`sweep::AccumulateSizeCounts`), then transposed.
+  void UpdateSizePrior(const AnswerView& view);
 
   /// \name Effective Beta prior of the θ channel.
   /// Calibrated from the data when `CpaOptions::theta_prior_mean` is 0

@@ -38,12 +38,12 @@ ElboTerms ComputeElboTerms(const CpaModel& model, const AnswerMatrix& answers) {
   const std::size_t C = model.num_labels();
 
   // --- E[ln p(x | z, l, ψ)] (+ constant multinomial coefficients ln |x|!).
+  // ϕ is read by its nonzero entries: a zero entry only ever added +0.0.
   for (const Answer& a : answers.answers()) {
-    const auto phi_row = model.phi.Row(a.item);
     const auto kappa_row = model.kappa.Row(a.worker);
     double expected = 0.0;
-    for (std::size_t t = 0; t < T; ++t) {
-      if (phi_row[t] < kSkipMass) continue;
+    model.phi.ForEachNonzero(a.item, [&](std::size_t t, double phi_it) {
+      if (phi_it < kSkipMass) return;
       const Matrix& elog_psi_t = model.elog_psi[t];
       double inner = 0.0;
       for (std::size_t m = 0; m < M; ++m) {
@@ -53,8 +53,8 @@ ElboTerms ComputeElboTerms(const CpaModel& model, const AnswerMatrix& answers) {
         for (LabelId c : a.labels) loglik += psi_row[c];
         inner += kappa_row[m] * loglik;
       }
-      expected += phi_row[t] * inner;
-    }
+      expected += phi_it * inner;
+    });
     terms.answer_loglik +=
         expected + LogGamma(static_cast<double>(a.labels.size()) + 1.0);
   }
@@ -71,21 +71,21 @@ ElboTerms ComputeElboTerms(const CpaModel& model, const AnswerMatrix& answers) {
   // --- E[ln p(l | τ)], E[ln p(ỹ | l, θ)] (Beta-Bernoulli channel) and
   // entropy of q(l).
   for (std::size_t i = 0; i < model.num_items(); ++i) {
-    const auto row = model.phi.Row(i);
-    for (std::size_t t = 0; t < T; ++t) {
-      if (row[t] > 1e-300) terms.cluster_prior += row[t] * model.elog_tau[t];
-    }
-    if (!model.y_evidence[i].empty()) {
-      const double multiplicity = model.y_evidence_weight[i];
-      for (std::size_t t = 0; t < T; ++t) {
+    const bool evidenced = !model.y_evidence[i].empty();
+    const double multiplicity = model.y_evidence_weight[i];
+    double entropy = 0.0;
+    model.phi.ForEachNonzero(i, [&](std::size_t t, double phi_it) {
+      if (phi_it > 1e-300) terms.cluster_prior += phi_it * model.elog_tau[t];
+      if (evidenced) {
         double term = model.elog_theta_base[t];
         for (const auto& [c, weight] : model.y_evidence[i]) {
           term += weight * (model.elog_theta(t, c) - model.elog_not_theta(t, c));
         }
-        terms.label_loglik += multiplicity * row[t] * term;
+        terms.label_loglik += multiplicity * phi_it * term;
       }
-    }
-    terms.entropy += CategoricalEntropy(row);
+      if (phi_it > 1e-300) entropy -= phi_it * std::log(phi_it);
+    });
+    terms.entropy += entropy;
   }
 
   // --- Stick priors Beta(1, α) / Beta(1, ε) and stick entropies.

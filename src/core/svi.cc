@@ -76,7 +76,7 @@ void UpdateSeenWorkerReliability(
 /// Debug-only invariant of the incremental activity maintenance: after a
 /// row patch, the lists must be byte-identical to a from-scratch rebuild.
 #ifndef NDEBUG
-void AssertActivityMatchesPhi(const Matrix& phi, const SweepScheduler& scheduler,
+void AssertActivityMatchesPhi(const PhiRows& phi, const SweepScheduler& scheduler,
                               const sweep::ClusterActivity& activity) {
   sweep::ClusterActivity rebuilt;
   sweep::BuildClusterActivity(phi, scheduler, rebuilt);
@@ -84,7 +84,7 @@ void AssertActivityMatchesPhi(const Matrix& phi, const SweepScheduler& scheduler
       << "incremental ClusterActivity diverged from a full rebuild";
 }
 #else
-void AssertActivityMatchesPhi(const Matrix&, const SweepScheduler&,
+void AssertActivityMatchesPhi(const PhiRows&, const SweepScheduler&,
                               const sweep::ClusterActivity&) {}
 #endif
 
@@ -377,7 +377,7 @@ Status CpaOnline::ObserveBatch(const AnswerMatrix& answers,
               grown.Data().begin());
     size_counts_ = std::move(grown);
   }
-  sweep::AccumulateSizeCounts(model.phi, view_, batch, 0, T, size_counts_);
+  sweep::AccumulateSizeCounts(model.phi, view_, batch, size_counts_);
   model.size_prior = size_counts_.Transposed();
   for (double& count : model.size_prior.Data()) count += 0.5;
   model.size_prior.NormalizeRows();

@@ -71,6 +71,7 @@
 /// `BenchReport` config block carry.
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <string_view>
@@ -107,6 +108,15 @@ struct Kernels {
   /// Truncated softmax in place: entries more than `floor_nats` below the
   /// row max become exactly 0. Returns the log-normaliser.
   double (*softmax_floored)(double* v, std::size_t n, double floor_nats);
+  /// Adds four of ϕ's initial rows into `into`, element by element and in
+  /// row order: into[i] += row_0[i], then row_1[i], row_2[i], row_3[i].
+  /// Row k is regenerated from the xoshiro256** state `states[4k..4k+3]`:
+  /// row_k[i] = `JitteredDraw` / sums[k] of its i-th draw (core/phi_rows.h).
+  /// The AVX2 variant runs the four generators as the four lanes, with the
+  /// same integer steps, an exact u64→double conversion, and the same
+  /// mul, add and div per value.
+  void (*add_jittered_rows4)(const std::uint64_t* states, const double* sums,
+                             double* into, std::size_t n);
 };
 
 /// The kernel table for `level`. Requesting a level the build or CPU cannot

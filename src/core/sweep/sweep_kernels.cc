@@ -24,28 +24,94 @@ constexpr std::size_t kRowGrain = 1024;
 /// 8M entries = 64 MB, ≈ the λ budget of `CpaOptions::Recommended`.
 constexpr std::size_t kLambdaScratchEntryBudget = 8'000'000;
 
+/// Entries of ϕ row i at or above `threshold` (> 0, so never a zero). An
+/// initial row whose floor clears the threshold counts whole without being
+/// regenerated.
+std::uint32_t CountActive(const PhiRows& phi, std::size_t i, double threshold) {
+  if (phi.IsInitial(i) && phi.InitialFloor(i) >= threshold) {
+    return static_cast<std::uint32_t>(phi.cols());
+  }
+  std::uint32_t count = 0;
+  phi.ForEachNonzero(i, [&](std::size_t, double w) { count += w >= threshold; });
+  return count;
+}
+
+/// Writes row i's entries at or above `threshold` into the activity slots
+/// starting at `cursor`, ascending.
+void FillActive(const PhiRows& phi, std::size_t i, double threshold,
+                std::uint32_t cursor, ClusterActivity& out) {
+  phi.ForEachNonzero(i, [&](std::size_t t, double w) {
+    if (w < threshold) return;
+    out.clusters[cursor] = static_cast<std::uint32_t>(t);
+    out.weights[cursor] = w;
+    ++cursor;
+  });
+}
+
+/// The T-wide score row of the ϕ MAP kernels, owned by the calling thread:
+/// they run from arena-less `ParallelFor` shards too, and must not allocate
+/// per call.
+std::span<double> ScoreScratch(std::size_t n) {
+  thread_local std::vector<double> scratch;
+  scratch.resize(n);
+  return scratch;
+}
+
+/// Stick Beta parameters from column masses n_k (Eqs. 4/5).
+void SticksFromMass(Matrix& sticks, std::span<const double> mass,
+                    double concentration) {
+  const std::size_t K = mass.size();
+  // Suffix sums: tail_k = Σ_{l > k} n_l.
+  double tail = 0.0;
+  std::vector<double> tails(K, 0.0);
+  for (std::size_t k = K; k-- > 0;) {
+    tails[k] = tail;
+    tail += mass[k];
+  }
+  for (std::size_t k = 0; k + 1 < K; ++k) {
+    sticks(k, 0) = 1.0 + mass[k];
+    sticks(k, 1) = concentration + tails[k];
+  }
+}
+
+/// Column masses Σ_rows of `rows` rows through `add_rows(begin, end,
+/// partial)`, in `kRowGrain` blocks merged in the scheduler's fixed tree.
+/// Partials are K-wide arena checkouts — spans, not vectors — so a sweep's
+/// repeated stick updates reuse the same slab.
+template <typename AddRows>
+std::vector<double> ColumnMass(std::size_t rows, std::size_t K,
+                               const SweepScheduler& scheduler, AddRows&& add_rows) {
+  std::vector<double> mass(K, 0.0);
+  scheduler.ParallelReduce<std::span<double>>(
+      rows, kRowGrain,
+      [K](ScratchArena& arena) { return arena.AllocZeroed<double>(K); },
+      [&](std::span<double>& partial, std::size_t begin, std::size_t end) {
+        add_rows(begin, end, partial);
+      },
+      [](std::span<double>& into, std::span<double>& from) {
+        simd::Accumulate(into, from);
+      },
+      [&](std::span<double>& root) { simd::Accumulate(mass, root); });
+  return mass;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // Cluster activity
 // ---------------------------------------------------------------------------
 
-void BuildClusterActivity(const Matrix& phi, const SweepScheduler& scheduler,
+void BuildClusterActivity(const PhiRows& phi, const SweepScheduler& scheduler,
                           ClusterActivity& out, double threshold) {
+  CPA_CHECK_GT(threshold, 0.0);
   const std::size_t I = phi.rows();
-  const std::size_t T = phi.cols();
   out.begin.assign(I, 0);
   out.count.assign(I, 0);
   scheduler.ParallelFor(
       I,
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
-          const auto row = phi.Row(i);
-          std::uint32_t count = 0;
-          for (std::size_t t = 0; t < T; ++t) {
-            if (row[t] >= threshold) ++count;
-          }
-          out.count[i] = count;
+          out.count[i] = CountActive(phi, i, threshold);
         }
       },
       /*min_shard=*/kItemGrain);
@@ -61,32 +127,22 @@ void BuildClusterActivity(const Matrix& phi, const SweepScheduler& scheduler,
       I,
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
-          const auto row = phi.Row(i);
-          std::uint32_t cursor = out.begin[i];
-          for (std::size_t t = 0; t < T; ++t) {
-            if (row[t] < threshold) continue;
-            out.clusters[cursor] = static_cast<std::uint32_t>(t);
-            out.weights[cursor] = row[t];
-            ++cursor;
-          }
+          FillActive(phi, i, threshold, out.begin[i], out);
         }
       },
       /*min_shard=*/kItemGrain);
 }
 
-void UpdateClusterActivityRows(const Matrix& phi, std::span<const ItemId> items,
+void UpdateClusterActivityRows(const PhiRows& phi, std::span<const ItemId> items,
                                ClusterActivity& out) {
   const std::size_t I = phi.rows();
-  const std::size_t T = phi.cols();
   CPA_CHECK_EQ(out.begin.size(), I);
   CPA_CHECK_EQ(out.count.size(), I);
   for (const ItemId i : items) {
     CPA_CHECK_LT(i, I);
-    const auto row = phi.Row(i);
-    std::uint32_t count = 0;
-    for (std::size_t t = 0; t < T; ++t) {
-      if (row[t] >= kSkipMass) ++count;
-    }
+    // A row still initial has held its values since `out` was built.
+    if (phi.IsInitial(i)) continue;
+    const std::uint32_t count = CountActive(phi, i, kSkipMass);
     // A row that fits keeps its slots (its tail, if it shrank, goes dead);
     // a row that grows moves to the end and leaves all its old slots dead.
     if (count > out.count[i]) {
@@ -98,13 +154,7 @@ void UpdateClusterActivityRows(const Matrix& phi, std::span<const ItemId> items,
     }
     out.live = out.live - out.count[i] + count;
     out.count[i] = count;
-    std::uint32_t cursor = out.begin[i];
-    for (std::size_t t = 0; t < T; ++t) {
-      if (row[t] < kSkipMass) continue;
-      out.clusters[cursor] = static_cast<std::uint32_t>(t);
-      out.weights[cursor] = row[t];
-      ++cursor;
-    }
+    FillActive(phi, i, kSkipMass, out.begin[i], out);
   }
   if (out.clusters.size() - out.live <= out.live) return;
 
@@ -188,7 +238,7 @@ void UpdateItemResponsibility(CpaModel& model, const AnswerView& view, ItemId i,
                               std::span<const std::uint32_t> indices) {
   const std::size_t M = model.num_communities();
   const std::size_t T = model.num_clusters();
-  auto scores = model.phi.Row(i);
+  const std::span<double> scores = ScoreScratch(T);
   for (std::size_t t = 0; t < T; ++t) scores[t] = model.elog_tau[t];
   AddEvidenceTerm(model, i, scores);
   // Optional answer term (Eq. 3 omits it; see cpa_options.h).
@@ -212,14 +262,16 @@ void UpdateItemResponsibility(CpaModel& model, const AnswerView& view, ItemId i,
     }
   }
   SoftmaxInPlace(scores, kSoftmaxFloorNats);
+  model.phi.Assign(i, scores);
 }
 
 void UpdateItemResponsibilityFromEvidence(CpaModel& model, ItemId i) {
   const std::size_t T = model.num_clusters();
-  auto scores = model.phi.Row(i);
+  const std::span<double> scores = ScoreScratch(T);
   for (std::size_t t = 0; t < T; ++t) scores[t] = model.elog_tau[t];
   AddEvidenceTerm(model, i, scores);
   SoftmaxInPlace(scores, kSoftmaxFloorNats);
+  model.phi.Assign(i, scores);
 }
 
 // ---------------------------------------------------------------------------
@@ -413,33 +465,27 @@ void UpdateSticks(Matrix& sticks, const Matrix& responsibilities,
   const std::size_t K = sticks.rows() + 1;
   if (K <= 1) return;
   CPA_CHECK_EQ(responsibilities.cols(), K);
-  // Column masses n_k = Σ_rows resp(·, k). Partials are K-wide arena
-  // checkouts — spans, not vectors — so a sweep's repeated stick updates
-  // reuse the same slab.
-  std::vector<double> mass(K, 0.0);
-  scheduler.ParallelReduce<std::span<double>>(
-      responsibilities.rows(), kRowGrain,
-      [K](ScratchArena& arena) { return arena.AllocZeroed<double>(K); },
-      [&](std::span<double>& partial, std::size_t begin, std::size_t end) {
+  const std::vector<double> mass = ColumnMass(
+      responsibilities.rows(), K, scheduler,
+      [&](std::size_t begin, std::size_t end, std::span<double> partial) {
         for (std::size_t r = begin; r < end; ++r) {
           simd::Accumulate(partial, responsibilities.Row(r));
         }
-      },
-      [](std::span<double>& into, std::span<double>& from) {
-        simd::Accumulate(into, from);
-      },
-      [&](std::span<double>& root) { simd::Accumulate(mass, root); });
-  // Suffix sums: tail_k = Σ_{l > k} n_l.
-  double tail = 0.0;
-  std::vector<double> tails(K, 0.0);
-  for (std::size_t k = K; k-- > 0;) {
-    tails[k] = tail;
-    tail += mass[k];
-  }
-  for (std::size_t k = 0; k + 1 < K; ++k) {
-    sticks(k, 0) = 1.0 + mass[k];
-    sticks(k, 1) = concentration + tails[k];
-  }
+      });
+  SticksFromMass(sticks, mass, concentration);
+}
+
+void UpdateSticks(Matrix& sticks, const PhiRows& phi, double concentration,
+                  const SweepScheduler& scheduler) {
+  const std::size_t K = sticks.rows() + 1;
+  if (K <= 1) return;
+  CPA_CHECK_EQ(phi.cols(), K);
+  const std::vector<double> mass = ColumnMass(
+      phi.rows(), K, scheduler,
+      [&](std::size_t begin, std::size_t end, std::span<double> partial) {
+        phi.AddRows(begin, end, partial);
+      });
+  SticksFromMass(sticks, mass, concentration);
 }
 
 void UpdateLambda(CpaModel& model, const AnswerView& view,
@@ -598,25 +644,13 @@ double WriteSeedRow(CpaModel& model, ItemId item, std::size_t cluster) {
   // One-hot: any residual spread would leak every seeded item's evidence
   // into every cluster's statistics (the offline fit recomputes ϕ each
   // sweep, but the online learner only revisits items when they reappear).
-  //
-  // The change is max |new − old| over the row: |1 − old| on the seed,
-  // |0 − old| elsewhere. Max is a pure selection and `std::max(acc, term)`
-  // drops NaN terms in any grouping, so four independent lanes give
-  // `MaxAbsDiff`'s value bit for bit without its serial compare chain
-  // (the online learner reseeds every evidenced row per refresh).
-  auto row = model.phi.Row(item);
-  double lane[4] = {0.0, 0.0, 0.0, std::max(0.0, std::abs(1.0 - row[cluster]))};
-  row[cluster] = 0.0;
-  std::size_t t = 0;
-  for (; t + 4 <= row.size(); t += 4) {
-    for (std::size_t l = 0; l < 4; ++l) {
-      lane[l] = std::max(lane[l], std::abs(0.0 - row[t + l]));
-    }
-  }
-  for (; t < row.size(); ++t) lane[0] = std::max(lane[0], std::abs(0.0 - row[t]));
-  std::fill(row.begin(), row.end(), 0.0);
-  row[cluster] = 1.0;
-  return std::max(std::max(lane[0], lane[1]), std::max(lane[2], lane[3]));
+  // The change is taken over the union of the old support and the seed
+  // (an initial old row is regenerated).
+  const std::uint32_t seed[] = {static_cast<std::uint32_t>(cluster)};
+  const double one[] = {1.0};
+  const double change = model.phi.MaxAbsDiff(item, seed, one);
+  model.phi.AssignOneHot(item, cluster);
+  return change;
 }
 
 double SeedClustersFromConsensus(CpaModel& model) {
@@ -639,7 +673,7 @@ double SeedClustersFromConsensus(CpaModel& model) {
   std::map<std::string, Group> groups;
   for (ItemId i = 0; i < model.num_items(); ++i) {
     const LabelSet consensus = ConsensusFromEvidence(model, i);
-    if (consensus.empty()) continue;  // no evidence: keep the uniform row
+    if (consensus.empty()) continue;  // no evidence: keep the current row
     Group& group = groups[consensus.ToString()];
     group.consensus = consensus;
     group.items.push_back(i);

@@ -74,9 +74,12 @@ struct ClusterActivity {
 };
 
 /// Rebuilds `out` from the current ϕ (threshold `kSkipMass` by default;
-/// prediction passes its own, lower prune threshold), sharded over the
-/// scheduler (counting pass + exclusive scan + fill pass).
-void BuildClusterActivity(const Matrix& phi, const SweepScheduler& scheduler,
+/// prediction passes its own, lower prune threshold; it must be > 0, so
+/// only nonzero entries qualify), sharded over the scheduler (counting
+/// pass + exclusive scan + fill pass). Written rows are read by support;
+/// initial rows are regenerated in the fill pass, and in the counting pass
+/// only when their floor (`PhiRows::InitialFloor`) is below the threshold.
+void BuildClusterActivity(const PhiRows& phi, const SweepScheduler& scheduler,
                           ClusterActivity& out, double threshold = kSkipMass);
 
 /// Recomputes only the activity rows of `items` from the current ϕ (at
@@ -87,10 +90,12 @@ void BuildClusterActivity(const Matrix& phi, const SweepScheduler& scheduler,
 /// row that shrinks or keeps its size is overwritten in place, a row that
 /// grows moves to the end of the slot arrays, and once dead slots
 /// outnumber live ones the arrays are compacted in one pass. Cost is
-/// O(|items| × T) plus the amortised compaction — never an I×T scan, never
-/// a per-call copy of the whole list. Every row reads identically to a
-/// full rebuild (the SVI loop asserts this in Debug).
-void UpdateClusterActivityRows(const Matrix& phi, std::span<const ItemId> items,
+/// O(Σ row support over `items`) plus the amortised compaction — never an
+/// I×T scan, never a per-call copy of the whole list. Items whose ϕ row is
+/// still initial are skipped: the row has not changed since `out` was
+/// built. Every row reads
+/// identically to a full rebuild (the SVI loop asserts this in Debug).
+void UpdateClusterActivityRows(const PhiRows& phi, std::span<const ItemId> items,
                                ClusterActivity& out);
 
 /// True when `lhs` and `rhs` hold identical lists row by row (clusters and
@@ -108,7 +113,9 @@ void UpdateWorkerResponsibility(CpaModel& model, const AnswerView& view, WorkerI
                                 const ClusterActivity* activity);
 
 /// Eq. 3 (+ optional answer evidence): recomputes ϕ row `i` from the answers
-/// of item `i` and the item's label evidence ỹ_i.
+/// of item `i` and the item's label evidence ỹ_i. The T scores live in the
+/// calling thread's scratch (callers shard with or without an arena); the
+/// floored softmax result is stored by its nonzero entries.
 void UpdateItemResponsibility(CpaModel& model, const AnswerView& view, ItemId i,
                               std::span<const std::uint32_t> indices);
 
@@ -166,9 +173,15 @@ void UpdateLabelEvidence(CpaModel& model, const AnswerView& view,
 /// \name REDUCE kernels (global parameters; deterministic partial merges).
 /// @{
 
-/// Eqs. 4/5: stick Beta parameters from responsibility column masses.
+/// Eqs. 4/5: stick Beta parameters from responsibility column masses. The
+/// κ form adds dense rows; the ϕ form adds each row's nonzeros
+/// (`PhiRows::AddRows`). Both keep the `kRowGrain` blocks and merge tree,
+/// and every column receives its rows in row order, so the two agree bit
+/// for bit on equal responsibilities.
 void UpdateSticks(Matrix& sticks, const Matrix& responsibilities,
                   double concentration, const SweepScheduler& scheduler);
+void UpdateSticks(Matrix& sticks, const PhiRows& phi, double concentration,
+                  const SweepScheduler& scheduler);
 
 /// Eq. 6: λ from scratch over every answer of the view.
 void UpdateLambda(CpaModel& model, const AnswerView& view,
@@ -192,20 +205,15 @@ void UpdateThetaChannel(CpaModel& model, const ClusterActivity& activity,
 /// Adds ϕ-weighted answer-set-size counts onto `counts`, which is
 /// size-major ((S+1) × T: row n holds the answers of size n): for every
 /// answer index j of `indices`, in order, counts(|x_j|, t) += ϕ(item_j, t)
-/// over the cluster columns [t_begin, t_end). Size-major makes an answer
-/// one contiguous row add instead of a T-long strided column walk, and
-/// each element still receives its additions in answer order from its
-/// starting value, so sharding the columns over threads (the offline
-/// `CpaModel::UpdateSizePrior`) or running them inline (the online
-/// learner's per-batch counts) leaves the bits unchanged.
+/// over the nonzero entries of the item's row (an initial row regenerated).
+/// Each count receives its additions in answer order, and a skipped zero
+/// would only have added +0.0, so the bits match a dense row add.
 template <typename Indices>
-void AccumulateSizeCounts(const Matrix& phi, const AnswerView& view,
-                          const Indices& indices, std::size_t t_begin,
-                          std::size_t t_end, Matrix& counts) {
-  const std::size_t width = t_end - t_begin;
+void AccumulateSizeCounts(const PhiRows& phi, const AnswerView& view,
+                          const Indices& indices, Matrix& counts) {
   for (const std::size_t j : indices) {
-    simd::Accumulate(counts.Row(view.label_count(j)).subspan(t_begin, width),
-                     phi.Row(view.item(j)).subspan(t_begin, width));
+    const std::span<double> row = counts.Row(view.label_count(j));
+    phi.ForEachNonzero(view.item(j), [row](std::size_t t, double w) { row[t] += w; });
   }
 }
 
@@ -220,8 +228,9 @@ void AccumulateSizeCounts(const Matrix& phi, const AnswerView& view,
 LabelSet ConsensusFromEvidence(const CpaModel& model, ItemId item);
 
 /// Seeds one ϕ row one-hot on `cluster`. Returns the row's change, the
-/// largest |new − old| entry (what `MaxAbsDiff` of the row gives), so the
-/// offline fit's convergence check needs no ϕ snapshot.
+/// largest |new − old| entry over the union of the old and new supports
+/// (what `MaxAbsDiff` of the dense rows gives), so the offline fit's
+/// convergence check needs no ϕ snapshot.
 double WriteSeedRow(CpaModel& model, ItemId item, std::size_t cluster);
 
 /// Initialises ϕ rows so items with identical majority-consensus label

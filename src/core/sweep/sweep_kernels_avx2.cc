@@ -20,9 +20,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
 
+#include "core/phi_rows.h"
 #include "core/sweep/simd.h"
 #include "util/logging.h"
 #include "util/matrix.h"
@@ -171,9 +173,28 @@ double SoftmaxFlooredScalar(double* v, std::size_t n, double floor_nats) {
   return max + std::log(sum);
 }
 
+void AddJitteredRows4Scalar(const std::uint64_t* states, const double* sums,
+                            double* into, std::size_t n) {
+  Rng g0 = Rng::FromState({states[0], states[1], states[2], states[3]});
+  Rng g1 = Rng::FromState({states[4], states[5], states[6], states[7]});
+  Rng g2 = Rng::FromState({states[8], states[9], states[10], states[11]});
+  Rng g3 = Rng::FromState({states[12], states[13], states[14], states[15]});
+  // Four independent streams per column hide each other's draw and divide
+  // latency; each element still receives rows 0, 1, 2, 3 in that order.
+  for (std::size_t i = 0; i < n; ++i) {
+    double x = into[i];
+    x += JitteredDraw(g0) / sums[0];
+    x += JitteredDraw(g1) / sums[1];
+    x += JitteredDraw(g2) / sums[2];
+    x += JitteredDraw(g3) / sums[3];
+    into[i] = x;
+  }
+}
+
 constexpr Kernels kScalarKernels = {
     AccumulateScalar, AxpyScalar,    SumScalar,     DotScalar,
     MaxValueScalar,   LogSumExpScalar, SoftmaxScalar, SoftmaxFlooredScalar,
+    AddJitteredRows4Scalar,
 };
 
 // ---------------------------------------------------------------------------
@@ -355,9 +376,96 @@ CPA_TARGET_AVX2 double SoftmaxFlooredAvx2(double* v, std::size_t n,
   return max + std::log(sum);
 }
 
+CPA_TARGET_AVX2 inline __m256i Rotl64(__m256i x, int k) {
+  return _mm256_or_si256(_mm256_slli_epi64(x, k), _mm256_srli_epi64(x, 64 - k));
+}
+
+/// Four xoshiro256** generators, one per lane: word j of generator k sits
+/// in lane k of `s[j]`.
+struct Xoshiro4 {
+  __m256i s[4];
+};
+
+/// One `JitteredDraw` / sums per lane, stepping each lane's generator the
+/// way `Rng::NextUint64` does (×5 and ×9 as shift-adds, which wrap alike).
+CPA_TARGET_AVX2 inline __m256d JitteredStep(Xoshiro4& g, __m256d sums) {
+  __m256i& s0 = g.s[0];
+  __m256i& s1 = g.s[1];
+  __m256i& s2 = g.s[2];
+  __m256i& s3 = g.s[3];
+  const __m256i times5 = _mm256_add_epi64(_mm256_slli_epi64(s1, 2), s1);
+  const __m256i rotated = Rotl64(times5, 7);
+  const __m256i result = _mm256_add_epi64(_mm256_slli_epi64(rotated, 3), rotated);
+  const __m256i t = _mm256_slli_epi64(s1, 17);
+  s2 = _mm256_xor_si256(s2, s0);
+  s3 = _mm256_xor_si256(s3, s1);
+  s1 = _mm256_xor_si256(s1, s2);
+  s0 = _mm256_xor_si256(s0, s3);
+  s2 = _mm256_xor_si256(s2, t);
+  s3 = Rotl64(s3, 45);
+  // u = (result >> 11)·2^-53, exactly: split the 53 bits into hi (21) and
+  // lo (32), read lo as the double 0.5 + lo·2^-53 and hi as 2^31 + hi·2^-21
+  // by OR-ing in their exponents, then (hi' − (2^31 + 0.5)) + lo'. Both
+  // operations have representable results, so neither rounds.
+  const __m256i bits = _mm256_srli_epi64(result, 11);
+  const __m256d lo = _mm256_castsi256_pd(
+      _mm256_or_si256(_mm256_and_si256(bits, _mm256_set1_epi64x(0xFFFFFFFF)),
+                      _mm256_set1_epi64x(0x3FE0000000000000)));
+  const __m256d hi = _mm256_castsi256_pd(_mm256_or_si256(
+      _mm256_srli_epi64(bits, 32), _mm256_set1_epi64x(0x41E0000000000000)));
+  const __m256d u =
+      _mm256_add_pd(_mm256_sub_pd(hi, _mm256_set1_pd(0x1p31 + 0.5)), lo);
+  const __m256d value = _mm256_add_pd(
+      _mm256_set1_pd(1.0), _mm256_mul_pd(_mm256_set1_pd(0.1), u));
+  return _mm256_div_pd(value, sums);
+}
+
+CPA_TARGET_AVX2 void AddJitteredRows4Avx2(const std::uint64_t* states,
+                                          const double* sums, double* into,
+                                          std::size_t n) {
+  Xoshiro4 g;
+  for (std::size_t j = 0; j < 4; ++j) {
+    g.s[j] = _mm256_setr_epi64x(static_cast<long long>(states[j]),
+                                static_cast<long long>(states[4 + j]),
+                                static_cast<long long>(states[8 + j]),
+                                static_cast<long long>(states[12 + j]));
+  }
+  const __m256d sum_lanes = _mm256_loadu_pd(sums);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    // c_j holds column i + j of rows 0..3; transpose to r_k, columns
+    // i..i+3 of row k, and add the rows in order.
+    const __m256d c0 = JitteredStep(g, sum_lanes);
+    const __m256d c1 = JitteredStep(g, sum_lanes);
+    const __m256d c2 = JitteredStep(g, sum_lanes);
+    const __m256d c3 = JitteredStep(g, sum_lanes);
+    const __m256d lo01 = _mm256_unpacklo_pd(c0, c1);
+    const __m256d hi01 = _mm256_unpackhi_pd(c0, c1);
+    const __m256d lo23 = _mm256_unpacklo_pd(c2, c3);
+    const __m256d hi23 = _mm256_unpackhi_pd(c2, c3);
+    __m256d acc = _mm256_loadu_pd(into + i);
+    acc = _mm256_add_pd(acc, _mm256_permute2f128_pd(lo01, lo23, 0x20));
+    acc = _mm256_add_pd(acc, _mm256_permute2f128_pd(hi01, hi23, 0x20));
+    acc = _mm256_add_pd(acc, _mm256_permute2f128_pd(lo01, lo23, 0x31));
+    acc = _mm256_add_pd(acc, _mm256_permute2f128_pd(hi01, hi23, 0x31));
+    _mm256_storeu_pd(into + i, acc);
+  }
+  if (i == n) return;
+  alignas(32) std::uint64_t words[4][4];
+  for (std::size_t j = 0; j < 4; ++j) {
+    _mm256_store_si256(reinterpret_cast<__m256i*>(words[j]), g.s[j]);
+  }
+  std::uint64_t rest[16];
+  for (std::size_t k = 0; k < 4; ++k) {
+    for (std::size_t j = 0; j < 4; ++j) rest[4 * k + j] = words[j][k];
+  }
+  AddJitteredRows4Scalar(rest, sums, into + i, n - i);
+}
+
 constexpr Kernels kAvx2Kernels = {
     AccumulateAvx2, AxpyAvx2,      SumAvx2,     DotAvx2,
     MaxValueAvx2,   LogSumExpAvx2, SoftmaxAvx2, SoftmaxFlooredAvx2,
+    AddJitteredRows4Avx2,
 };
 
 #endif  // CPA_SIMD_HAVE_AVX2

@@ -19,13 +19,13 @@ namespace {
 /// MAP rows per shard of the κ and ϕ sweeps.
 constexpr std::size_t kMapRowGrain = 8;
 
-/// Runs the MAP update `update(r)` of every row of `rows` (κ or ϕ) on the
-/// scheduler and returns how far the sweep moved the matrix. Each shard
-/// copies a row into its lane scratch before updating it and records the
-/// row's `MaxAbsDiff(new, old)`; the row values are then folded in row
-/// order. Max is a pure selection, and `std::max(acc, term)` drops NaN
-/// terms the same way in both, so this equals `MaxAbsDiff` of the matrix
-/// against a pre-sweep snapshot bit for bit, without keeping the snapshot.
+/// Runs the MAP update `update(r)` of every κ row on the scheduler and
+/// returns how far the sweep moved the matrix. Each shard copies a row into
+/// its lane scratch before updating it and records the row's
+/// `MaxAbsDiff(new, old)`; the row values are then folded in row order.
+/// Max is a pure selection, and `std::max(acc, term)` drops NaN terms the
+/// same way in both, so this equals `MaxAbsDiff` of the matrix against a
+/// pre-sweep snapshot bit for bit, without keeping the snapshot.
 template <typename Update>
 double UpdateRowsTrackingChange(Matrix& rows, const SweepScheduler& scheduler,
                                 Update&& update) {
@@ -47,9 +47,37 @@ double UpdateRowsTrackingChange(Matrix& rows, const SweepScheduler& scheduler,
   return change;
 }
 
+/// The ϕ form: a shard copies the old row's nonzeros (an initial row
+/// regenerated) into lane scratch and takes the row's change over the union
+/// of the old and new supports, which is the dense rows' `MaxAbsDiff`
+/// (`PhiRows::MaxAbsDiff`).
+template <typename Update>
+double UpdateRowsTrackingChange(PhiRows& phi, const SweepScheduler& scheduler,
+                                Update&& update) {
+  std::vector<double> row_change(phi.rows(), 0.0);
+  scheduler.ParallelMap(
+      phi.rows(),
+      [&](ScratchArena& arena, std::size_t begin, std::size_t end) {
+        const std::span<std::uint32_t> old_clusters =
+            arena.Alloc<std::uint32_t>(phi.cols());
+        const std::span<double> old_weights = arena.Alloc<double>(phi.cols());
+        for (std::size_t r = begin; r < end; ++r) {
+          const std::size_t n = phi.CopyNonzeros(r, old_clusters, old_weights);
+          update(r);
+          row_change[r] =
+              phi.MaxAbsDiff(r, old_clusters.first(n), old_weights.first(n));
+        }
+      },
+      kMapRowGrain);
+  double change = 0.0;
+  for (const double row : row_change) change = std::max(change, row);
+  return change;
+}
+
 /// Debug-only cross-check of the fused convergence measure: keeps the full
 /// κ/ϕ snapshots the Release fit does without and asserts, sweep by sweep,
-/// that the change the writers reported is their `MaxAbsDiff` to the bit.
+/// that the change the writers reported is their `MaxAbsDiff` to the bit
+/// (ϕ compared one densified row pair at a time).
 #ifndef NDEBUG
 class ChangeCrossCheck {
  public:
@@ -58,7 +86,7 @@ class ChangeCrossCheck {
 
   void Check(const CpaModel& model, double change) {
     const double expected =
-        std::max(model.kappa.MaxAbsDiff(kappa_), model.phi.MaxAbsDiff(phi_));
+        std::max(model.kappa.MaxAbsDiff(kappa_), MaxAbsDiff(model.phi, phi_));
     CPA_CHECK(std::bit_cast<std::uint64_t>(change) ==
               std::bit_cast<std::uint64_t>(expected))
         << "fused sweep change " << change << " != snapshot MaxAbsDiff " << expected;
@@ -68,7 +96,7 @@ class ChangeCrossCheck {
 
  private:
   Matrix kappa_;
-  Matrix phi_;
+  PhiRows phi_;
 };
 #else
 class ChangeCrossCheck {
@@ -163,7 +191,7 @@ Result<CpaModel> FitCpa(const AnswerMatrix& answers, std::size_t num_labels,
       if (options.label_evidence == LabelEvidence::kSelfTraining && iter > 0) {
         sweep::UpdateThetaChannel(model, activity, scheduler);
         model.RefreshExpectations();
-        model.UpdateSizePrior(view, scheduler);
+        model.UpdateSizePrior(view);
         // Scheduled on the fit's own scheduler: the self-training predict
         // pass reuses the already-warm lane arenas.
         auto predicted = PredictLabels(model, answers, scheduler);
@@ -204,7 +232,7 @@ Result<CpaModel> FitCpa(const AnswerMatrix& answers, std::size_t num_labels,
     if (change < 10.0 * options.tolerance) evidence_frozen = true;
   }
 
-  model.UpdateSizePrior(view, scheduler);
+  model.UpdateSizePrior(view);
   return model;
 }
 

@@ -16,10 +16,6 @@ std::uint64_t SplitMix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-inline std::uint64_t Rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -29,22 +25,10 @@ Rng::Rng(std::uint64_t seed) {
   if ((state_[0] | state_[1] | state_[2] | state_[3]) == 0) state_[0] = 1;
 }
 
-std::uint64_t Rng::NextUint64() {
-  // xoshiro256** step.
-  const std::uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::NextDouble() {
-  // 53 random mantissa bits -> uniform in [0, 1).
-  return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53;
+Rng Rng::FromState(const State& state) {
+  Rng rng;
+  for (std::size_t k = 0; k < state.size(); ++k) rng.state_[k] = state[k];
+  return rng;
 }
 
 std::uint64_t Rng::NextBounded(std::uint64_t bound) {

@@ -11,6 +11,7 @@
 /// (no reliance on unspecified `std::` distribution algorithms, which vary
 /// across standard libraries).
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -22,14 +23,36 @@ namespace cpa {
 /// Not thread-safe; use `Split()` to derive independent per-thread streams.
 class Rng {
  public:
+  /// The xoshiro256** state words. The Gaussian cache is not part of it.
+  using State = std::array<std::uint64_t, 4>;
+
   /// Constructs a generator from a 64-bit seed.
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL);
 
-  /// Returns the next raw 64-bit output.
-  std::uint64_t NextUint64();
+  /// A generator that continues the raw stream of the one whose `state()`
+  /// gave `state`: the same `NextUint64`/`NextDouble` draws follow.
+  static Rng FromState(const State& state);
 
-  /// Uniform double in [0, 1).
-  double NextDouble();
+  /// The current xoshiro256** state.
+  State state() const { return {state_[0], state_[1], state_[2], state_[3]}; }
+
+  /// Returns the next raw 64-bit output (xoshiro256**). Inline so tight
+  /// draw loops (ϕ's initial-row regeneration, core/phi_rows.h) keep the
+  /// state in registers.
+  std::uint64_t NextUint64() {
+    const std::uint64_t result = Rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = Rotl(state_[3], 45);
+    return result;
+  }
+
+  /// Uniform double in [0, 1): 53 random mantissa bits.
+  double NextDouble() { return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53; }
 
   /// Uniform integer in [0, bound) for bound >= 1.
   std::uint64_t NextBounded(std::uint64_t bound);
@@ -87,6 +110,10 @@ class Rng {
   Rng Split();
 
  private:
+  static std::uint64_t Rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t state_[4];
   bool has_cached_gaussian_ = false;
   double cached_gaussian_ = 0.0;

@@ -71,7 +71,7 @@ TEST(CpaModelTest, ResponsibilitiesAreRowStochastic) {
     EXPECT_NEAR(model.value().kappa.RowSum(u), 1.0, 1e-9);
   }
   for (std::size_t i = 0; i < 10; ++i) {
-    EXPECT_NEAR(model.value().phi.RowSum(i), 1.0, 1e-9);
+    EXPECT_NEAR(Sum(model.value().phi.DenseRow(i)), 1.0, 1e-9);
   }
 }
 
@@ -91,7 +91,7 @@ TEST(CpaModelTest, SingletonVariantsUseIdentityResponsibilities) {
   ASSERT_TRUE(model_l.ok());
   EXPECT_EQ(model_l.value().num_clusters(), 6u);
   for (std::size_t i = 0; i < 6; ++i) {
-    EXPECT_DOUBLE_EQ(model_l.value().phi(i, i), 1.0);
+    EXPECT_DOUBLE_EQ(model_l.value().phi.At(i, i), 1.0);
   }
 }
 
@@ -163,7 +163,7 @@ TEST(CpaModelTest, UpdateSizePriorTracksAnswerSizes) {
   ASSERT_TRUE(answers.Add(0, 0, LabelSet{0, 1}).ok());
   ASSERT_TRUE(answers.Add(1, 0, LabelSet{0, 1}).ok());
   ASSERT_TRUE(answers.Add(2, 1, LabelSet{2}).ok());
-  m.UpdateSizePrior(AnswerView(answers), SweepScheduler(nullptr));
+  m.UpdateSizePrior(AnswerView(answers));
   // Rows normalised, with most mass on sizes 1 and 2.
   for (std::size_t t = 0; t < m.num_clusters(); ++t) {
     EXPECT_NEAR(Sum(m.size_prior.Row(t)), 1.0, 1e-9);
@@ -181,28 +181,38 @@ TEST(CpaModelTest, UpdateSizePriorTracksAnswerSizes) {
 /// The cluster-major strided accumulation `UpdateSizePrior` used to run:
 /// every (t, n) entry starts at 0.5 and receives the ϕ of each answer of
 /// size n, in answer order.
-Matrix StridedSizePriorReference(const Matrix& phi, const AnswerMatrix& answers) {
+Matrix StridedSizePriorReference(const PhiRows& phi, const AnswerMatrix& answers) {
   std::size_t max_size = 1;
   for (const Answer& a : answers.answers()) max_size = std::max(max_size, a.labels.size());
   Matrix prior(phi.cols(), max_size + 3, 0.5);
   for (const Answer& a : answers.answers()) {
+    const std::vector<double> row = phi.DenseRow(a.item);
     for (std::size_t t = 0; t < phi.cols(); ++t) {
-      prior(t, a.labels.size()) += phi(a.item, t);
+      prior(t, a.labels.size()) += row[t];
     }
   }
   prior.NormalizeRows();
   return prior;
 }
 
-TEST(CpaModelTest, UpdateSizePriorBitIdenticalToStridedReferenceForAnyThreadCount) {
-  // T = 300 splits the cluster columns into uneven shards on 2 and 4
-  // threads, so shard edges fall inside the SIMD kernel's vector blocks.
+TEST(CpaModelTest, UpdateSizePriorBitIdenticalToStridedReference) {
+  // Rows of every stored form: initial (regenerated), one-hot, and floored
+  // softmax rows with exact zeros (dropped by the store).
   CpaOptions options = SmallOptions();
   options.max_clusters = 300;
   auto model = CpaModel::Create(40, 30, 8, options);
   ASSERT_TRUE(model.ok());
   CpaModel& m = model.value();
   Rng rng(17);
+  std::vector<double> logits(m.num_clusters());
+  for (ItemId i = 0; i < 40; ++i) {
+    if (i % 3 == 1) m.phi.AssignOneHot(i, rng.NextBounded(m.num_clusters()));
+    if (i % 3 == 2) {
+      for (double& logit : logits) logit = -60.0 * rng.NextDouble();
+      SoftmaxInPlace(logits, 27.6);
+      m.phi.Assign(i, logits);
+    }
+  }
   AnswerMatrix answers(40, 30);
   for (ItemId i = 0; i < 40; ++i) {
     for (WorkerId u = 0; u < 30; u += 1 + static_cast<WorkerId>(rng.NextBounded(3))) {
@@ -215,25 +225,61 @@ TEST(CpaModelTest, UpdateSizePriorBitIdenticalToStridedReferenceForAnyThreadCoun
     }
   }
   const Matrix expected = StridedSizePriorReference(m.phi, answers);
-  const AnswerView view(answers);
-  const auto expect_bit_identical = [&](const Matrix& actual) {
-    ASSERT_EQ(actual.rows(), expected.rows());
-    ASSERT_EQ(actual.cols(), expected.cols());
-    EXPECT_EQ(std::memcmp(actual.Data().data(), expected.Data().data(),
-                          expected.size() * sizeof(double)),
-              0);
+  m.UpdateSizePrior(AnswerView(answers));
+  ASSERT_EQ(m.size_prior.rows(), expected.rows());
+  ASSERT_EQ(m.size_prior.cols(), expected.cols());
+  EXPECT_EQ(std::memcmp(m.size_prior.Data().data(), expected.Data().data(),
+                        expected.size() * sizeof(double)),
+            0);
+}
+
+TEST(CpaModelTest, CreateMatchesTheDenseInitialisationBitForBit) {
+  // The dense initialisation `Create` ran before ϕ kept one generator state
+  // per row: κ rows, then ϕ rows, each entry 1 + 0.1·u normalised, then
+  // the λ jitter, all from one stream. Odd I, T and U.
+  CpaOptions options = SmallOptions();
+  options.max_clusters = 37;
+  options.seed = 1234567;
+  const std::size_t I = 23;
+  const std::size_t U = 11;
+  const std::size_t C = 7;
+  auto model = CpaModel::Create(I, U, C, options);
+  ASSERT_TRUE(model.ok());
+  const CpaModel& m = model.value();
+  const std::size_t M = m.num_communities();
+  const std::size_t T = m.num_clusters();
+
+  Rng rng(options.seed);
+  const auto init_responsibilities = [&rng](Matrix& matrix) {
+    for (std::size_t r = 0; r < matrix.rows(); ++r) {
+      auto row = matrix.Row(r);
+      for (double& v : row) v = 1.0 + 0.1 * rng.NextDouble();
+      NormalizeInPlace(row);
+    }
   };
-  {
-    SCOPED_TRACE("nullptr executor");
-    m.UpdateSizePrior(view, SweepScheduler(nullptr));
-    expect_bit_identical(m.size_prior);
+  Matrix kappa(U, M);
+  init_responsibilities(kappa);
+  Matrix phi(I, T);
+  init_responsibilities(phi);
+  std::vector<Matrix> lambda(T, Matrix(M, C, options.lambda0));
+  for (auto& bank : lambda) {
+    for (double& v : bank.Data()) v += 0.01 * options.lambda0 * rng.NextDouble();
   }
-  for (std::size_t threads : {1u, 2u, 4u}) {
-    SCOPED_TRACE(threads);
-    ThreadPool pool(threads);
-    m.size_prior.Reset(1, 1);
-    m.UpdateSizePrior(view, SweepScheduler(&pool));
-    expect_bit_identical(m.size_prior);
+
+  EXPECT_EQ(std::memcmp(m.kappa.Data().data(), kappa.Data().data(),
+                        kappa.size() * sizeof(double)),
+            0);
+  for (std::size_t i = 0; i < I; ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_TRUE(m.phi.IsInitial(i));
+    const std::vector<double> row = m.phi.DenseRow(i);
+    EXPECT_EQ(std::memcmp(row.data(), phi.Row(i).data(), T * sizeof(double)), 0);
+  }
+  for (std::size_t t = 0; t < T; ++t) {
+    EXPECT_EQ(std::memcmp(m.lambda[t].Data().data(), lambda[t].Data().data(),
+                          lambda[t].size() * sizeof(double)),
+              0)
+        << t;
   }
 }
 

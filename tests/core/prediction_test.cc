@@ -382,16 +382,17 @@ std::vector<double> DenseItemLogWeights(const CpaModel& model,
                                         const internal::PredictionTables& tables,
                                         const AnswerMatrix& answers, ItemId item) {
   const std::size_t T = model.num_clusters();
+  const std::vector<double> phi_row = model.phi.DenseRow(item);
   std::vector<double> log_weights(T, -std::numeric_limits<double>::infinity());
   for (std::size_t t = 0; t < T; ++t) {
-    if (model.phi(item, t) >= internal::kClusterPrune) {
-      log_weights[t] = std::log(model.phi(item, t));
+    if (phi_row[t] >= internal::kClusterPrune) {
+      log_weights[t] = std::log(phi_row[t]);
     }
   }
   for (std::size_t index : answers.AnswersOfItem(item)) {
     const Answer& a = answers.answer(index);
     for (std::size_t t = 0; t < T; ++t) {
-      if (model.phi(item, t) < internal::kClusterPrune) continue;
+      if (phi_row[t] < internal::kClusterPrune) continue;
       log_weights[t] +=
           DenseCommunityTerm(model.kappa.Row(a.worker), tables.log_psi_mean[t], a.labels);
     }

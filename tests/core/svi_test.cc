@@ -235,7 +235,7 @@ TEST(CpaOnlineTest, ParallelObserveMatchesSequential) {
   EXPECT_DOUBLE_EQ(
       sequential.value().model().kappa.MaxAbsDiff(parallel.value().model().kappa), 0.0);
   EXPECT_DOUBLE_EQ(
-      sequential.value().model().phi.MaxAbsDiff(parallel.value().model().phi), 0.0);
+      MaxAbsDiff(sequential.value().model().phi, parallel.value().model().phi), 0.0);
 }
 
 std::uint64_t Fnv1a(std::string_view bytes) {

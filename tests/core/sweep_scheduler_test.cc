@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <vector>
 
 #include "core/sweep/sweep_kernels.h"
 #include "core/vi.h"
 #include "simulation/dataset_factory.h"
 #include "util/rng.h"
+#include "util/special_functions.h"
 #include "util/string_utils.h"
 #include "util/thread_pool.h"
 
@@ -262,7 +264,7 @@ TEST(SweepDeterminismTest, FitCpaIdenticalForOneAndFourThreads) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_DOUBLE_EQ(a.value().kappa.MaxAbsDiff(b.value().kappa), 0.0);
-  EXPECT_DOUBLE_EQ(a.value().phi.MaxAbsDiff(b.value().phi), 0.0);
+  EXPECT_DOUBLE_EQ(MaxAbsDiff(a.value().phi, b.value().phi), 0.0);
   EXPECT_DOUBLE_EQ(a.value().zeta.MaxAbsDiff(b.value().zeta), 0.0);
   EXPECT_DOUBLE_EQ(a.value().theta_a.MaxAbsDiff(b.value().theta_a), 0.0);
   for (std::size_t t = 0; t < a.value().num_clusters(); ++t) {
@@ -298,7 +300,7 @@ TEST(SweepDeterminismTest, ClusterActivityMatchesPhiThreshold) {
     EXPECT_EQ(activity.clusters.size(), slot);
     EXPECT_EQ(activity.weights.size(), slot);
     for (ItemId i = 0; i < model.value().num_items(); ++i) {
-      const auto row = model.value().phi.Row(i);
+      const std::vector<double> row = model.value().phi.DenseRow(i);
       const auto active = activity.ClustersOf(i);
       const auto weights = activity.WeightsOf(i);
       std::size_t k = 0;
@@ -316,20 +318,29 @@ TEST(SweepDeterminismTest, ClusterActivityMatchesPhiThreshold) {
 
 /// Rewrites row `i` of `phi` with `live` entries of mass ≥ kSkipMass at
 /// clusters drawn from `rng` (the rest stay below the threshold, some at
-/// exactly 0).
-void WriteRow(Matrix& phi, ItemId i, std::size_t live, Rng& rng) {
-  auto row = phi.Row(i);
+/// exactly 0, which the store drops).
+void WriteRow(PhiRows& phi, ItemId i, std::size_t live, Rng& rng) {
+  std::vector<double> row(phi.cols());
   for (std::size_t t = 0; t < row.size(); ++t) {
     row[t] = (t % 3 == 0) ? 0.0 : 1e-9;
   }
   for (std::size_t k = 0; k < live; ++k) {
     row[rng.NextBounded(row.size())] = 0.01 + rng.NextDouble();
   }
+  phi.Assign(i, row);
+}
+
+/// `rows` × `cols` ϕ with every row written by `WriteRow`.
+PhiRows WrittenPhi(std::size_t rows, std::size_t cols, std::size_t live, Rng& rng) {
+  PhiRows phi;
+  phi.ResetOneHot(rows, cols);
+  for (ItemId i = 0; i < rows; ++i) WriteRow(phi, i, live, rng);
+  return phi;
 }
 
 /// Patches `items` in `activity` and checks it against a full rebuild,
 /// plus the slot-layout invariants a reader relies on.
-void ExpectPatchMatchesRebuild(const Matrix& phi, std::span<const ItemId> items,
+void ExpectPatchMatchesRebuild(const PhiRows& phi, std::span<const ItemId> items,
                                sweep::ClusterActivity& activity) {
   sweep::UpdateClusterActivityRows(phi, items, activity);
   sweep::ClusterActivity rebuilt;
@@ -345,8 +356,7 @@ void ExpectPatchMatchesRebuild(const Matrix& phi, std::span<const ItemId> items,
 
 TEST(ClusterActivityUpdateTest, GrowShrinkAndSameSizeRowsMatchRebuild) {
   Rng rng(3);
-  Matrix phi(12, 20, 0.0);
-  for (ItemId i = 0; i < phi.rows(); ++i) WriteRow(phi, i, 3, rng);
+  PhiRows phi = WrittenPhi(12, 20, 3, rng);
   sweep::ClusterActivity activity;
   sweep::BuildClusterActivity(phi, SweepScheduler(nullptr), activity);
 
@@ -354,15 +364,15 @@ TEST(ClusterActivityUpdateTest, GrowShrinkAndSameSizeRowsMatchRebuild) {
   // its size with new clusters and weights, item 9 empties.
   WriteRow(phi, 2, 9, rng);
   WriteRow(phi, 5, 1, rng);
-  auto row7 = phi.Row(7);
+  std::vector<double> row7 = phi.DenseRow(7);
   std::vector<std::size_t> live7;
   for (std::size_t t = 0; t < row7.size(); ++t) {
     if (row7[t] >= sweep::kSkipMass) live7.push_back(t);
   }
   for (std::size_t t = 0; t < row7.size(); ++t) row7[t] = 0.0;
   for (std::size_t k = 0; k < live7.size(); ++k) row7[19 - k] = 0.5 + 0.01 * k;
-  auto row9 = phi.Row(9);
-  for (double& value : row9) value = 1e-9;
+  phi.Assign(7, row7);
+  phi.Assign(9, std::vector<double>(phi.cols(), 1e-9));
   const sweep::ClusterActivity before = activity;
   const std::vector<ItemId> items = {2, 5, 7, 9};
   ExpectPatchMatchesRebuild(phi, items, activity);
@@ -377,8 +387,7 @@ TEST(ClusterActivityUpdateTest, GrowShrinkAndSameSizeRowsMatchRebuild) {
 
 TEST(ClusterActivityUpdateTest, DuplicateAndEmptyIdListsMatchRebuild) {
   Rng rng(5);
-  Matrix phi(8, 16, 0.0);
-  for (ItemId i = 0; i < phi.rows(); ++i) WriteRow(phi, i, 2, rng);
+  PhiRows phi = WrittenPhi(8, 16, 2, rng);
   sweep::ClusterActivity activity;
   sweep::BuildClusterActivity(phi, SweepScheduler(nullptr), activity);
 
@@ -398,12 +407,12 @@ TEST(ClusterActivityUpdateTest, DuplicateAndEmptyIdListsMatchRebuild) {
 TEST(ClusterActivityUpdateTest, ChurnCompactsAndStaysEqualToRebuild) {
   Rng rng(7);
   const std::size_t T = 32;
-  Matrix phi(40, T, 0.0);
-  // Start uniform (every cluster live), as unseen items are in the online
-  // learner, so early patches mostly shrink rows and leave dead tails.
-  for (ItemId i = 0; i < phi.rows(); ++i) {
-    for (double& value : phi.Row(i)) value = 1.0 / static_cast<double>(T);
-  }
+  // Start from initial rows (every cluster live), as unseen items are in
+  // the online learner, so early patches mostly shrink rows and leave dead
+  // tails.
+  PhiRows phi;
+  Rng init(11);
+  phi.ResetJittered(40, T, init);
   sweep::ClusterActivity activity;
   sweep::BuildClusterActivity(phi, SweepScheduler(nullptr), activity);
   bool compacted = false;
@@ -437,13 +446,14 @@ CpaModel SeedTestModel(std::size_t items, std::size_t clusters) {
 
 TEST(SeedRowChangeTest, WriteSeedRowReturnsMaxRowChange) {
   CpaModel model = SeedTestModel(4, 6);
-  const Matrix before = model.phi;
+  const PhiRows before = model.phi;
+  ASSERT_TRUE(model.phi.IsInitial(2));
   const double change = sweep::WriteSeedRow(model, 2, 4);
-  EXPECT_EQ(model.phi(2, 4), 1.0);
-  EXPECT_EQ(model.phi.RowSum(2), 1.0);
+  EXPECT_EQ(model.phi.At(2, 4), 1.0);
+  EXPECT_EQ(Sum(model.phi.DenseRow(2)), 1.0);
   // Only row 2 moved, so the row's change is the whole matrix's.
   EXPECT_GT(change, 0.0);
-  EXPECT_EQ(change, model.phi.MaxAbsDiff(before));
+  EXPECT_EQ(change, MaxAbsDiff(model.phi, before));
   // Re-seeding the same cluster moves nothing; moving it moves a full unit.
   EXPECT_EQ(sweep::WriteSeedRow(model, 2, 4), 0.0);
   EXPECT_EQ(sweep::WriteSeedRow(model, 2, 1), 1.0);
@@ -458,19 +468,71 @@ TEST(SeedRowChangeTest, SeedClustersFromConsensusReturnsMaxRowChange) {
   model.y_evidence[2] = {{2, 1.0}};
   model.y_evidence[3] = {{3, 0.7}, {2, 0.2}};
   model.y_evidence[4] = {{0, 1.0}, {1, 0.5}, {4, 0.9}};
-  const Matrix before = model.phi;
+  const PhiRows before = model.phi;
   const double change = sweep::SeedClustersFromConsensus(model);
   EXPECT_GT(change, 0.0);
-  EXPECT_EQ(change, model.phi.MaxAbsDiff(before));
-  for (std::size_t t = 0; t < model.num_clusters(); ++t) {
-    EXPECT_EQ(model.phi(5, t), before(5, t));
-  }
+  EXPECT_EQ(change, MaxAbsDiff(model.phi, before));
+  EXPECT_TRUE(model.phi.IsInitial(5));
+  EXPECT_EQ(model.phi.DenseRow(5), before.DenseRow(5));
   // Unchanged evidence reseeds every row onto its current cluster.
   EXPECT_EQ(sweep::SeedClustersFromConsensus(model), 0.0);
   // A single cluster leaves ϕ alone.
   CpaModel single = SeedTestModel(2, 1);
   single.y_evidence[0] = {{0, 1.0}};
   EXPECT_EQ(sweep::SeedClustersFromConsensus(single), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Sticks over the sparse ϕ store: the same column masses, bit for bit, as
+// the dense κ-form reduce over the densified rows.
+// ---------------------------------------------------------------------------
+
+TEST(PhiSticksTest, SparseRowsMatchDenseReferenceForAnyThreadCount) {
+  // 2601 rows span three `kRowGrain` blocks (a merge tree, not one block);
+  // T = 37 is odd. Rows mix initial runs of every length (the four-row
+  // interleave and its single-row tail), one-hot rows, floored softmax
+  // rows with exact zeros, and near-dense rows the store keeps dense.
+  const std::size_t I = 2601;
+  const std::size_t T = 37;
+  Rng init(23);
+  PhiRows phi;
+  phi.ResetJittered(I, T, init);
+  Rng rng(29);
+  std::vector<double> logits(T);
+  for (std::size_t i = 0; i < I; ++i) {
+    const std::uint64_t kind = rng.NextBounded(7);
+    if (kind == 0) {
+      phi.AssignOneHot(i, rng.NextBounded(T));
+    } else if (kind == 1 || kind == 2) {
+      const double spread = kind == 1 ? 60.0 : 30.0;  // 30: few zeros
+      for (double& logit : logits) logit = -spread * rng.NextDouble();
+      SoftmaxInPlace(logits, sweep::kSoftmaxFloorNats);
+      phi.Assign(i, logits);
+    }  // otherwise the row stays initial
+  }
+  Matrix dense(I, T);
+  for (std::size_t i = 0; i < I; ++i) phi.CopyRow(i, dense.Row(i));
+
+  Matrix expected(T - 1, 2);
+  sweep::UpdateSticks(expected, dense, 0.7, SweepScheduler(nullptr));
+  const auto expect_bit_identical = [&](const Matrix& actual) {
+    EXPECT_EQ(std::memcmp(actual.Data().data(), expected.Data().data(),
+                          expected.size() * sizeof(double)),
+              0);
+  };
+  {
+    SCOPED_TRACE("nullptr executor");
+    Matrix sticks(T - 1, 2);
+    sweep::UpdateSticks(sticks, phi, 0.7, SweepScheduler(nullptr));
+    expect_bit_identical(sticks);
+  }
+  for (std::size_t threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE(threads);
+    ThreadPool pool(threads);
+    Matrix sticks(T - 1, 2);
+    sweep::UpdateSticks(sticks, phi, 0.7, SweepScheduler(&pool));
+    expect_bit_identical(sticks);
+  }
 }
 
 }  // namespace

@@ -78,9 +78,27 @@ TEST(FitCpaTest, ProducesValidResponsibilities) {
     EXPECT_NEAR(m.kappa.RowSum(u), 1.0, 1e-6);
   }
   for (std::size_t i = 0; i < m.num_items(); ++i) {
-    EXPECT_NEAR(m.phi.RowSum(i), 1.0, 1e-6);
+    EXPECT_NEAR(Sum(m.phi.DenseRow(i)), 1.0, 1e-6);
   }
   EXPECT_GT(stats.iterations, 0u);
+}
+
+TEST(FitCpaTest, FittedPhiStoreStaysFarBelowDense) {
+  // ϕ is stored by support: after a fit its rows hold a few dozen nonzeros
+  // out of T, so the store must stay well under the I·T·8 bytes a dense
+  // matrix takes. A slide back to dense storage fails here.
+  const TestWorld world = MakeWorld(3, PopulationMix::PaperSimulationDefault());
+  CpaOptions options = FastOptions();
+  options.max_clusters = 512;
+  options.max_iterations = 10;
+  const auto model = FitCpa(world.dataset.answers, 12, options);
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  const PhiRows& phi = model.value().phi;
+  ASSERT_EQ(phi.cols(), 512u);
+  const double dense_bytes =
+      static_cast<double>(phi.rows() * phi.cols() * sizeof(double));
+  EXPECT_LT(static_cast<double>(phi.HeapBytes()), 0.25 * dense_bytes)
+      << phi.HeapBytes() << " bytes for " << phi.rows() << " rows";
 }
 
 TEST(FitCpaTest, ConvergesOnSmallData) {
@@ -100,7 +118,7 @@ TEST(FitCpaTest, DeterministicForSameSeed) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_DOUBLE_EQ(a.value().kappa.MaxAbsDiff(b.value().kappa), 0.0);
-  EXPECT_DOUBLE_EQ(a.value().phi.MaxAbsDiff(b.value().phi), 0.0);
+  EXPECT_DOUBLE_EQ(MaxAbsDiff(a.value().phi, b.value().phi), 0.0);
 }
 
 TEST(FitCpaTest, ParallelFitMatchesSequentialExactly) {
@@ -115,7 +133,7 @@ TEST(FitCpaTest, ParallelFitMatchesSequentialExactly) {
   ASSERT_TRUE(sequential.ok());
   ASSERT_TRUE(parallel.ok());
   EXPECT_DOUBLE_EQ(sequential.value().kappa.MaxAbsDiff(parallel.value().kappa), 0.0);
-  EXPECT_DOUBLE_EQ(sequential.value().phi.MaxAbsDiff(parallel.value().phi), 0.0);
+  EXPECT_DOUBLE_EQ(MaxAbsDiff(sequential.value().phi, parallel.value().phi), 0.0);
   EXPECT_DOUBLE_EQ(sequential.value().zeta.MaxAbsDiff(parallel.value().zeta), 0.0);
 }
 
@@ -282,7 +300,7 @@ TEST(FitCpaTest, EmptyAnswerMatrixStillFits) {
   const auto model = FitCpa(empty, 4, FastOptions());
   ASSERT_TRUE(model.ok());
   for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_NEAR(model.value().phi.RowSum(i), 1.0, 1e-6);
+    EXPECT_NEAR(Sum(model.value().phi.DenseRow(i)), 1.0, 1e-6);
   }
 }
 

@@ -19,8 +19,13 @@
 ///   "CPA-clean" skips batch 1: its blob holds a current private cache next
 ///   to a current base-level snapshot.
 ///
-/// The test compares finalize replies, not re-saved blobs: re-saving an
-/// offline session legitimately drops the retired private cache.
+/// The first test compares finalize replies, not re-saved blobs: re-saving
+/// an offline session legitimately drops the retired private cache, and
+/// the session header has changed since the fixtures were recorded. The
+/// second restores the online learner's blob, re-saves it, and checks that
+/// the re-saved blob restores and re-saves to the same bytes — ϕ included,
+/// which the model keeps as sparse and regenerated initial rows but writes
+/// in the dense layout.
 
 #include <fstream>
 #include <iterator>
@@ -58,6 +63,23 @@ TEST(GoldenCheckpointTest, OlderBlobsRestoreAndFinalizeByteIdentically) {
         server.HandleLine(R"({"op":"finalize","session":"golden"})");
     EXPECT_EQ(reply + "\n", expected);
   }
+}
+
+TEST(GoldenCheckpointTest, OnlineBlobRoundTripsByteIdentically) {
+  const std::string blob = ReadFixture("CPA-SVI.ckpt");
+  ASSERT_FALSE(blob.empty());
+  const auto resave = [](const std::string& state) -> std::string {
+    ConsensusServer server;
+    const auto ack = server.sessions().Restore(state);
+    EXPECT_TRUE(ack.ok()) << ack.status().ToString();
+    if (!ack.ok()) return "";
+    const auto saved = server.sessions().Checkpoint(ack.value().session_id);
+    EXPECT_TRUE(saved.ok()) << saved.status().ToString();
+    return saved.ok() ? saved.value() : "";
+  };
+  const std::string once = resave(blob);
+  ASSERT_FALSE(once.empty());
+  EXPECT_TRUE(resave(once) == once) << "re-saved blob does not round-trip";
 }
 
 }  // namespace

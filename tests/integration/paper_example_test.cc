@@ -158,7 +158,7 @@ TEST(IntegrationTest, FitCpaPredictionsIdenticalForOneAndFourThreads) {
     EXPECT_DOUBLE_EQ(
         sequential.value().model.kappa.MaxAbsDiff(parallel.value().model.kappa), 0.0);
     EXPECT_DOUBLE_EQ(
-        sequential.value().model.phi.MaxAbsDiff(parallel.value().model.phi), 0.0);
+        MaxAbsDiff(sequential.value().model.phi, parallel.value().model.phi), 0.0);
     ASSERT_EQ(sequential.value().predictions.size(), parallel.value().predictions.size());
     for (std::size_t i = 0; i < sequential.value().predictions.size(); ++i) {
       EXPECT_EQ(sequential.value().predictions[i], parallel.value().predictions[i]);
