@@ -166,14 +166,14 @@ BENCHMARK(BM_SoftmaxFlooredScalar)->Arg(64)->Arg(1024);
 BENCHMARK(BM_SoftmaxFlooredAvx2)->Arg(64)->Arg(1024);
 
 /// Shared fixture: a small fitted model over a simulated movie dataset,
-/// plus the flat view and activity lists the sweep kernels consume.
+/// plus the flat view the sweep kernels consume. Each benchmark reads ϕ
+/// through a `ClusterActivity` view of its own model copy.
 struct FittedFixture {
   Dataset dataset;
   CpaModel model;
   AnswerView view;
   SweepScheduler scheduler;  ///< arena-backed (the production default)
   SweepScheduler heap_scheduler{nullptr, ScratchArena::Mode::kHeap};
-  sweep::ClusterActivity activity;
 
   static FittedFixture& Get() {
     static FittedFixture* fixture = [] {
@@ -190,7 +190,6 @@ struct FittedFixture {
       CPA_CHECK(model.ok());
       f->model = std::move(model).value();
       f->view = AnswerView(f->dataset.answers);
-      sweep::BuildClusterActivity(f->model.phi, f->scheduler, f->activity);
       return f;
     }();
     return *fixture;
@@ -200,10 +199,11 @@ struct FittedFixture {
 void BM_UpdateWorkerResponsibility(benchmark::State& state) {
   FittedFixture& f = FittedFixture::Get();
   CpaModel model = f.model;
+  const sweep::ClusterActivity activity{&model.phi, sweep::kSkipMass};
   WorkerId u = 0;
   for (auto _ : state) {
     sweep::UpdateWorkerResponsibility(model, f.view, u, f.view.AnswersOfWorker(u),
-                                      &f.activity);
+                                      &activity);
     u = (u + 1) % model.num_workers();
   }
 }
@@ -223,8 +223,9 @@ BENCHMARK(BM_UpdateItemResponsibility);
 void BM_UpdateLambda(benchmark::State& state) {
   FittedFixture& f = FittedFixture::Get();
   CpaModel model = f.model;
+  const sweep::ClusterActivity activity{&model.phi, sweep::kSkipMass};
   for (auto _ : state) {
-    sweep::UpdateLambda(model, f.view, f.activity, f.scheduler);
+    sweep::UpdateLambda(model, f.view, activity, f.scheduler);
   }
 }
 BENCHMARK(BM_UpdateLambda);
@@ -238,8 +239,9 @@ void BM_ParallelReduceLambdaArena(benchmark::State& state) {
   FittedFixture& f = FittedFixture::Get();
   CpaModel model = f.model;
   const SweepScheduler scheduler(nullptr, ScratchArena::Mode::kReuse);
+  const sweep::ClusterActivity activity{&model.phi, sweep::kSkipMass};
   for (auto _ : state) {
-    sweep::UpdateLambda(model, f.view, f.activity, scheduler);
+    sweep::UpdateLambda(model, f.view, activity, scheduler);
   }
 }
 BENCHMARK(BM_ParallelReduceLambdaArena);
@@ -247,8 +249,9 @@ BENCHMARK(BM_ParallelReduceLambdaArena);
 void BM_ParallelReduceLambdaHeap(benchmark::State& state) {
   FittedFixture& f = FittedFixture::Get();
   CpaModel model = f.model;
+  const sweep::ClusterActivity activity{&model.phi, sweep::kSkipMass};
   for (auto _ : state) {
-    sweep::UpdateLambda(model, f.view, f.activity, f.heap_scheduler);
+    sweep::UpdateLambda(model, f.view, activity, f.heap_scheduler);
   }
 }
 BENCHMARK(BM_ParallelReduceLambdaHeap);
@@ -256,8 +259,9 @@ BENCHMARK(BM_ParallelReduceLambdaHeap);
 void BM_UpdateThetaChannel(benchmark::State& state) {
   FittedFixture& f = FittedFixture::Get();
   CpaModel model = f.model;
+  const sweep::ClusterActivity activity{&model.phi, sweep::kSkipMass};
   for (auto _ : state) {
-    sweep::UpdateThetaChannel(model, f.activity, f.scheduler);
+    sweep::UpdateThetaChannel(model, activity, f.scheduler);
   }
 }
 BENCHMARK(BM_UpdateThetaChannel);
@@ -286,9 +290,7 @@ BENCHMARK(BM_PredictLabels);
 void BM_PredictionItemsArena(benchmark::State& state) {
   FittedFixture& f = FittedFixture::Get();
   const auto tables = internal::BuildPredictionTables(f.model);
-  sweep::ClusterActivity activity;
-  sweep::BuildClusterActivity(f.model.phi, f.scheduler, activity,
-                              internal::kClusterPrune);
+  const sweep::ClusterActivity activity{&f.model.phi, internal::kClusterPrune};
   ScratchArena arena;
   internal::PredictionScratch scratch(arena, f.model.num_clusters(),
                                       f.model.num_communities());
@@ -365,21 +367,6 @@ void BM_UpdateSticksPhi(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_UpdateSticksPhi)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
-
-/// The full activity rebuild from the fitted sparse ϕ on `state.range(0)`
-/// threads (once per offline sweep).
-void BM_BuildClusterActivity(benchmark::State& state) {
-  const Fig7Fixture& f = Fig7Fixture::Get();
-  ThreadPool pool(static_cast<std::size_t>(state.range(0)));
-  const SweepScheduler scheduler(&pool);
-  sweep::ClusterActivity activity;
-  for (auto _ : state) {
-    sweep::BuildClusterActivity(f.model.phi, scheduler, activity);
-    benchmark::DoNotOptimize(activity.weights.data());
-  }
-  state.counters["slots"] = static_cast<double>(activity.live);
-}
-BENCHMARK(BM_BuildClusterActivity)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
 
 void BM_ComputeElbo(benchmark::State& state) {
   FittedFixture& f = FittedFixture::Get();

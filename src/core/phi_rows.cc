@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #include "core/sweep/simd.h"
 #include "util/logging.h"
@@ -92,6 +93,32 @@ std::span<const double> PhiRows::RegenerateToScratch(std::size_t r) const {
   return scratch;
 }
 
+PhiRows::Entries PhiRows::GatherAtLeast(std::size_t r, double threshold) const {
+  thread_local std::vector<std::uint32_t> clusters;
+  thread_local std::vector<double> weights;
+  clusters.resize(cols_);
+  weights.resize(cols_);
+  std::uint32_t* const out_clusters = clusters.data();
+  double* const out_weights = weights.data();
+  std::size_t count = 0;
+  // Every entry is written and the cursor advances past the kept ones
+  // only: no branch on the weight, which early online rows would
+  // mispredict (many of their nonzeros sit just under the threshold).
+  const auto keep = [&](std::size_t t, double w) {
+    out_clusters[count] = static_cast<std::uint32_t>(t);
+    out_weights[count] = w;
+    count += w >= threshold;
+  };
+  if (form_[r] == Form::kDense) {
+    // The threshold is > 0, so the zeros drop out with the rest.
+    const std::vector<double>& values = rows_[r].weights;
+    for (std::size_t t = 0; t < values.size(); ++t) keep(t, values[t]);
+  } else {
+    ForEachNonzero(r, keep);
+  }
+  return {{out_clusters, count}, {out_weights, count}};
+}
+
 void PhiRows::CopyRow(std::size_t r, std::span<double> out) const {
   CPA_CHECK_EQ(out.size(), cols_);
   const Row& row = rows_[r];
@@ -128,9 +155,15 @@ double PhiRows::At(std::size_t r, std::size_t t) const {
     case Form::kSparse:
       break;
   }
-  const auto it = std::lower_bound(row.clusters.begin(), row.clusters.end(), t);
-  if (it == row.clusters.end() || *it != t) return 0.0;
-  return row.weights[static_cast<std::size_t>(it - row.clusters.begin())];
+  const auto heavy_end = row.clusters.begin() + row.heavy;
+  for (const auto& [first, last] :
+       {std::pair{row.clusters.begin(), heavy_end}, std::pair{heavy_end, row.clusters.end()}}) {
+    const auto it = std::lower_bound(first, last, t);
+    if (it != last && *it == t) {
+      return row.weights[static_cast<std::size_t>(it - row.clusters.begin())];
+    }
+  }
+  return 0.0;
 }
 
 std::size_t PhiRows::CopyNonzeros(std::size_t r, std::span<std::uint32_t> clusters,
@@ -161,12 +194,19 @@ std::size_t PhiRows::ArgMax(std::size_t r) const {
     case Form::kSparse:
       break;
   }
-  // Every stored weight is > 0, so the zeros in between never win.
+  // In ascending cluster order, so ties keep the first; every stored
+  // weight is > 0, so the zeros in between never win.
   std::size_t best = 0;
-  for (std::size_t k = 1; k < row.weights.size(); ++k) {
-    if (row.weights[best] < row.weights[k]) best = k;
-  }
-  return row.clusters.empty() ? 0 : row.clusters[best];
+  double best_weight = 0.0;
+  bool first = true;
+  ForEachNonzero(r, [&](std::size_t t, double w) {
+    if (first || best_weight < w) {
+      best = t;
+      best_weight = w;
+      first = false;
+    }
+  });
+  return best;
 }
 
 void PhiRows::AddRows(std::size_t begin, std::size_t end,
@@ -217,13 +257,20 @@ double PhiRows::MaxAbsDiff(std::size_t r, std::span<const std::uint32_t> cluster
     case Form::kSparse:
       break;
   }
-  return SparseMaxAbsDiff(rows_[r].clusters, rows_[r].weights, clusters, weights);
+  // The merge below wants row r ascending: join its two runs first.
+  thread_local std::vector<std::uint32_t> row_clusters;
+  thread_local std::vector<double> row_weights;
+  row_clusters.resize(cols_);
+  row_weights.resize(cols_);
+  const std::size_t n = CopyNonzeros(r, row_clusters, row_weights);
+  return SparseMaxAbsDiff(std::span(row_clusters).first(n),
+                          std::span(row_weights).first(n), clusters, weights);
 }
 
 void PhiRows::Assign(std::size_t r, std::span<const double> values) {
   CPA_CHECK_EQ(values.size(), cols_);
   // One branch-free compaction pass into this thread's T-wide scratch,
-  // then a copy of the nonzeros into the row.
+  // then the nonzeros into the row's two runs.
   thread_local std::vector<std::uint32_t> clusters;
   thread_local std::vector<double> weights;
   clusters.resize(cols_);
@@ -250,8 +297,18 @@ void PhiRows::Assign(std::size_t r, std::span<const double> values) {
     row.clusters.reserve(count);
     row.weights.reserve(count);
   }
-  row.clusters.assign(clusters.begin(), clusters.begin() + count);
-  row.weights.assign(weights.begin(), weights.begin() + count);
+  std::size_t heavy = 0;
+  for (std::size_t k = 0; k < count; ++k) heavy += weights[k] >= kHeavyWeight;
+  row.clusters.resize(count);
+  row.weights.resize(count);
+  std::size_t next_heavy = 0;
+  std::size_t next_light = heavy;
+  for (std::size_t k = 0; k < count; ++k) {
+    const std::size_t at = weights[k] >= kHeavyWeight ? next_heavy++ : next_light++;
+    row.clusters[at] = clusters[k];
+    row.weights[at] = weights[k];
+  }
+  row.heavy = static_cast<std::uint32_t>(heavy);
   form_[r] = Form::kSparse;
 }
 
@@ -261,6 +318,7 @@ void PhiRows::AssignOneHot(std::size_t r, std::size_t t) {
   if (row.weights.capacity() > 2) row = Row{};  // Assign's shrink rule
   row.clusters.assign(1, static_cast<std::uint32_t>(t));
   row.weights.assign(1, 1.0);
+  row.heavy = 1;  // 1.0 ≥ kHeavyWeight
   form_[r] = Form::kSparse;
 }
 

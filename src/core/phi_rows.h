@@ -6,9 +6,13 @@
 ///
 /// A fitted ϕ row holds a few dozen nonzero entries out of T (the floored
 /// softmax of the Eq. 3 kernels sets every other entry to exactly 0), so a
-/// written row keeps only its nonzero `(cluster, weight)` pairs, ascending
-/// by cluster — unless it has so many that T plain doubles take less room
-/// (early online rows), in which case it keeps those. A row never written
+/// written row keeps only its nonzero `(cluster, weight)` pairs — unless it
+/// has so many that T plain doubles take less room (early online rows), in
+/// which case it keeps those. The pairs are stored in two runs, each
+/// ascending by cluster: first the entries of at least `kHeavyWeight`, then
+/// the rest. The sweep kernels skip everything under that weight, so they
+/// read the first run in place; readers of every nonzero merge the two.
+/// A row never written
 /// since `CpaModel::Create` is dense and random — (1 + 0.1·u_t) /
 /// Σ_t (1 + 0.1·u_t) over T draws u of the model's generator — so it keeps
 /// only the generator state at its first draw and its normaliser, and
@@ -33,6 +37,10 @@ namespace cpa {
 /// One entry of a `PhiRows::ResetJittered` row before normalisation: the
 /// draw `CpaModel::Create` has always initialised ϕ with.
 inline double JitteredDraw(Rng& rng) { return 1.0 + 0.1 * rng.NextDouble(); }
+
+/// The weight that splits a written row's pairs into its two runs; the
+/// sweep kernels' skip mass (`sweep::kSkipMass`).
+inline constexpr double kHeavyWeight = 1e-8;
 
 /// \brief Sparse row store of ϕ with regenerated initial rows.
 class PhiRows {
@@ -60,11 +68,6 @@ class PhiRows {
   /// or restored bit-equal to them).
   bool IsInitial(std::size_t r) const { return form_[r] == Form::kInitial; }
 
-  /// A lower bound on every `ResetJittered` value of row r: 1 / normaliser.
-  /// Each value is (1 + x) / normaliser with x ≥ 0, and rounded division is
-  /// monotone, so no value of the row falls below it.
-  double InitialFloor(std::size_t r) const { return 1.0 / initial_[r].sum; }
-
   /// Row r as `cols` dense values in `out`.
   void CopyRow(std::size_t r, std::span<double> out) const;
 
@@ -91,12 +94,45 @@ class PhiRows {
           if (row.weights[t] != 0.0) fn(t, row.weights[t]);
         }
         return;
-      case Form::kSparse:
-        for (std::size_t k = 0; k < row.clusters.size(); ++k) {
+      case Form::kSparse: {
+        // Merge of the two ascending runs [0, heavy) and [heavy, n), with
+        // the pick as a select rather than a branch.
+        const std::size_t n = row.clusters.size();
+        std::size_t i = 0;
+        std::size_t j = row.heavy;
+        while (i < row.heavy && j < n) {
+          const bool from_heavy = row.clusters[i] < row.clusters[j];
+          const std::size_t k = from_heavy ? i : j;
           fn(static_cast<std::size_t>(row.clusters[k]), row.weights[k]);
+          i += from_heavy;
+          j += !from_heavy;
         }
+        for (; i < row.heavy; ++i) {
+          fn(static_cast<std::size_t>(row.clusters[i]), row.weights[i]);
+        }
+        for (; j < n; ++j) fn(static_cast<std::size_t>(row.clusters[j]), row.weights[j]);
         return;
+      }
     }
+  }
+
+  /// One row's entries at or above a threshold, ascending by cluster.
+  struct Entries {
+    std::span<const std::uint32_t> clusters;
+    std::span<const double> weights;
+  };
+
+  /// Row r's entries at or above `threshold` (> 0, so never a zero),
+  /// ascending by cluster. At `kHeavyWeight` a written sparse row returns
+  /// its first run in place (valid until row r is written); every other
+  /// case is gathered, branch-free, into this thread's scratch (valid until
+  /// the next gathering call on the thread).
+  Entries AtLeast(std::size_t r, double threshold) const {
+    const Row& row = rows_[r];
+    if (form_[r] == Form::kSparse && threshold == kHeavyWeight) {
+      return {{row.clusters.data(), row.heavy}, {row.weights.data(), row.heavy}};
+    }
+    return GatherAtLeast(r, threshold);
   }
 
   /// Writes row r's nonzero entries, ascending, into `clusters` and
@@ -152,9 +188,12 @@ class PhiRows {
   /// values and `Row::clusters` is empty.
   enum class Form : std::uint8_t { kInitial, kSparse, kDense };
 
+  /// A sparse row's pairs [0, heavy) weigh at least `kHeavyWeight` and
+  /// [heavy, n) less; each run is ascending by cluster.
   struct Row {
     std::vector<std::uint32_t> clusters;
     std::vector<double> weights;
+    std::uint32_t heavy = 0;
   };
   struct InitialRow {
     Rng::State state{};
@@ -168,6 +207,9 @@ class PhiRows {
   /// Row r's initial values in this thread's scratch (valid until the next
   /// call on the same thread).
   std::span<const double> RegenerateToScratch(std::size_t r) const;
+
+  /// `AtLeast` for every case but a sparse row at `kHeavyWeight`.
+  Entries GatherAtLeast(std::size_t r, double threshold) const;
 
   std::size_t cols_ = 0;
   std::vector<Row> rows_;

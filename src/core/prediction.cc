@@ -123,13 +123,11 @@ void ItemClusterLogWeights(const CpaModel& model, const PredictionTables& tables
   // Clusters holding no posterior mass for this item cannot win the
   // softmax; their (answers × M) likelihood work is skipped.
   std::fill(log_weights.begin(), log_weights.end(), kNegInf);
-  const auto active = activity.ClustersOf(item);
-  const auto weights = activity.WeightsOf(item);
   scratch.active_count = 0;
-  for (std::size_t k = 0; k < active.size(); ++k) {
-    log_weights[active[k]] = SafeLog(weights[k]);
-    scratch.active_ids[scratch.active_count++] = active[k];
-  }
+  activity.ForEach(item, [&](std::size_t t, double weight) {
+    log_weights[t] = SafeLog(weight);
+    scratch.active_ids[scratch.active_count++] = t;
+  });
   auto member_terms = scratch.member_terms;
   for (std::size_t index : answers.AnswersOfItem(item)) {
     const Answer& a = answers.answer(index);
@@ -302,7 +300,7 @@ void PredictOneItem(const CpaModel& model, const PredictionTables& tables,
 
   // Marginal scores from the mixed Bernoulli profile. Only the item's
   // active clusters hold finite log-weights, so the softmax and the score
-  // accumulation both run over the activity list (ascending ids — the same
+  // accumulation both run over the active ids (ascending — the same
   // accumulation order as a T-wide scan).
   const std::span<const std::size_t> active(scratch.active_ids.data(),
                                             scratch.active_count);
@@ -352,11 +350,8 @@ Result<CpaPrediction> PredictLabels(const CpaModel& model, const AnswerMatrix& a
   const internal::PredictionTables tables = internal::BuildPredictionTables(model);
   const std::size_t num_items = model.num_items();
 
-  // The per-item live-cluster lists at the prediction prune threshold —
-  // shared read-only by every shard.
-  sweep::ClusterActivity activity;
-  sweep::BuildClusterActivity(model.phi, scheduler, activity,
-                              internal::kClusterPrune);
+  // Each item's live clusters: ϕ read at the prediction prune threshold.
+  const sweep::ClusterActivity activity{&model.phi, internal::kClusterPrune};
 
   CpaPrediction prediction;
   prediction.labels.resize(num_items);

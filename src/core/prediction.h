@@ -24,7 +24,7 @@
 ///
 /// Execution model (Eqs. 4–7 are the offline wall-clock tail, so this
 /// phase runs like a sweep): items are sharded through the
-/// `SweepScheduler` MAP phase, a per-item `ClusterActivity` built at the
+/// `SweepScheduler` MAP phase, a `ClusterActivity` view of ϕ at the
 /// prediction prune threshold supplies each item's live clusters, and all
 /// per-item buffers (`ActiveClusters` ids/log-weights, score terms,
 /// accumulators) are checked out of the shard's lane `ScratchArena` once
@@ -121,7 +121,7 @@ PredictionTables BuildPredictionTables(const CpaModel& model);
 /// Posterior cluster log-weights of one item, answer-likelihood-reweighted
 /// (unnormalised), written into `scratch.log_weights`; the item's clusters
 /// above `kClusterPrune` are left (ascending) in the active prefix of
-/// `scratch.active_ids`, and every other entry is −inf. `activity` (built
+/// `scratch.active_ids`, and every other entry is −inf. `activity` (a view
 /// at `kClusterPrune`) supplies those clusters. Per answer, only the
 /// worker's live communities (κ_um > 0) are visited: with one, the
 /// community log-sum-exp is that community's term exactly.

@@ -73,21 +73,6 @@ void UpdateSeenWorkerReliability(
   }
 }
 
-/// Debug-only invariant of the incremental activity maintenance: after a
-/// row patch, the lists must be byte-identical to a from-scratch rebuild.
-#ifndef NDEBUG
-void AssertActivityMatchesPhi(const PhiRows& phi, const SweepScheduler& scheduler,
-                              const sweep::ClusterActivity& activity) {
-  sweep::ClusterActivity rebuilt;
-  sweep::BuildClusterActivity(phi, scheduler, rebuilt);
-  CPA_CHECK(sweep::ClusterActivityEquals(activity, rebuilt))
-      << "incremental ClusterActivity diverged from a full rebuild";
-}
-#else
-void AssertActivityMatchesPhi(const PhiRows&, const SweepScheduler&,
-                              const sweep::ClusterActivity&) {}
-#endif
-
 }  // namespace
 
 Status SviOptions::Validate() const {
@@ -187,17 +172,13 @@ Status CpaOnline::ObserveBatch(const AnswerMatrix& answers,
   std::vector<WorkerId> batch_workers;
   batch_workers.reserve(by_worker.size());
   for (const auto& [u, unused] : by_worker) batch_workers.push_back(u);
-  std::vector<ItemId> batch_items;
-  batch_items.reserve(by_item.size());
-  for (const auto& [i, unused] : by_item) batch_items.push_back(i);
 
   // --- MAP phase: local κ updates for the batch workers (parallel; rows
-  // are disjoint), through the shared Eq. 2 kernel. The persistent activity
-  // lists are current with ϕ here — the previous batch patched them after
-  // its last ϕ write, GlobalRefresh rebuilds them after its own, and a
-  // restored learner rebuilds them lazily — so each answer visits its
-  // item's listed clusters instead of scanning a T-wide ϕ row.
-  EnsureActivity(scheduler);
+  // are disjoint), through the shared Eq. 2 kernel. Every reader of this
+  // batch takes ϕ through one threshold view, which reads the rows as they
+  // are at that moment — each answer visits its item's active clusters
+  // instead of scanning a T-wide ϕ row.
+  const sweep::ClusterActivity activity{&model.phi, sweep::kSkipMass};
   if (!options.singleton_communities) {
     scheduler.ParallelFor(
         batch_workers.size(),
@@ -205,7 +186,7 @@ Status CpaOnline::ObserveBatch(const AnswerMatrix& answers,
           for (std::size_t w = begin; w < end; ++w) {
             const WorkerId u = batch_workers[w];
             sweep::UpdateWorkerResponsibility(model, view_, u, seen_by_worker_[u],
-                                              &activity_);
+                                              &activity);
           }
         },
         /*min_shard=*/4);
@@ -215,10 +196,7 @@ Status CpaOnline::ObserveBatch(const AnswerMatrix& answers,
   // consensus evidence → cluster assignments → θ channel, repeated a few
   // times (the offline fit gets this reinforcement for free across its
   // sweeps; a single pass leaves the online consensus noticeably mushier).
-  // Each round writes ϕ only for the batch items, so the persistent
-  // activity lists are patched (|batch| × T, rows rewritten in place)
-  // instead of rebuilt from the full I×T ϕ; they stay current through the
-  // REDUCE phase below (nothing there writes ϕ).
+  // Each round writes ϕ only for the batch items.
   std::vector<ItemId> seeded_now;
   std::vector<double> worker_weight(model.num_workers(), 1.0);
   for (std::size_t round = 0; round < svi_options_.reinforcement_rounds; ++round) {
@@ -261,7 +239,9 @@ Status CpaOnline::ObserveBatch(const AnswerMatrix& answers,
         }
         item_seeded_[item] = true;
         if (it != consensus_cluster_.end()) {
-          sweep::WriteSeedRow(model, item, it->second);
+          // A one-hot seed, as `sweep::WriteSeedRow` writes it; the learner
+          // has no convergence check, so the row change is not computed.
+          model.phi.AssignOneHot(item, it->second);
           seeded_now.push_back(item);
         }
         // Truncation exhausted and unknown set: no hard seed — the item
@@ -298,10 +278,13 @@ Status CpaOnline::ObserveBatch(const AnswerMatrix& answers,
           /*min_shard=*/4);
     }
 
-    // θ channel for the next reinforcement round (and for prediction).
-    sweep::UpdateClusterActivityRows(model.phi, batch_items, activity_);
-    AssertActivityMatchesPhi(model.phi, scheduler, activity_);
-    sweep::UpdateThetaChannel(model, activity_, scheduler);
+    // θ channel for the next reinforcement round (and for prediction). The
+    // last round also rebuilds ζ (see the REDUCE phase) in the same pass.
+    if (round + 1 < svi_options_.reinforcement_rounds) {
+      sweep::UpdateThetaChannel(model, activity, scheduler);
+    } else {
+      sweep::UpdateZetaAndThetaChannel(model, activity, scheduler);
+    }
     model.RefreshThetaExpectations();
   }  // reinforcement rounds
 
@@ -314,23 +297,20 @@ Status CpaOnline::ObserveBatch(const AnswerMatrix& answers,
   // every item into the few populated clusters (BENCHMARKS.md "Design
   // choices", SVI estimator). Pure accumulation never starves a bank;
   // early contributions are merely stale.
-  // The item's activity list holds exactly its clusters with ϕ ≥ kSkipMass,
+  // The view yields exactly the item's clusters with ϕ ≥ kSkipMass,
   // ascending — the same (cluster, weight) sequence as a T-wide ϕ scan.
   for (std::size_t index : batch) {
     const auto labels = view_.labels(index);
-    const ItemId item = view_.item(index);
-    const auto active = activity_.ClustersOf(item);
-    const auto phi_weights = activity_.WeightsOf(item);
     const auto kappa_row = model.kappa.Row(view_.worker(index));
-    for (std::size_t k = 0; k < active.size(); ++k) {
-      Matrix& bank = model.lambda[active[k]];
+    activity.ForEach(view_.item(index), [&](std::size_t t, double phi_weight) {
+      Matrix& bank = model.lambda[t];
       for (std::size_t m = 0; m < M; ++m) {
-        const double weight = phi_weights[k] * kappa_row[m];
+        const double weight = phi_weight * kappa_row[m];
         if (weight < 1e-10) continue;
         auto row = bank.Row(m);
         for (LabelId c : labels) row[c] += weight;
       }
-    }
+    });
   }
 
   // ρ (Eqs. 11–12): exact over the workers seen so far (cheap: U × M).
@@ -362,11 +342,11 @@ Status CpaOnline::ObserveBatch(const AnswerMatrix& answers,
   // natural-gradient treatment above), the label-channel statistics cost
   // O(seen items × nnz(ỹ) × T) and blending them would drag clusters that a
   // batch does not touch back toward their prior. The last reinforcement
-  // round already computed θ from the same ϕ, ỹ, evidence weights and
-  // prior, so it is recomputed here only when no round ran.
-  sweep::UpdateZeta(model, activity_, scheduler);
+  // round already computed both from the same ϕ, ỹ, evidence weights and
+  // priors (nothing since has written them), so they are computed here
+  // only when no round ran.
   if (svi_options_.reinforcement_rounds == 0) {
-    sweep::UpdateThetaChannel(model, activity_, scheduler);
+    sweep::UpdateZetaAndThetaChannel(model, activity, scheduler);
   }
 
   // --- Size-prior counts (plain data statistic, no decay). A batch is
@@ -386,12 +366,6 @@ Status CpaOnline::ObserveBatch(const AnswerMatrix& answers,
   return Status::OK();
 }
 
-void CpaOnline::EnsureActivity(const SweepScheduler& scheduler) {
-  if (activity_valid_) return;
-  sweep::BuildClusterActivity(model_.phi, scheduler, activity_);
-  activity_valid_ = true;
-}
-
 void CpaOnline::GlobalRefresh(const AnswerMatrix& answers) {
   EnsureView(answers);
   CpaModel& model = model_;
@@ -401,14 +375,14 @@ void CpaOnline::GlobalRefresh(const AnswerMatrix& answers) {
   const CpaOptions& options = model.options();
 
   // Every round rewrites ϕ across all evidenced items (reseed, then soft
-  // updates), so the persistent activity is fully rebuilt per round; the
-  // lists built after each round's ϕ updates stay current for the final ζ
-  // rebuild (the stick refresh between them only reads ϕ).
+  // updates); the θ and ζ rebuilds read it through the threshold view.
+  const sweep::ClusterActivity activity{&model.phi, sweep::kSkipMass};
   std::vector<WorkerId> all_workers(model.num_workers());
   for (WorkerId u = 0; u < model.num_workers(); ++u) all_workers[u] = u;
   std::vector<double> worker_weight(model.num_workers(), 1.0);
   std::vector<double> dense(C, 0.0);
-  for (std::size_t round = 0; round < 3; ++round) {
+  constexpr std::size_t kRounds = 3;
+  for (std::size_t round = 0; round < kRounds; ++round) {
     // Reliability weights over every seen answer on corroborated items.
     if (options.label_evidence == LabelEvidence::kReliabilityWeighted) {
       UpdateSeenWorkerReliability(model, view_, seen_by_worker_, seen_by_item_,
@@ -444,14 +418,17 @@ void CpaOnline::GlobalRefresh(const AnswerMatrix& answers) {
             /*min_shard=*/8);
       }
     }
-    sweep::BuildClusterActivity(model.phi, scheduler, activity_);
-    activity_valid_ = true;
-    sweep::UpdateThetaChannel(model, activity_, scheduler);
+    // The last round's pass also rebuilds ζ: the stick refresh after it
+    // reads neither ϕ nor ỹ.
+    if (round + 1 < kRounds) {
+      sweep::UpdateThetaChannel(model, activity, scheduler);
+    } else {
+      sweep::UpdateZetaAndThetaChannel(model, activity, scheduler);
+    }
     model.RefreshThetaExpectations();
     sweep::UpdateSticks(model.upsilon, model.phi, options.epsilon, scheduler);
     StickBreakingExpectedLog(model.upsilon, model.elog_tau);
   }
-  sweep::UpdateZeta(model, activity_, scheduler);
   model.RefreshExpectations();
 }
 
@@ -511,6 +488,20 @@ Status CpaOnline::RestoreState(CheckpointReader& reader) {
     return Status::FailedPrecondition(
         "CpaOnline::RestoreState requires a freshly created learner");
   }
+  // Read into a learner over a copy of this fresh model and take it over
+  // only once the whole state has been read: a read that fails part way
+  // leaves this learner fresh, so it may be restored again.
+  CpaOnline restored;
+  restored.model_ = model_;
+  CPA_RETURN_NOT_OK(restored.ReadState(reader));
+  restored.svi_options_ = svi_options_;
+  restored.pool_ = pool_;
+  restored.scheduler_ = std::move(scheduler_);
+  *this = std::move(restored);
+  return Status::OK();
+}
+
+Status CpaOnline::ReadState(CheckpointReader& reader) {
   CPA_RETURN_NOT_OK(model_.RestoreState(reader));
   CPA_ASSIGN_OR_RETURN(batch_count_, reader.ReadSize());
   CPA_ASSIGN_OR_RETURN(last_rate_, reader.ReadDouble());
@@ -573,10 +564,6 @@ Status CpaOnline::RestoreState(CheckpointReader& reader) {
     return Status::InvalidArgument("checkpoint size_counts rows != T");
   }
   size_counts_ = cluster_major_counts.Transposed();
-  // Derived caches: rebuilt lazily from the restored state + stream.
-  activity_valid_ = false;
-  view_ = AnswerView();
-  viewed_stream_ = nullptr;
   return Status::OK();
 }
 

@@ -33,7 +33,6 @@
 #include "core/cpa_model.h"
 #include "core/prediction.h"
 #include "core/sweep/answer_view.h"
-#include "core/sweep/sweep_kernels.h"
 #include "core/sweep/sweep_scheduler.h"
 #include "data/answer_matrix.h"
 #include "util/status.h"
@@ -99,11 +98,12 @@ class CpaOnline {
   ///
   /// Serializes the model plus every piece of learner state that feeds
   /// future batches (step counters, seen-sets, cluster seeding, size
-  /// counts). Derived caches — the flat `AnswerView` and the per-item
-  /// activity lists — are rebuilt lazily after restore, which is exact:
-  /// both are pure functions of the restored state and the stream.
+  /// counts). The one derived cache, the flat `AnswerView`, is rebuilt
+  /// lazily after restore, which is exact: it is a pure function of the
+  /// stream.
   /// `RestoreState` requires a freshly `Create`d learner of the same
   /// dimensions; continuing afterwards is bit-identical to never stopping.
+  /// A failed restore leaves the learner fresh.
   /// @{
   void SaveState(CheckpointWriter& writer) const;
   Status RestoreState(CheckpointReader& reader);
@@ -117,13 +117,13 @@ class CpaOnline {
   /// needs rebuilding on growth).
   void EnsureView(const AnswerMatrix& answers);
 
+  /// The body of `RestoreState`, run on a default-constructed learner that
+  /// holds a copy of the fresh model; may fail with some fields read.
+  Status ReadState(CheckpointReader& reader);
+
   /// Reinforcement pass (reliability → evidence → clusters → θ) over all
   /// seen data; see Predict.
   void GlobalRefresh(const AnswerMatrix& answers);
-
-  /// Full `activity_` rebuild from the current ϕ when it is stale (first
-  /// batch, or after a pass that rewrote ϕ globally).
-  void EnsureActivity(const SweepScheduler& scheduler);
 
   CpaModel model_;
   SviOptions svi_options_;
@@ -137,16 +137,6 @@ class CpaOnline {
   /// released with the learner — under the server, idle expiry bounds the
   /// fleet-wide total.
   std::unique_ptr<SweepScheduler> scheduler_;
-
-  /// Persistent per-item active-cluster lists kept consistent with ϕ at
-  /// every point a batch reads them (the κ MAP, the θ rounds, the λ and ζ
-  /// REDUCE): the reinforcement rounds patch just the batch items' rows in
-  /// place (`sweep::UpdateClusterActivityRows`) instead of rescanning the
-  /// full I×T ϕ each round; passes that rewrite ϕ globally rebuild it.
-  /// Debug builds assert equality against a from-scratch rebuild after
-  /// every patch.
-  sweep::ClusterActivity activity_;
-  bool activity_valid_ = false;
 
   /// Flat CSR/SoA layout of the stream matrix for the sweep kernels, plus
   /// the identity of the matrix it was built from: a different matrix

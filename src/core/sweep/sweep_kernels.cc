@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <map>
 #include <string>
 #include <utility>
@@ -23,30 +22,6 @@ constexpr std::size_t kRowGrain = 1024;
 /// Cap on the total per-call λ reduce scratch, in bank entries (doubles):
 /// 8M entries = 64 MB, ≈ the λ budget of `CpaOptions::Recommended`.
 constexpr std::size_t kLambdaScratchEntryBudget = 8'000'000;
-
-/// Entries of ϕ row i at or above `threshold` (> 0, so never a zero). An
-/// initial row whose floor clears the threshold counts whole without being
-/// regenerated.
-std::uint32_t CountActive(const PhiRows& phi, std::size_t i, double threshold) {
-  if (phi.IsInitial(i) && phi.InitialFloor(i) >= threshold) {
-    return static_cast<std::uint32_t>(phi.cols());
-  }
-  std::uint32_t count = 0;
-  phi.ForEachNonzero(i, [&](std::size_t, double w) { count += w >= threshold; });
-  return count;
-}
-
-/// Writes row i's entries at or above `threshold` into the activity slots
-/// starting at `cursor`, ascending.
-void FillActive(const PhiRows& phi, std::size_t i, double threshold,
-                std::uint32_t cursor, ClusterActivity& out) {
-  phi.ForEachNonzero(i, [&](std::size_t t, double w) {
-    if (w < threshold) return;
-    out.clusters[cursor] = static_cast<std::uint32_t>(t);
-    out.weights[cursor] = w;
-    ++cursor;
-  });
-}
 
 /// The T-wide score row of the ϕ MAP kernels, owned by the calling thread:
 /// they run from arena-less `ParallelFor` shards too, and must not allocate
@@ -95,98 +70,88 @@ std::vector<double> ColumnMass(std::size_t rows, std::size_t K,
   return mass;
 }
 
+/// The label-channel statistics over the items carrying evidence, with w_i
+/// the item's pseudo-observation multiplicity: a_tc = Σ_i w_i ϕ_it ỹ_ic
+/// (ζ's statistic, and θ's on-count) and mass_t = Σ_i w_i ϕ_it.
+struct LabelChannelStats {
+  Matrix a;                  ///< T × C
+  std::vector<double> mass;  ///< T
+};
+
+LabelChannelStats ReduceLabelChannel(const CpaModel& model,
+                                     const ClusterActivity& activity,
+                                     const SweepScheduler& scheduler) {
+  const std::size_t T = model.num_clusters();
+  const std::size_t C = model.num_labels();
+  struct Partial {
+    std::span<double> a;     ///< T × C, row-major
+    std::span<double> mass;  ///< T
+  };
+  LabelChannelStats stats{Matrix(T, C, 0.0), std::vector<double>(T, 0.0)};
+  scheduler.ParallelReduce<Partial>(
+      model.num_items(), kItemGrain,
+      [&](ScratchArena& arena) {
+        return Partial{arena.AllocZeroed<double>(T * C), arena.AllocZeroed<double>(T)};
+      },
+      [&](Partial& partial, std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          const auto& evidence = model.y_evidence[i];
+          if (evidence.empty()) continue;
+          const double multiplicity = model.y_evidence_weight[i];
+          // One read of the item's support: each cell takes exactly one
+          // addend per item, so the order of the two loops is free.
+          activity.ForEach(static_cast<ItemId>(i), [&](std::size_t t, double phi_weight) {
+            partial.mass[t] += phi_weight * multiplicity;
+            double* row = partial.a.data() + t * C;
+            for (const auto& [c, weight] : evidence) {
+              row[c] += phi_weight * weight * multiplicity;
+            }
+          });
+        }
+      },
+      [](Partial& into, Partial& from) {
+        simd::Accumulate(into.a, from.a);
+        simd::Accumulate(into.mass, from.mass);
+      },
+      [&](Partial& root) {
+        simd::Accumulate(stats.a.Data(), root.a);
+        simd::Accumulate(stats.mass, root.mass);
+      });
+  return stats;
+}
+
+/// ζ = ζ0 + a (Eq. 7).
+void SetZeta(CpaModel& model, const LabelChannelStats& stats) {
+  model.zeta.Fill(model.options().zeta0);
+  simd::Accumulate(model.zeta.Data(), stats.a.Data());
+}
+
+/// a_tc = a0 + Σ_i w_i ϕ_it ỹ_ic; b_tc = b0 + Σ_i w_i ϕ_it (1 − ỹ_ic)
+///      = b0 + mass_t − (a_tc − a0).
+void SetThetaChannel(CpaModel& model, const LabelChannelStats& stats) {
+  const double a0 = model.theta_prior_on();
+  const double b0 = model.theta_prior_off();
+  for (std::size_t t = 0; t < stats.a.rows(); ++t) {
+    const std::span<const double> a = stats.a.Row(t);
+    const std::span<double> on = model.theta_a.Row(t);
+    const std::span<double> off = model.theta_b.Row(t);
+    for (std::size_t c = 0; c < a.size(); ++c) {
+      on[c] = a0 + a[c];
+      off[c] = b0 + stats.mass[t] - a[c];
+    }
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // Cluster activity
 // ---------------------------------------------------------------------------
 
-void BuildClusterActivity(const PhiRows& phi, const SweepScheduler& scheduler,
+void BuildClusterActivity(const PhiRows& phi, const SweepScheduler& /*scheduler*/,
                           ClusterActivity& out, double threshold) {
   CPA_CHECK_GT(threshold, 0.0);
-  const std::size_t I = phi.rows();
-  out.begin.assign(I, 0);
-  out.count.assign(I, 0);
-  scheduler.ParallelFor(
-      I,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          out.count[i] = CountActive(phi, i, threshold);
-        }
-      },
-      /*min_shard=*/kItemGrain);
-  std::uint32_t slots = 0;
-  for (std::size_t i = 0; i < I; ++i) {
-    out.begin[i] = slots;
-    slots += out.count[i];
-  }
-  out.live = slots;
-  out.clusters.resize(slots);
-  out.weights.resize(slots);
-  scheduler.ParallelFor(
-      I,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          FillActive(phi, i, threshold, out.begin[i], out);
-        }
-      },
-      /*min_shard=*/kItemGrain);
-}
-
-void UpdateClusterActivityRows(const PhiRows& phi, std::span<const ItemId> items,
-                               ClusterActivity& out) {
-  const std::size_t I = phi.rows();
-  CPA_CHECK_EQ(out.begin.size(), I);
-  CPA_CHECK_EQ(out.count.size(), I);
-  for (const ItemId i : items) {
-    CPA_CHECK_LT(i, I);
-    // A row still initial has held its values since `out` was built.
-    if (phi.IsInitial(i)) continue;
-    const std::uint32_t count = CountActive(phi, i, kSkipMass);
-    // A row that fits keeps its slots (its tail, if it shrank, goes dead);
-    // a row that grows moves to the end and leaves all its old slots dead.
-    if (count > out.count[i]) {
-      CPA_CHECK_LE(out.clusters.size() + count,
-                   std::numeric_limits<std::uint32_t>::max());
-      out.begin[i] = static_cast<std::uint32_t>(out.clusters.size());
-      out.clusters.resize(out.clusters.size() + count);
-      out.weights.resize(out.weights.size() + count);
-    }
-    out.live = out.live - out.count[i] + count;
-    out.count[i] = count;
-    FillActive(phi, i, kSkipMass, out.begin[i], out);
-  }
-  if (out.clusters.size() - out.live <= out.live) return;
-
-  // Compaction: one pass over the rows in item order into fresh arrays —
-  // the compact layout a full build emits.
-  std::vector<std::uint32_t> clusters(out.live);
-  std::vector<double> weights(out.live);
-  std::uint32_t slots = 0;
-  for (std::size_t i = 0; i < I; ++i) {
-    const std::uint32_t from = out.begin[i];
-    std::copy_n(out.clusters.begin() + from, out.count[i], clusters.begin() + slots);
-    std::copy_n(out.weights.begin() + from, out.count[i], weights.begin() + slots);
-    out.begin[i] = slots;
-    slots += out.count[i];
-  }
-  out.clusters = std::move(clusters);
-  out.weights = std::move(weights);
-}
-
-bool ClusterActivityEquals(const ClusterActivity& lhs, const ClusterActivity& rhs) {
-  if (lhs.count != rhs.count) return false;
-  for (ItemId i = 0; i < lhs.count.size(); ++i) {
-    const auto lhs_clusters = lhs.ClustersOf(i);
-    const auto lhs_weights = lhs.WeightsOf(i);
-    const auto rhs_clusters = rhs.ClustersOf(i);
-    const auto rhs_weights = rhs.WeightsOf(i);
-    if (!std::equal(lhs_clusters.begin(), lhs_clusters.end(), rhs_clusters.begin()) ||
-        !std::equal(lhs_weights.begin(), lhs_weights.end(), rhs_weights.begin())) {
-      return false;
-    }
-  }
-  return true;
+  out = ClusterActivity{&phi, threshold};
 }
 
 // ---------------------------------------------------------------------------
@@ -201,19 +166,16 @@ void UpdateWorkerResponsibility(CpaModel& model, const AnswerView& view, WorkerI
   auto scores = model.kappa.Row(u);
   for (std::size_t m = 0; m < M; ++m) scores[m] = model.elog_pi[m];
   for (std::uint32_t index : indices) {
-    const ItemId item = view.item(index);
     const auto labels = view.labels(index);
-    const auto active = activity->ClustersOf(item);
-    const auto weights = activity->WeightsOf(item);
-    for (std::size_t k = 0; k < active.size(); ++k) {
-      const Matrix& elog_psi_t = model.elog_psi[active[k]];
+    activity->ForEach(view.item(index), [&](std::size_t t, double phi_weight) {
+      const Matrix& elog_psi_t = model.elog_psi[t];
       for (std::size_t m = 0; m < M; ++m) {
         const auto psi_row = elog_psi_t.Row(m);
         double loglik = 0.0;
         for (LabelId c : labels) loglik += psi_row[c];
-        scores[m] += weights[k] * loglik;
+        scores[m] += phi_weight * loglik;
       }
-    }
+    });
   }
   SoftmaxInPlace(scores, kSoftmaxFloorNats);
 }
@@ -516,17 +478,15 @@ void UpdateLambda(CpaModel& model, const AnswerView& view,
           const ItemId item = view.item(index);
           const auto labels = view.labels(index);
           const auto kappa_row = model.kappa.Row(view.worker(index));
-          const auto active = activity.ClustersOf(item);
-          const auto phi_weights = activity.WeightsOf(item);
-          for (std::size_t k = 0; k < active.size(); ++k) {
-            double* bank = banks.data() + active[k] * M * C;
+          activity.ForEach(item, [&](std::size_t t, double phi_weight) {
+            double* bank = banks.data() + t * M * C;
             for (std::size_t m = 0; m < M; ++m) {
-              const double weight = phi_weights[k] * kappa_row[m];
+              const double weight = phi_weight * kappa_row[m];
               if (weight < kSkipMass) continue;
               double* row = bank + m * C;
               for (LabelId c : labels) row[c] += weight;
             }
-          }
+          });
         }
       },
       [](std::span<double>& into, std::span<double>& from) {
@@ -543,82 +503,19 @@ void UpdateLambda(CpaModel& model, const AnswerView& view,
 
 void UpdateZeta(CpaModel& model, const ClusterActivity& activity,
                 const SweepScheduler& scheduler) {
-  const std::size_t C = model.num_labels();
-  const std::size_t entries = model.num_clusters() * C;
-  model.zeta.Fill(model.options().zeta0);
-  scheduler.ParallelReduce<std::span<double>>(
-      model.num_items(), kItemGrain,
-      [&](ScratchArena& arena) { return arena.AllocZeroed<double>(entries); },
-      [&](std::span<double>& partial, std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          if (model.y_evidence[i].empty()) continue;
-          const auto active = activity.ClustersOf(static_cast<ItemId>(i));
-          const auto phi_weights = activity.WeightsOf(static_cast<ItemId>(i));
-          const double multiplicity = model.y_evidence_weight[i];
-          for (const auto& [c, weight] : model.y_evidence[i]) {
-            for (std::size_t k = 0; k < active.size(); ++k) {
-              partial[active[k] * C + c] += phi_weights[k] * weight * multiplicity;
-            }
-          }
-        }
-      },
-      [](std::span<double>& into, std::span<double>& from) {
-        simd::Accumulate(into, from);
-      },
-      [&](std::span<double>& root) { simd::Accumulate(model.zeta.Data(), root); });
+  SetZeta(model, ReduceLabelChannel(model, activity, scheduler));
 }
 
 void UpdateThetaChannel(CpaModel& model, const ClusterActivity& activity,
                         const SweepScheduler& scheduler) {
-  const std::size_t T = model.num_clusters();
-  const std::size_t C = model.num_labels();
-  const double a0 = model.theta_prior_on();
-  const double b0 = model.theta_prior_off();
-  // a_tc = a0 + Σ_i w_i ϕ_it ỹ_ic; b_tc = b0 + Σ_i w_i ϕ_it (1 − ỹ_ic),
-  // where w_i is the item's pseudo-observation multiplicity and the sums
-  // run over items carrying evidence. With mass_t = Σ w_i ϕ_it of those
-  // items, b_tc = b0 + mass_t − (a_tc − a0).
-  struct Stats {
-    std::span<double> a;     ///< T × C, row-major
-    std::span<double> mass;  ///< T
-  };
-  Matrix total_a(T, C, 0.0);
-  std::vector<double> total_mass(T, 0.0);
-  scheduler.ParallelReduce<Stats>(
-      model.num_items(), kItemGrain,
-      [&](ScratchArena& arena) {
-        return Stats{arena.AllocZeroed<double>(T * C), arena.AllocZeroed<double>(T)};
-      },
-      [&](Stats& partial, std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          if (model.y_evidence[i].empty()) continue;
-          const auto active = activity.ClustersOf(static_cast<ItemId>(i));
-          const auto phi_weights = activity.WeightsOf(static_cast<ItemId>(i));
-          const double multiplicity = model.y_evidence_weight[i];
-          for (std::size_t k = 0; k < active.size(); ++k) {
-            partial.mass[active[k]] += phi_weights[k] * multiplicity;
-          }
-          for (const auto& [c, weight] : model.y_evidence[i]) {
-            for (std::size_t k = 0; k < active.size(); ++k) {
-              partial.a[active[k] * C + c] += phi_weights[k] * weight * multiplicity;
-            }
-          }
-        }
-      },
-      [](Stats& into, Stats& from) {
-        simd::Accumulate(into.a, from.a);
-        simd::Accumulate(into.mass, from.mass);
-      },
-      [&](Stats& root) {
-        simd::Accumulate(total_a.Data(), root.a);
-        simd::Accumulate(total_mass, root.mass);
-      });
-  for (std::size_t t = 0; t < T; ++t) {
-    for (std::size_t c = 0; c < C; ++c) {
-      model.theta_a(t, c) = a0 + total_a(t, c);
-      model.theta_b(t, c) = b0 + total_mass[t] - total_a(t, c);
-    }
-  }
+  SetThetaChannel(model, ReduceLabelChannel(model, activity, scheduler));
+}
+
+void UpdateZetaAndThetaChannel(CpaModel& model, const ClusterActivity& activity,
+                               const SweepScheduler& scheduler) {
+  const LabelChannelStats stats = ReduceLabelChannel(model, activity, scheduler);
+  SetZeta(model, stats);
+  SetThetaChannel(model, stats);
 }
 
 // ---------------------------------------------------------------------------

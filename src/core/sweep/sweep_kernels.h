@@ -16,10 +16,10 @@
 /// for 1 and N threads.
 ///
 /// All kernels read answers through the flat `AnswerView` (CSR indexes +
-/// SoA labels); the hot worker/λ loops additionally take a
-/// `ClusterActivity` — the per-item list of clusters with non-negligible ϕ
-/// mass — so an answer touches its item's few active clusters instead of
-/// scanning a T-wide ϕ row.
+/// SoA labels); the hot worker/λ/ζ/θ loops additionally take a
+/// `ClusterActivity` — the threshold view of ϕ that yields an item's
+/// clusters with non-negligible mass — so an answer touches its item's few
+/// active clusters instead of scanning a T-wide ϕ row.
 
 #include <cstddef>
 #include <span>
@@ -35,79 +35,55 @@
 namespace cpa::sweep {
 
 /// Responsibilities below this mass are skipped in the accumulation loops;
-/// rows concentrate quickly, so this saves most of the T×M work.
-inline constexpr double kSkipMass = 1e-8;
+/// rows concentrate quickly, so this saves most of the T×M work. It is the
+/// weight at which the ϕ row store splits a row's pairs, so the loops read
+/// a row's skip-free run in place (`PhiRows::AtLeast`).
+inline constexpr double kSkipMass = kHeavyWeight;
 
 /// Softmax underflow floor of the responsibility rows (see
 /// `SoftmaxInPlace(span, floor)`): dropped entries carry < 1e-12 mass,
 /// four orders of magnitude below `kSkipMass`.
 inline constexpr double kSoftmaxFloorNats = 27.6;
 
-/// \brief Per-item lists of the clusters carrying at least `kSkipMass` of ϕ.
+/// \brief The clusters of each item carrying at least `threshold` of ϕ: a
+/// non-owning threshold view of the ϕ row store.
 ///
-/// Slot layout: item i's entries are the `count[i]` slots starting at
-/// `begin[i]` of the parallel `clusters`/`weights` arrays. A full build
-/// (`BuildClusterActivity`) emits the compact layout — rows back to back in
-/// item order, no dead slots. An incremental patch
-/// (`UpdateClusterActivityRows`) rewrites a row that shrinks or keeps its
-/// size in place and appends a row that grows at the end, leaving its old
-/// slots dead; `live` counts the slots some row still owns. Readers only
-/// ever go through `ClustersOf`/`WeightsOf`, so both layouts read the same.
-///
-/// Offline VI rebuilds it from ϕ whenever a kernel group needs current
-/// activity (ϕ changes between the MAP and REDUCE phases of a sweep); the
-/// online learner keeps one list current across batches by patching the
-/// rows a batch rewrites.
+/// It holds no per-item state, so it is current with ϕ by construction:
+/// a kernel that reads it after any ϕ write sees the written rows. Row i
+/// reads as `PhiRows::AtLeast(i, threshold)`: at `kSkipMass` a written
+/// sparse row's first run in place, otherwise the row's nonzeros at or
+/// above the threshold gathered in ascending cluster order. That is
+/// exactly the (cluster, weight) sequence a T-wide scan of the dense row
+/// keeps at the same threshold, because the threshold is > 0 and so never
+/// admits a zero the store dropped (ARCHITECTURE.md §3d).
 struct ClusterActivity {
-  std::vector<std::uint32_t> begin;     ///< I: first slot of each row
-  std::vector<std::uint32_t> count;     ///< I: entries of each row
-  std::vector<std::uint32_t> clusters;  ///< per slot: active t, ascending per row
-  std::vector<double> weights;          ///< per slot: matching ϕ_it value
-  std::size_t live = 0;                 ///< Σ count (slots not dead)
+  const PhiRows* phi = nullptr;
+  double threshold = kSkipMass;  ///< > 0
 
-  std::span<const std::uint32_t> ClustersOf(ItemId i) const {
-    return {clusters.data() + begin[i], count[i]};
-  }
-  std::span<const double> WeightsOf(ItemId i) const {
-    return {weights.data() + begin[i], count[i]};
+  /// Calls `fn(t, weight)` for every entry of row `item` at or above the
+  /// threshold, ascending in t. `fn` must not read the same store's rows
+  /// meanwhile (a gathered row lives in thread scratch).
+  template <typename Fn>
+  void ForEach(ItemId item, Fn&& fn) const {
+    const PhiRows::Entries active = phi->AtLeast(item, threshold);
+    for (std::size_t k = 0; k < active.clusters.size(); ++k) {
+      fn(static_cast<std::size_t>(active.clusters[k]), active.weights[k]);
+    }
   }
 };
 
-/// Rebuilds `out` from the current ϕ (threshold `kSkipMass` by default;
-/// prediction passes its own, lower prune threshold; it must be > 0, so
-/// only nonzero entries qualify), sharded over the scheduler (counting
-/// pass + exclusive scan + fill pass). Written rows are read by support;
-/// initial rows are regenerated in the fill pass, and in the counting pass
-/// only when their floor (`PhiRows::InitialFloor`) is below the threshold.
+/// Binds `out` to `phi` at `threshold` (> 0). The scheduler is unused: the
+/// view has nothing to build. The library constructs the view directly;
+/// this call form stays for `perfbench/src/layers.cc`, which names it.
 void BuildClusterActivity(const PhiRows& phi, const SweepScheduler& scheduler,
                           ClusterActivity& out, double threshold = kSkipMass);
-
-/// Recomputes only the activity rows of `items` from the current ϕ (at
-/// `kSkipMass`), leaving every other row untouched — the incremental
-/// companion of `BuildClusterActivity` for the SVI batch path, where a
-/// reinforcement round changes just the batch items' ϕ rows. `out` must
-/// already span `phi.rows()` items; duplicate ids in `items` are fine. A
-/// row that shrinks or keeps its size is overwritten in place, a row that
-/// grows moves to the end of the slot arrays, and once dead slots
-/// outnumber live ones the arrays are compacted in one pass. Cost is
-/// O(Σ row support over `items`) plus the amortised compaction — never an
-/// I×T scan, never a per-call copy of the whole list. Items whose ϕ row is
-/// still initial are skipped: the row has not changed since `out` was
-/// built. Every row reads
-/// identically to a full rebuild (the SVI loop asserts this in Debug).
-void UpdateClusterActivityRows(const PhiRows& phi, std::span<const ItemId> items,
-                               ClusterActivity& out);
-
-/// True when `lhs` and `rhs` hold identical lists row by row (clusters and
-/// weights), whatever their slot layouts — the incremental-vs-rebuilt check.
-bool ClusterActivityEquals(const ClusterActivity& lhs, const ClusterActivity& rhs);
 
 /// \name MAP kernels (one disjoint row each).
 /// @{
 
 /// Eq. 2: recomputes κ row `u` from the given answers of worker `u`.
-/// `activity` (non-null, current with ϕ) supplies the active clusters of
-/// each answered item.
+/// `activity` (non-null) supplies the active clusters of each answered
+/// item.
 void UpdateWorkerResponsibility(CpaModel& model, const AnswerView& view, WorkerId u,
                                 std::span<const std::uint32_t> indices,
                                 const ClusterActivity* activity);
@@ -197,6 +173,12 @@ void UpdateZeta(CpaModel& model, const ClusterActivity& activity,
 void UpdateThetaChannel(CpaModel& model, const ClusterActivity& activity,
                         const SweepScheduler& scheduler);
 
+/// `UpdateZeta` and `UpdateThetaChannel` from one pass over the items: ζ's
+/// statistic Σ_i w_i ϕ_it ỹ_ic is θ's a_tc − a0, reduced in the same blocks
+/// and merge tree, so both come out bit for bit as the two calls give them.
+void UpdateZetaAndThetaChannel(CpaModel& model, const ClusterActivity& activity,
+                               const SweepScheduler& scheduler);
+
 /// @}
 
 /// \name Label-set-size counts (the prediction size prior).
@@ -205,15 +187,15 @@ void UpdateThetaChannel(CpaModel& model, const ClusterActivity& activity,
 /// Adds ϕ-weighted answer-set-size counts onto `counts`, which is
 /// size-major ((S+1) × T: row n holds the answers of size n): for every
 /// answer index j of `indices`, in order, counts(|x_j|, t) += ϕ(item_j, t)
-/// over the nonzero entries of the item's row (an initial row regenerated).
-/// Each count receives its additions in answer order, and a skipped zero
-/// would only have added +0.0, so the bits match a dense row add.
+/// through `PhiRows::AddRows` over the item's one row. Each count receives
+/// its additions in answer order, and a skipped zero would only have added
+/// +0.0, so the bits match a dense row add.
 template <typename Indices>
 void AccumulateSizeCounts(const PhiRows& phi, const AnswerView& view,
                           const Indices& indices, Matrix& counts) {
   for (const std::size_t j : indices) {
-    const std::span<double> row = counts.Row(view.label_count(j));
-    phi.ForEachNonzero(view.item(j), [row](std::size_t t, double w) { row[t] += w; });
+    const ItemId item = view.item(j);
+    phi.AddRows(item, item + 1, counts.Row(view.label_count(j)));
   }
 }
 

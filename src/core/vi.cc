@@ -126,7 +126,9 @@ Result<CpaModel> FitCpa(const AnswerMatrix& answers, std::size_t num_labels,
 
   const AnswerView view(answers);
   const SweepScheduler scheduler(fit.pool);
-  sweep::ClusterActivity activity;
+  // The threshold view of ϕ the κ MAP and the λ/ζ/θ REDUCE read: it has no
+  // state of its own, so every reader sees ϕ as the last writer left it.
+  const sweep::ClusterActivity activity{&model.phi, sweep::kSkipMass};
 
   // Bootstrap: evidence (answer frequency / observed truth), label-aligned
   // cluster seeding, and — crucially — a λ/ζ pass so the first sweep's
@@ -138,9 +140,7 @@ Result<CpaModel> FitCpa(const AnswerMatrix& answers, std::size_t num_labels,
   if (!options.singleton_clusters) {
     sweep::SeedClustersFromConsensus(model);
   }
-  sweep::BuildClusterActivity(model.phi, scheduler, activity);
-  sweep::UpdateZeta(model, activity, scheduler);
-  sweep::UpdateThetaChannel(model, activity, scheduler);
+  sweep::UpdateZetaAndThetaChannel(model, activity, scheduler);
   sweep::UpdateLambda(model, view, activity, scheduler);
   model.RefreshExpectations();
 
@@ -153,9 +153,7 @@ Result<CpaModel> FitCpa(const AnswerMatrix& answers, std::size_t num_labels,
   out = FitStats();
 
   for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
-    // --- Local updates (MAP phase; disjoint rows → parallel). `activity`
-    // reflects the current ϕ here: it is rebuilt after every mutation of ϕ
-    // (item sweep, reseeding) before the next consumer runs. Each κ/ϕ
+    // --- Local updates (MAP phase; disjoint rows → parallel). Each κ/ϕ
     // writer reports how far it moved its rows; a sweep writes every row
     // at most once, so those are the sweep's convergence measure.
     double kappa_change = 0.0;
@@ -174,7 +172,6 @@ Result<CpaModel> FitCpa(const AnswerMatrix& answers, std::size_t num_labels,
         sweep::UpdateItemResponsibility(model, view, static_cast<ItemId>(i),
                                         view.AnswersOfItem(static_cast<ItemId>(i)));
       });
-      sweep::BuildClusterActivity(model.phi, scheduler, activity);
     }
 
     // --- Global updates (REDUCE phase; deterministic partial merges).
@@ -209,12 +206,10 @@ Result<CpaModel> FitCpa(const AnswerMatrix& answers, std::size_t num_labels,
       // Re-derive the hard consensus grouping from the freshly sharpened
       // evidence (see `reseed_sweeps` in cpa_options.h).
       phi_change = sweep::SeedClustersFromConsensus(model);
-      sweep::BuildClusterActivity(model.phi, scheduler, activity);
       sweep::UpdateSticks(model.upsilon, model.phi, options.epsilon, scheduler);
       sweep::UpdateLambda(model, view, activity, scheduler);
     }
-    sweep::UpdateZeta(model, activity, scheduler);
-    sweep::UpdateThetaChannel(model, activity, scheduler);
+    sweep::UpdateZetaAndThetaChannel(model, activity, scheduler);
     model.RefreshExpectations();
 
     if (fit.track_elbo) {

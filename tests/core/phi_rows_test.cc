@@ -54,7 +54,6 @@ TEST(PhiRowsTest, InitialRowsAreRegeneratedFromTheirGeneratorState) {
     EXPECT_TRUE(BitEqual(phi.DenseRow(r), dense.Row(r)));
     for (std::size_t t = 0; t < cols; ++t) {
       EXPECT_EQ(phi.At(r, t), dense(r, t));
-      EXPECT_GE(dense(r, t), phi.InitialFloor(r));
     }
     EXPECT_EQ(phi.ArgMax(r), dense.ArgMaxRow(r));
     std::vector<double> seen(cols, -1.0);
@@ -99,6 +98,47 @@ TEST(PhiRowsTest, WrittenRowsKeepOnlyTheirNonzerosInClusterOrder) {
   EXPECT_EQ(phi.At(0, 17), 1.0);
   EXPECT_EQ(phi.At(0, 16), 0.0);
   EXPECT_EQ(phi.ArgMax(0), 17u);
+}
+
+TEST(PhiRowsTest, HeavyAndLightEntriesReadInClusterOrder) {
+  // Entries under kHeavyWeight sit at both ends and between the heavy
+  // ones; 1e-8 itself is heavy.
+  const std::size_t cols = 11;
+  PhiRows phi;
+  phi.ResetOneHot(1, cols);
+  std::vector<double> row(cols, 0.0);
+  row[0] = 1e-9;
+  row[1] = 0.4;
+  row[3] = 5e-9;
+  row[4] = 0.6;
+  row[5] = kHeavyWeight;
+  row[6] = 2e-12;
+  phi.Assign(0, row);
+  EXPECT_TRUE(BitEqual(phi.DenseRow(0), row));
+  for (std::size_t t = 0; t < cols; ++t) EXPECT_EQ(phi.At(0, t), row[t]) << t;
+  EXPECT_EQ(phi.ArgMax(0), 4u);
+
+  std::vector<std::size_t> order;
+  phi.ForEachNonzero(0, [&](std::size_t t, double w) {
+    EXPECT_EQ(w, row[t]);
+    order.push_back(t);
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 3, 4, 5, 6}));
+
+  const auto clusters_at_least = [&](double threshold) {
+    const PhiRows::Entries entries = phi.AtLeast(0, threshold);
+    for (std::size_t k = 0; k < entries.clusters.size(); ++k) {
+      EXPECT_EQ(entries.weights[k], row[entries.clusters[k]]);
+    }
+    return std::vector<std::uint32_t>(entries.clusters.begin(), entries.clusters.end());
+  };
+  EXPECT_EQ(clusters_at_least(kHeavyWeight), (std::vector<std::uint32_t>{1, 4, 5}));
+  EXPECT_EQ(clusters_at_least(1e-10), (std::vector<std::uint32_t>{0, 1, 3, 4, 5}));
+  EXPECT_EQ(clusters_at_least(0.5), (std::vector<std::uint32_t>{4}));
+
+  std::vector<double> sum(cols, 0.0);
+  phi.AddRows(0, 1, sum);
+  EXPECT_TRUE(BitEqual(sum, row));
 }
 
 /// Row r's nonzeros as a (clusters, weights) pair.

@@ -64,17 +64,15 @@ FittedWorld FitWorld(std::uint64_t seed, const PopulationMix& mix,
   return world;
 }
 
-/// The scratch-form per-item pipeline over a test-local arena: the activity
-/// list at the prediction prune threshold and one scratch reused across
-/// items, as each `PredictLabels` shard runs it.
+/// The scratch-form per-item pipeline over a test-local arena: ϕ viewed at
+/// the prediction prune threshold and one scratch reused across items, as
+/// each `PredictLabels` shard runs it.
 struct ItemPipeline {
   explicit ItemPipeline(const CpaModel& fitted)
       : model(fitted),
         tables(internal::BuildPredictionTables(fitted)),
-        scratch(arena, fitted.num_clusters(), fitted.num_communities()) {
-    sweep::BuildClusterActivity(fitted.phi, SweepScheduler(nullptr), activity,
-                                internal::kClusterPrune);
-  }
+        activity{&fitted.phi, internal::kClusterPrune},
+        scratch(arena, fitted.num_clusters(), fitted.num_communities()) {}
 
   /// The item's reweighted cluster log-weights (a view into the scratch,
   /// valid until the next call).

@@ -4,8 +4,10 @@
 
 #include <atomic>
 #include <cstring>
+#include <utility>
 #include <vector>
 
+#include "core/prediction.h"
 #include "core/sweep/sweep_kernels.h"
 #include "core/vi.h"
 #include "simulation/dataset_factory.h"
@@ -228,8 +230,7 @@ TEST(ScratchArenaReuseTest, LambdaReduceIdenticalForArenaAndHeapScratch) {
   const auto lambda_with = [&](ScratchArena::Mode mode) {
     CpaModel model = fitted.value();
     SweepScheduler scheduler(nullptr, mode);
-    sweep::ClusterActivity activity;
-    sweep::BuildClusterActivity(model.phi, scheduler, activity);
+    const sweep::ClusterActivity activity{&model.phi, sweep::kSkipMass};
     sweep::UpdateLambda(model, view, activity, scheduler);
     return model.lambda;
   };
@@ -272,6 +273,92 @@ TEST(SweepDeterminismTest, FitCpaIdenticalForOneAndFourThreads) {
   }
 }
 
+/// The (cluster, weight) pairs of row `i` at or above `threshold`, by a
+/// scan of the dense row — the reference a `ClusterActivity` view must
+/// reproduce.
+std::vector<std::pair<std::size_t, double>> DenseScan(const PhiRows& phi, ItemId i,
+                                                      double threshold) {
+  std::vector<std::pair<std::size_t, double>> entries;
+  const std::vector<double> row = phi.DenseRow(i);
+  for (std::size_t t = 0; t < row.size(); ++t) {
+    if (row[t] >= threshold) entries.emplace_back(t, row[t]);
+  }
+  return entries;
+}
+
+/// Row `i` as a `ClusterActivity` view at `threshold` yields it.
+std::vector<std::pair<std::size_t, double>> ViewScan(const PhiRows& phi, ItemId i,
+                                                     double threshold) {
+  std::vector<std::pair<std::size_t, double>> entries;
+  const sweep::ClusterActivity activity{&phi, threshold};
+  activity.ForEach(i, [&](std::size_t t, double w) { entries.emplace_back(t, w); });
+  return entries;
+}
+
+/// Bit-for-bit equality of two entry lists (the weights compared by their
+/// bytes, not as doubles).
+void ExpectSameEntries(const std::vector<std::pair<std::size_t, double>>& actual,
+                       const std::vector<std::pair<std::size_t, double>>& expected,
+                       ItemId i) {
+  ASSERT_EQ(actual.size(), expected.size()) << "row " << i;
+  for (std::size_t k = 0; k < actual.size(); ++k) {
+    EXPECT_EQ(actual[k].first, expected[k].first) << "row " << i;
+    EXPECT_EQ(std::memcmp(&actual[k].second, &expected[k].second, sizeof(double)), 0)
+        << "row " << i << " cluster " << actual[k].first;
+  }
+}
+
+TEST(ClusterActivityViewTest, ForEachMatchesDenseScanOnEveryRowForm) {
+  // Odd T; rows mix initial rows, one-hot rows, floored softmax rows the
+  // store keeps sparse, and dense rows (more than 2T/3 nonzeros) holding
+  // exact zeros and entries on both sides of both thresholds.
+  const std::size_t I = 300;
+  const std::size_t T = 37;
+  Rng init(41);
+  PhiRows phi;
+  phi.ResetJittered(I, T, init);
+  Rng rng(43);
+  std::vector<double> row(T);
+  std::size_t initial = 0;
+  std::size_t dense = 0;
+  for (ItemId i = 0; i < I; ++i) {
+    const std::uint64_t kind = rng.NextBounded(4);
+    if (kind == 0) {
+      phi.AssignOneHot(i, rng.NextBounded(T));
+    } else if (kind == 1) {
+      for (double& logit : row) logit = -60.0 * rng.NextDouble();
+      SoftmaxInPlace(row, sweep::kSoftmaxFloorNats);
+      phi.Assign(i, row);
+    } else if (kind == 2) {
+      // 31 nonzeros of 37: 1e-11 falls below both thresholds, 1e-9 only
+      // below kSkipMass.
+      const double scale[] = {1e-11, 1e-9, 1e-8, 0.3};
+      for (std::size_t t = 0; t < T; ++t) {
+        row[t] = t % 7 == 0 ? 0.0 : scale[rng.NextBounded(4)] * (1.0 + rng.NextDouble());
+      }
+      row[rng.NextBounded(T)] = 0.5;
+      phi.Assign(i, row);
+      ++dense;
+    }  // otherwise the row stays initial
+    initial += phi.IsInitial(i);
+  }
+  ASSERT_GT(initial, 0u);
+  ASSERT_GT(dense, 0u);
+
+  for (const double threshold : {sweep::kSkipMass, internal::kClusterPrune}) {
+    for (ItemId i = 0; i < I; ++i) {
+      ExpectSameEntries(ViewScan(phi, i, threshold), DenseScan(phi, i, threshold), i);
+    }
+  }
+  // The two thresholds disagree somewhere, so both were exercised.
+  std::size_t differing = 0;
+  for (ItemId i = 0; i < I; ++i) {
+    differing += DenseScan(phi, i, sweep::kSkipMass).size() !=
+                 DenseScan(phi, i, internal::kClusterPrune).size();
+  }
+  EXPECT_GT(differing, 0u);
+}
+
 TEST(SweepDeterminismTest, ClusterActivityMatchesPhiThreshold) {
   FactoryOptions options;
   options.scale = 0.05;
@@ -283,151 +370,19 @@ TEST(SweepDeterminismTest, ClusterActivityMatchesPhiThreshold) {
   const auto model = FitCpa(d.answers, d.num_labels, cpa_options);
   ASSERT_TRUE(model.ok());
 
+  // `BuildClusterActivity` binds the view whatever the scheduler.
   ThreadPool pool(3);
   for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
     SweepScheduler scheduler(p);
     sweep::ClusterActivity activity;
     sweep::BuildClusterActivity(model.value().phi, scheduler, activity);
-    ASSERT_EQ(activity.begin.size(), model.value().num_items());
-    ASSERT_EQ(activity.count.size(), model.value().num_items());
-    // A full build is compact: rows back to back in item order.
-    std::size_t slot = 0;
+    EXPECT_EQ(activity.phi, &model.value().phi);
+    EXPECT_EQ(activity.threshold, sweep::kSkipMass);
     for (ItemId i = 0; i < model.value().num_items(); ++i) {
-      EXPECT_EQ(activity.begin[i], slot) << i;
-      slot += activity.count[i];
-    }
-    EXPECT_EQ(activity.live, slot);
-    EXPECT_EQ(activity.clusters.size(), slot);
-    EXPECT_EQ(activity.weights.size(), slot);
-    for (ItemId i = 0; i < model.value().num_items(); ++i) {
-      const std::vector<double> row = model.value().phi.DenseRow(i);
-      const auto active = activity.ClustersOf(i);
-      const auto weights = activity.WeightsOf(i);
-      std::size_t k = 0;
-      for (std::size_t t = 0; t < row.size(); ++t) {
-        if (row[t] < sweep::kSkipMass) continue;
-        ASSERT_LT(k, active.size()) << i;
-        EXPECT_EQ(active[k], t);
-        EXPECT_DOUBLE_EQ(weights[k], row[t]);
-        ++k;
-      }
-      EXPECT_EQ(k, active.size()) << i;
+      ExpectSameEntries(ViewScan(model.value().phi, i, activity.threshold),
+                        DenseScan(model.value().phi, i, sweep::kSkipMass), i);
     }
   }
-}
-
-/// Rewrites row `i` of `phi` with `live` entries of mass ≥ kSkipMass at
-/// clusters drawn from `rng` (the rest stay below the threshold, some at
-/// exactly 0, which the store drops).
-void WriteRow(PhiRows& phi, ItemId i, std::size_t live, Rng& rng) {
-  std::vector<double> row(phi.cols());
-  for (std::size_t t = 0; t < row.size(); ++t) {
-    row[t] = (t % 3 == 0) ? 0.0 : 1e-9;
-  }
-  for (std::size_t k = 0; k < live; ++k) {
-    row[rng.NextBounded(row.size())] = 0.01 + rng.NextDouble();
-  }
-  phi.Assign(i, row);
-}
-
-/// `rows` × `cols` ϕ with every row written by `WriteRow`.
-PhiRows WrittenPhi(std::size_t rows, std::size_t cols, std::size_t live, Rng& rng) {
-  PhiRows phi;
-  phi.ResetOneHot(rows, cols);
-  for (ItemId i = 0; i < rows; ++i) WriteRow(phi, i, live, rng);
-  return phi;
-}
-
-/// Patches `items` in `activity` and checks it against a full rebuild,
-/// plus the slot-layout invariants a reader relies on.
-void ExpectPatchMatchesRebuild(const PhiRows& phi, std::span<const ItemId> items,
-                               sweep::ClusterActivity& activity) {
-  sweep::UpdateClusterActivityRows(phi, items, activity);
-  sweep::ClusterActivity rebuilt;
-  sweep::BuildClusterActivity(phi, SweepScheduler(nullptr), rebuilt);
-  EXPECT_TRUE(sweep::ClusterActivityEquals(activity, rebuilt));
-  EXPECT_EQ(activity.live, rebuilt.live);
-  // Compaction keeps the dead slots at most equal to the live ones.
-  EXPECT_LE(activity.clusters.size() - activity.live, activity.live);
-  for (ItemId i = 0; i < phi.rows(); ++i) {
-    EXPECT_LE(activity.begin[i] + activity.count[i], activity.clusters.size()) << i;
-  }
-}
-
-TEST(ClusterActivityUpdateTest, GrowShrinkAndSameSizeRowsMatchRebuild) {
-  Rng rng(3);
-  PhiRows phi = WrittenPhi(12, 20, 3, rng);
-  sweep::ClusterActivity activity;
-  sweep::BuildClusterActivity(phi, SweepScheduler(nullptr), activity);
-
-  // Item 2 grows (moves to the end), item 5 shrinks in place, item 7 keeps
-  // its size with new clusters and weights, item 9 empties.
-  WriteRow(phi, 2, 9, rng);
-  WriteRow(phi, 5, 1, rng);
-  std::vector<double> row7 = phi.DenseRow(7);
-  std::vector<std::size_t> live7;
-  for (std::size_t t = 0; t < row7.size(); ++t) {
-    if (row7[t] >= sweep::kSkipMass) live7.push_back(t);
-  }
-  for (std::size_t t = 0; t < row7.size(); ++t) row7[t] = 0.0;
-  for (std::size_t k = 0; k < live7.size(); ++k) row7[19 - k] = 0.5 + 0.01 * k;
-  phi.Assign(7, row7);
-  phi.Assign(9, std::vector<double>(phi.cols(), 1e-9));
-  const sweep::ClusterActivity before = activity;
-  const std::vector<ItemId> items = {2, 5, 7, 9};
-  ExpectPatchMatchesRebuild(phi, items, activity);
-  EXPECT_GT(activity.count[2], before.count[2]);
-  EXPECT_EQ(activity.begin[2], before.clusters.size());  // appended
-  EXPECT_LT(activity.count[5], before.count[5]);
-  EXPECT_EQ(activity.begin[5], before.begin[5]);  // in place
-  EXPECT_EQ(activity.count[7], before.count[7]);
-  EXPECT_EQ(activity.begin[7], before.begin[7]);
-  EXPECT_EQ(activity.count[9], 0u);
-}
-
-TEST(ClusterActivityUpdateTest, DuplicateAndEmptyIdListsMatchRebuild) {
-  Rng rng(5);
-  PhiRows phi = WrittenPhi(8, 16, 2, rng);
-  sweep::ClusterActivity activity;
-  sweep::BuildClusterActivity(phi, SweepScheduler(nullptr), activity);
-
-  // An empty list changes nothing.
-  const sweep::ClusterActivity before = activity;
-  ExpectPatchMatchesRebuild(phi, {}, activity);
-  EXPECT_EQ(activity.clusters, before.clusters);
-  EXPECT_EQ(activity.begin, before.begin);
-
-  // A grown row listed twice: appended once, then rewritten in place.
-  WriteRow(phi, 4, 10, rng);
-  WriteRow(phi, 1, 6, rng);
-  const std::vector<ItemId> items = {4, 1, 4, 4, 1};
-  ExpectPatchMatchesRebuild(phi, items, activity);
-}
-
-TEST(ClusterActivityUpdateTest, ChurnCompactsAndStaysEqualToRebuild) {
-  Rng rng(7);
-  const std::size_t T = 32;
-  // Start from initial rows (every cluster live), as unseen items are in
-  // the online learner, so early patches mostly shrink rows and leave dead
-  // tails.
-  PhiRows phi;
-  Rng init(11);
-  phi.ResetJittered(40, T, init);
-  sweep::ClusterActivity activity;
-  sweep::BuildClusterActivity(phi, SweepScheduler(nullptr), activity);
-  bool compacted = false;
-  for (int round = 0; round < 60; ++round) {
-    std::vector<ItemId> items;
-    for (int k = 0; k < 5; ++k) {
-      const ItemId i = static_cast<ItemId>(rng.NextBounded(phi.rows()));
-      WriteRow(phi, i, rng.NextBounded(8), rng);
-      items.push_back(i);
-    }
-    const std::size_t slots_before = activity.clusters.size();
-    ExpectPatchMatchesRebuild(phi, items, activity);
-    if (activity.clusters.size() < slots_before) compacted = true;
-  }
-  EXPECT_TRUE(compacted);
 }
 
 // ---------------------------------------------------------------------------

@@ -272,20 +272,22 @@ TEST(CheckpointEngineTest, RestoreRejectsCorruptBlobs) {
     auto fresh = MustOpen(config);
     EXPECT_FALSE(fresh->RestoreState(blob + "x", &dataset.answers).ok());
   }
-  // Every strict prefix must fail cleanly — no crash, no partial state.
+  // Every strict prefix must fail cleanly — no crash, no partial state —
+  // so one engine takes every attempt.
+  auto fresh = MustOpen(config);
   for (std::size_t length = 0; length < blob.size(); ++length) {
-    auto fresh = MustOpen(config);
     const Status status = fresh->RestoreState(
         std::string_view(blob).substr(0, length), &dataset.answers);
     EXPECT_FALSE(status.ok()) << "prefix of " << length << " bytes";
-    // Failed restores leave the engine fresh and usable.
     EXPECT_EQ(fresh->answers_seen(), 0u) << "prefix of " << length << " bytes";
   }
-  // A fresh engine restores the intact blob fine (control).
-  {
-    auto fresh = MustOpen(config);
-    EXPECT_TRUE(fresh->RestoreState(blob, &dataset.answers).ok());
-  }
+  // Control: the same engine restores the intact blob. `RestoreState`
+  // refuses a used engine or learner, so this also proves that every
+  // failed attempt above left the engine fresh.
+  ASSERT_TRUE(fresh->RestoreState(blob, &dataset.answers).ok());
+  const auto resaved = fresh->SaveState();
+  ASSERT_TRUE(resaved.ok());
+  EXPECT_EQ(resaved.value(), blob);
 }
 
 TEST(CheckpointEngineTest, RestoreRequiresFreshEngine) {
