@@ -1,8 +1,8 @@
 /// Ablation bench for the design decisions docs/BENCHMARKS.md "Design
 /// choices" documents — the places where the paper is under-specified and
 /// this implementation had to choose: the unsupervised label-evidence
-/// strategy, the prediction mode, the Eq. 3 answer term, and the consensus
-/// re-seeding schedule.
+/// strategy, the Eq. 3 answer term, the consensus re-seeding schedule and
+/// the evidence weight.
 
 #include <cstdio>
 
@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
                    name.c_str());
     };
 
-    add("default", "default (reliability evidence, Bernoulli prediction)", base);
+    add("default", "default (reliability evidence, marginal threshold)", base);
 
     CpaOptions evidence = base;
     evidence.label_evidence = LabelEvidence::kAnswerFrequency;
@@ -65,16 +65,11 @@ int main(int argc, char** argv) {
 
     evidence.label_evidence = LabelEvidence::kSelfTraining;
     add("evidence_self_training",
-        "evidence: self-training on greedy predictions", evidence);
+        "evidence: self-training on its own predictions", evidence);
 
     evidence.label_evidence = LabelEvidence::kObservedOnly;
     add("evidence_observed_only",
         "evidence: observed-only (paper-literal Eq. 7, y = empty)", evidence);
-
-    CpaOptions multinomial = base;
-    multinomial.prediction_mode = PredictionMode::kMultinomialSizePrior;
-    add("prediction_multinomial",
-        "prediction: multinomial + size prior (paper-literal greedy)", multinomial);
 
     CpaOptions answer_term = base;
     answer_term.phi_answer_term = true;

@@ -285,8 +285,8 @@ void BM_PredictLabels(benchmark::State& state) {
 }
 BENCHMARK(BM_PredictLabels);
 
-// The per-item multinomial pipeline (reweight → candidates → greedy
-// instantiation) with one arena-backed scratch reused across items.
+// The per-item prediction path (reweight → Bernoulli scores → threshold)
+// with one arena-backed scratch reused across items.
 void BM_PredictionItemsArena(benchmark::State& state) {
   FittedFixture& f = FittedFixture::Get();
   const auto tables = internal::BuildPredictionTables(f.model);
@@ -294,14 +294,18 @@ void BM_PredictionItemsArena(benchmark::State& state) {
   ScratchArena arena;
   internal::PredictionScratch scratch(arena, f.model.num_clusters(),
                                       f.model.num_communities());
+  CpaPrediction prediction;
+  prediction.labels.resize(f.model.num_items());
+  prediction.scores.Reset(f.model.num_items(), f.model.num_labels());
   ItemId i = 0;
   for (auto _ : state) {
-    internal::ItemClusterLogWeights(f.model, tables, f.dataset.answers, i,
-                                    activity, scratch);
-    internal::CollectCandidates(tables, f.dataset.answers, i, scratch.log_weights,
-                                scratch);
-    benchmark::DoNotOptimize(internal::GreedyInstantiate(
-        tables, scratch.log_weights, scratch.candidates, scratch));
+    // The path adds into the item's score row, so it starts from zero.
+    auto scores = prediction.scores.Row(i);
+    std::fill(scores.begin(), scores.end(), 0.0);
+    internal::PredictOneItem(f.model, tables, f.dataset.answers, activity, i, scratch,
+                             prediction);
+    benchmark::DoNotOptimize(prediction.labels[i]);
+    benchmark::ClobberMemory();
     i = (i + 1) % f.model.num_items();
   }
 }
@@ -309,12 +313,11 @@ BENCHMARK(BM_PredictionItemsArena);
 
 /// The Fig 7 shape after a fit: 10^4 items × 1024 clusters and 100k
 /// answers, fitted for 10 sweeps on 2 threads (the perfbench offline-fit
-/// session). ϕ holds the fitted sparse rows, so the ϕ passes below cost
-/// what they cost inside a fit.
+/// session). ϕ holds the fitted sparse rows, so the ϕ pass below costs
+/// what it costs inside a fit.
 struct Fig7Fixture {
   Dataset dataset;
   CpaModel model;
-  AnswerView view;
 
   static const Fig7Fixture& Get() {
     static const Fig7Fixture* fixture = [] {
@@ -332,27 +335,11 @@ struct Fig7Fixture {
       auto model = FitCpa(f->dataset.answers, f->dataset.num_labels, options, fit);
       CPA_CHECK(model.ok());
       f->model = std::move(model).value();
-      f->view = AnswerView(f->dataset.answers);
       return f;
     }();
     return *fixture;
   }
 };
-
-/// The size-prior rebuild at the fitted Fig 7 shape: one pass over the
-/// 100k answers adding each answer's nonzero ϕ entries, on the calling
-/// thread.
-void BM_UpdateSizePrior(benchmark::State& state) {
-  const Fig7Fixture& f = Fig7Fixture::Get();
-  CpaModel model = f.model;
-  for (auto _ : state) {
-    model.UpdateSizePrior(f.view);
-    benchmark::DoNotOptimize(model.size_prior.Data().data());
-  }
-  state.counters["answers"] = static_cast<double>(f.view.num_answers());
-  state.counters["clusters"] = static_cast<double>(model.num_clusters());
-}
-BENCHMARK(BM_UpdateSizePrior)->Unit(benchmark::kMillisecond);
 
 /// The τ′ stick update over the fitted sparse ϕ on `state.range(0)`
 /// threads: the per-sweep column-mass reduce.

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "util/stopwatch.h"
-#include "util/string_utils.h"
 
 namespace cpa {
 
@@ -23,16 +22,6 @@ std::string_view CpaVariantName(CpaVariant variant) {
 Result<CpaSolution> SolveCpaOffline(const AnswerMatrix& answers,
                                     std::size_t num_labels, const CpaOptions& options,
                                     CpaVariant variant, Executor* pool) {
-  if (variant == CpaVariant::kNoL && num_labels > kNoLExhaustiveLabelLimit) {
-    // Faithful to §5.4: the No L instantiation enumerates label subsets
-    // (2^C), which "turned out to be intractable for all except the movie
-    // dataset" (C = 22). The bounded search could sidestep this, but the
-    // ablation is meant to measure the paper's variant.
-    return Status::Unimplemented(StrFormat(
-        "No L exhaustive instantiation over 2^%zu label subsets is intractable "
-        "(limit: %zu labels)",
-        num_labels, kNoLExhaustiveLabelLimit));
-  }
   CpaOptions solve_options = options;
   switch (variant) {
     case CpaVariant::kFull:
@@ -42,7 +31,6 @@ Result<CpaSolution> SolveCpaOffline(const AnswerMatrix& answers,
       break;
     case CpaVariant::kNoL:
       solve_options.singleton_clusters = true;
-      solve_options.exhaustive_prediction = true;
       break;
   }
   if (variant == CpaVariant::kNoZ) {

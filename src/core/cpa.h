@@ -34,16 +34,11 @@ namespace cpa {
 enum class CpaVariant {
   kFull,  ///< the CPA model
   kNoZ,   ///< singleton worker communities (community structure removed)
-  kNoL,   ///< singleton item clusters + exhaustive instantiation
+  kNoL,   ///< singleton item clusters (T = I, identity ϕ)
 };
 
 /// Stable display name ("CPA", "CPA-NoZ", "CPA-NoL").
 std::string_view CpaVariantName(CpaVariant variant);
-
-/// Largest label universe the No L variant accepts — its instantiation
-/// enumerates label subsets, which the paper reports tractable only for
-/// the movie dataset (C = 22).
-inline constexpr std::size_t kNoLExhaustiveLabelLimit = 25;
 
 /// \brief Outcome of one offline CPA solve: the fitted posterior, the fit
 /// diagnostics, and the instantiated prediction.
@@ -56,9 +51,9 @@ struct CpaSolution {
 
 /// \brief Offline fit + prediction for the given variant — the kernel
 /// behind `CpaAggregator` (and so behind the engine layer's CPA sessions).
-/// Applies the variant switches (singleton communities/clusters, the No L
-/// exhaustive-instantiation guard, the No Z parameter-budget clamp) to
-/// `options` before fitting.
+/// Applies the variant switches (singleton communities/clusters, the No Z
+/// parameter-budget clamp) to `options` before fitting. No L is refused
+/// only where its I·M·C confusion bank exceeds `no_l_parameter_limit`.
 Result<CpaSolution> SolveCpaOffline(const AnswerMatrix& answers,
                                     std::size_t num_labels, const CpaOptions& options,
                                     CpaVariant variant = CpaVariant::kFull,

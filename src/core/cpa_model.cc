@@ -2,12 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <ranges>
 #include <utility>
 
-#include "core/sweep/answer_view.h"
-#include "core/sweep/sweep_kernels.h"
-#include "core/sweep/sweep_scheduler.h"
 #include "engine/checkpoint.h"
 #include "util/logging.h"
 #include "util/special_functions.h"
@@ -50,9 +46,6 @@ Status CpaOptions::Validate() const {
   if (tolerance <= 0.0) return Status::InvalidArgument("tolerance must be positive");
   if (reliability_floor < 0.0 || reliability_floor > 1.0) {
     return Status::InvalidArgument("reliability_floor must lie in [0, 1]");
-  }
-  if (prediction_candidates_per_cluster == 0) {
-    return Status::InvalidArgument("prediction_candidates_per_cluster must be > 0");
   }
   return Status::OK();
 }
@@ -138,7 +131,6 @@ Result<CpaModel> CpaModel::Create(std::size_t num_items, std::size_t num_workers
 
   model.y_evidence.assign(num_items, {});
   model.y_evidence_weight.assign(num_items, 0.0);
-  model.size_prior.Reset(model.T_, 1, 1.0);
   model.bernoulli_profile.Reset(model.T_, num_labels, 0.5);
   model.RefreshExpectations();
   return model;
@@ -153,10 +145,6 @@ void CpaModel::RefreshExpectations() {
       DirichletExpectedLog(lambda[t].Row(m), elog_psi[t].Row(m));
     }
   }
-  elog_phi.Reset(T_, num_labels_);
-  for (std::size_t t = 0; t < T_; ++t) {
-    DirichletExpectedLog(zeta.Row(t), elog_phi.Row(t));
-  }
   RefreshThetaExpectations();
 }
 
@@ -170,17 +158,25 @@ void CpaModel::RefreshThetaExpectations() {
   elog_theta_base.assign(T_, 0.0);
   elog_theta_delta_t.Reset(num_labels_, T_);
   bernoulli_profile.Reset(T_, num_labels_);
+  // Row spans rather than the bounds-checked element accessor; the
+  // label-major delta cache is addressed as c·T + t.
+  const std::span<double> delta = elog_theta_delta_t.Data();
   for (std::size_t t = 0; t < T_; ++t) {
+    const auto a_row = theta_a.Row(t);
+    const auto b_row = theta_b.Row(t);
+    const auto on_row = elog_theta.Row(t);
+    const auto off_row = elog_not_theta.Row(t);
+    const auto profile_row = bernoulli_profile.Row(t);
     double base = 0.0;
     for (std::size_t c = 0; c < num_labels_; ++c) {
-      const double a = theta_a(t, c);
-      const double b = theta_b(t, c);
+      const double a = a_row[c];
+      const double b = b_row[c];
       const double digamma_ab = Digamma(a + b);
-      elog_theta(t, c) = Digamma(a) - digamma_ab;
-      elog_not_theta(t, c) = Digamma(b) - digamma_ab;
-      base += elog_not_theta(t, c);
-      elog_theta_delta_t(c, t) = elog_theta(t, c) - elog_not_theta(t, c);
-      bernoulli_profile(t, c) = a / (a + b);
+      on_row[c] = Digamma(a) - digamma_ab;
+      off_row[c] = Digamma(b) - digamma_ab;
+      base += off_row[c];
+      delta[c * T_ + t] = on_row[c] - off_row[c];
+      profile_row[c] = a / (a + b);
     }
     elog_theta_base[t] = base;
   }
@@ -192,19 +188,6 @@ double CpaModel::AnswerExpectedLogLik(std::size_t t, std::size_t m,
   double total = 0.0;
   for (LabelId c : labels) total += row[c];
   return total;
-}
-
-void CpaModel::UpdateSizePrior(const AnswerView& view) {
-  std::size_t max_size = 1;
-  for (std::size_t j = 0; j < view.num_answers(); ++j) {
-    max_size = std::max(max_size, view.label_count(j));
-  }
-  const std::size_t S = max_size + 2;  // allow completion beyond observed sizes
-  Matrix counts(S + 1, T_, 0.5);       // size-major, Laplace smoothing
-  sweep::AccumulateSizeCounts(
-      phi, view, std::views::iota(std::size_t{0}, view.num_answers()), counts);
-  size_prior = counts.Transposed();
-  size_prior.NormalizeRows();
 }
 
 std::size_t CpaModel::WorkerCommunity(WorkerId u) const { return kappa.ArgMaxRow(u); }
@@ -311,7 +294,8 @@ void CpaModel::SaveState(CheckpointWriter& writer) const {
     }
   }
   writer.WriteDoubles(y_evidence_weight);
-  writer.WriteMatrix(size_prior);
+  // The retired label-set-size prior: an empty placeholder keeps layout v1.
+  writer.WriteMatrix(Matrix());
 }
 
 Status CpaModel::RestoreState(CheckpointReader& reader) {
@@ -400,13 +384,12 @@ Status CpaModel::RestoreState(CheckpointReader& reader) {
   if (y_evidence_weight.size() != num_items_) {
     return Status::InvalidArgument("checkpoint y_evidence_weight length != I");
   }
-  // size_prior's column count varies with the largest observed answer set,
-  // so only the row count is pinned.
-  CPA_ASSIGN_OR_RETURN(Matrix restored_size_prior, reader.ReadMatrix());
-  if (restored_size_prior.rows() != T_ && !restored_size_prior.empty()) {
-    return Status::InvalidArgument("checkpoint size_prior rows != T");
+  // The retired label-set-size prior (T rows in older blobs, empty since):
+  // read, checked and discarded.
+  CPA_ASSIGN_OR_RETURN(const Matrix retired_prior, reader.ReadMatrix());
+  if (retired_prior.rows() != T_ && !retired_prior.empty()) {
+    return Status::InvalidArgument("checkpoint label-set-size prior rows != T");
   }
-  size_prior = std::move(restored_size_prior);
   RefreshExpectations();
   return Status::OK();
 }

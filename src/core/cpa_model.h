@@ -14,10 +14,10 @@
 ///   ζ (Dirichlet params of φ_t, T×C)            → `zeta`
 ///
 /// The model additionally maintains the per-item soft label evidence ỹ
-/// (sparse I×C) driving ζ when true labels are unobserved (`LabelEvidence`),
-/// cached digamma expectations refreshed once per sweep, and the
-/// per-cluster label-set-size distribution used by prediction
-/// (`PredictionMode::kMultinomialSizePrior`).
+/// (sparse I×C) driving ζ and θ when true labels are unobserved
+/// (`LabelEvidence`), and cached digamma expectations refreshed once per
+/// sweep. Prediction reads κ, ϕ, λ and the θ posterior means
+/// (`bernoulli_profile`); nothing reads ζ's expectation, so none is cached.
 ///
 /// The parameter members are deliberately public: the inference modules
 /// (vi.cc, svi.cc) own their mutation. External consumers use the
@@ -38,7 +38,6 @@
 
 namespace cpa {
 
-class AnswerView;
 class CheckpointWriter;
 class CheckpointReader;
 
@@ -97,7 +96,6 @@ class CpaModel {
   std::vector<double> elog_pi;   ///< E[ln π_m], length M
   std::vector<double> elog_tau;  ///< E[ln τ_t], length T
   std::vector<Matrix> elog_psi;  ///< E[ln ψ_tmc]: T matrices of M × C
-  Matrix elog_phi;               ///< E[ln φ_tc]: T × C
   Matrix elog_theta;             ///< E[ln θ_tc]: T × C
   Matrix elog_not_theta;         ///< E[ln (1−θ_tc)]: T × C
   std::vector<double> elog_theta_base;  ///< Σ_c E[ln (1−θ_tc)], length T
@@ -108,13 +106,9 @@ class CpaModel {
   Matrix elog_theta_delta_t;
   /// @}
 
-  /// Per-cluster label-set-size distribution (T × (S+1)); rebuilt by the
-  /// inference from answer-set sizes, used by greedy prediction.
-  Matrix size_prior;
-
   /// Posterior means θ̂_tc = a/(a+b) of the Beta-Bernoulli channel (T × C);
-  /// refreshed with the expectations. Used for marginal label scores and
-  /// the kBernoulliProfile prediction mode.
+  /// refreshed with the expectations. Prediction mixes them into the
+  /// marginal label scores it thresholds (prediction.h).
   Matrix bernoulli_profile;
 
   /// Recomputes every cached expectation from the current parameters.
@@ -129,12 +123,6 @@ class CpaModel {
   /// Σ_{c∈x} E[ln ψ_tmc] (Appendix B).
   double AnswerExpectedLogLik(std::size_t t, std::size_t m,
                               const LabelSet& labels) const;
-
-  /// Rebuilds `size_prior` from ϕ-weighted answer-set-size counts
-  /// (Laplace-smoothed rows over sizes 0..max|x|+2). The counts are
-  /// accumulated size-major over each answer's nonzero ϕ entries
-  /// (`sweep::AccumulateSizeCounts`), then transposed.
-  void UpdateSizePrior(const AnswerView& view);
 
   /// \name Effective Beta prior of the θ channel.
   /// Calibrated from the data when `CpaOptions::theta_prior_mean` is 0
@@ -156,7 +144,9 @@ class CpaModel {
   /// `SaveState` writes every variational parameter plus the calibrated θ
   /// prior; `RestoreState` overwrites them on a model `Create`d with the
   /// same dimensions and refreshes the cached expectations, so a restored
-  /// model is indistinguishable from the saved one.
+  /// model is indistinguishable from the saved one. The layout keeps a slot
+  /// for the retired label-set-size prior: written empty, and read and
+  /// discarded, so blobs that carry one still restore.
   /// @{
   void SaveState(CheckpointWriter& writer) const;
   Status RestoreState(CheckpointReader& reader);

@@ -2,7 +2,7 @@
 #define CPA_CORE_CPA_OPTIONS_H_
 
 /// \file cpa_options.h
-/// \brief Configuration of the CPA model, its inference and its prediction.
+/// \brief Configuration of the CPA model and its inference.
 
 #include <cstddef>
 #include <cstdint>
@@ -31,24 +31,9 @@ enum class LabelEvidence {
   /// on the profiles. Default.
   kReliabilityWeighted,
 
-  /// Feeds the greedy MAP prediction of each sweep back as hard pseudo
-  /// truth (bootstrap sweep uses answer frequency).
+  /// Feeds each sweep's predicted label sets back as hard pseudo truth
+  /// (bootstrap sweep uses answer frequency).
   kSelfTraining,
-};
-
-/// \brief How label sets are instantiated from the posterior (§3.4).
-enum class PredictionMode {
-  /// Greedy MAP under the multinomial profile with a per-cluster
-  /// label-set-size prior. Provided as the paper-literal design; even with
-  /// the size prior the multinomial mass of an n-label set decays like
-  /// n!/n^n ≈ e^{−n}, so this mode systematically under-predicts large
-  /// sets (docs/BENCHMARKS.md "Design choices").
-  kMultinomialSizePrior,
-
-  /// Per-cluster Bernoulli label profiles mixed by the answer-reweighted
-  /// cluster posterior; the MAP is exactly the characteristic label set of
-  /// the item's clusters, with no size degeneracy. Default.
-  kBernoulliProfile,
 };
 
 /// \brief All knobs of the CPA model.
@@ -100,14 +85,6 @@ struct CpaOptions {
   /// Unsupervised label-evidence strategy (see `LabelEvidence`).
   LabelEvidence label_evidence = LabelEvidence::kReliabilityWeighted;
 
-  /// Label-set instantiation mode (§3.4).
-  PredictionMode prediction_mode = PredictionMode::kBernoulliProfile;
-
-  /// Per item, prediction considers the labels present in the item's
-  /// answers plus this many top-profile labels from each likely cluster
-  /// (cluster-completion candidates; exploits R3 without scanning all C).
-  std::size_t prediction_candidates_per_cluster = 10;
-
   /// Floor for worker reliability weights in kReliabilityWeighted.
   double reliability_floor = 0.05;
 
@@ -149,15 +126,11 @@ struct CpaOptions {
 
   /// Variant switches (§5.4): singleton communities ("No Z") fixes each
   /// worker to its own community; singleton clusters ("No L") fixes each
-  /// item to its own cluster and uses bounded-exhaustive prediction.
+  /// item to its own cluster. Both variants predict like the full model
+  /// (prediction.h); the paper's No L searched all 2^C label subsets
+  /// instead.
   bool singleton_communities = false;
   bool singleton_clusters = false;
-
-  /// Replace the greedy label-set search by bounded-exhaustive subset
-  /// enumeration (the paper's 2^C instantiation; used by the No L variant
-  /// and as a greedy oracle in tests). Only feasible for small label
-  /// universes.
-  bool exhaustive_prediction = false;
 
   /// Memory guard for the No L variant (λ then has I·M·C entries; the
   /// paper found No L "intractable for all except the movie dataset").

@@ -7,28 +7,26 @@
 /// For each item, the cluster posterior ϕ is re-weighted by the likelihood
 /// of the item's answers under each cluster (mixing over communities with
 /// κ — the `Π_u Σ_m κ_um p(x_ui | ψ̂_tm)` factor of the paper's prediction
-/// formula), then the label set is instantiated:
+/// formula, `ItemClusterLogWeights`), the weights w̃ are normalised, and the
+/// per-cluster Bernoulli profiles are mixed into the marginal label scores
+/// `q_ic = Σ_t w̃_t θ̂_tc`. The label set is `{c : q_ic ≥ 0.5}`, the exact
+/// MAP of the mixed profile. Co-occurrence completion (R3) enters through
+/// the profiles: a label the item's answers miss is predicted when its
+/// clusters assert it.
 ///
-/// - `kMultinomialSizePrior`: greedy ascent on
-///   `ln Σ_t w̃_t · SizePrior_t(|y|) · |y|! · Π_{c∈y} φ̂_tc`
-///   (the paper's greedy, made non-degenerate by the per-cluster size
-///   prior). Candidate labels are the item's answered
-///   labels plus top-profile labels of its likely clusters, which is how
-///   co-occurrence completion (R3) enters without scanning all C labels.
-/// - `kBernoulliProfile`: exact thresholding of the mixed Bernoulli
-///   profile `q_ic = Σ_t w̃_t θ_tc`.
-///
-/// An exhaustive bounded-subset search (the paper's 2^C instantiation,
-/// §5.4) is provided for the No L variant and as a test oracle for the
-/// greedy.
+/// The paper instead searches label sets greedily under the multinomial
+/// profile φ (§3.4), and its No L variant enumerates all 2^C subsets
+/// (§5.4). This reproduction implements neither search, nor the
+/// label-set-size prior the greedy needs: every variant (No L included)
+/// predicts by the threshold above (docs/BENCHMARKS.md "Design choices").
 ///
 /// Execution model (Eqs. 4–7 are the offline wall-clock tail, so this
 /// phase runs like a sweep): items are sharded through the
 /// `SweepScheduler` MAP phase, a `ClusterActivity` view of ϕ at the
 /// prediction prune threshold supplies each item's live clusters, and all
-/// per-item buffers (`ActiveClusters` ids/log-weights, score terms,
-/// accumulators) are checked out of the shard's lane `ScratchArena` once
-/// and reused across the shard's items. Results are bit-identical for any
+/// per-item buffers (cluster ids, log-weights, softmax weights, community
+/// terms) are checked out of the shard's lane `ScratchArena` once and
+/// reused across the shard's items. Results are bit-identical for any
 /// thread count and for arena- vs heap-backed scratch.
 ///
 /// The paper's ψ^MAP/φ^MAP point estimates are degenerate for Dirichlet
@@ -59,8 +57,8 @@ struct CpaPrediction {
 
 /// \brief Predicts label sets for every item (parallel over items).
 ///
-/// Requires a fitted model (size prior and Bernoulli profile refreshed —
-/// `FitCpa` leaves the model in that state).
+/// Requires a fitted model (Bernoulli profile refreshed — `FitCpa` leaves
+/// the model in that state).
 Result<CpaPrediction> PredictLabels(const CpaModel& model, const AnswerMatrix& answers,
                                     Executor* pool = nullptr);
 
@@ -79,17 +77,12 @@ inline constexpr double kClusterPrune = 1e-10;
 /// Precomputed log posterior-mean parameters shared across items.
 struct PredictionTables {
   std::vector<Matrix> log_psi_mean;  ///< T × (M × C)
-  Matrix log_phi_mean;               ///< T × C
-  Matrix log_size_prior;             ///< T × (S+1)
-  std::vector<std::vector<LabelId>> top_labels;  ///< per cluster, profile-sorted
 };
 
 /// \brief Per-shard prediction buffers, checked out once and reused across
 /// the shard's items.
 ///
-/// The fixed-width spans (cluster- and community-shaped) live in a
-/// `ScratchArena` lane; the variable-width members are plain vectors whose
-/// capacity survives across items.
+/// The spans (cluster- and community-shaped) live in a `ScratchArena` lane.
 struct PredictionScratch {
   /// Buffers are checkouts of `arena` and live until the arena frame
   /// closes.
@@ -102,17 +95,7 @@ struct PredictionScratch {
   std::span<std::size_t> live_communities;  ///< ≤M: ids with κ_um > 0
   std::span<double> live_log_kappa;         ///< matching ln κ_um
   std::span<std::size_t> active_ids;        ///< ≤T: surviving cluster ids
-  std::span<double> active_log_weights;     ///< matching normalised log-weights
-  std::span<double> acc;                    ///< ≤T: per-cluster partial products
-  std::span<double> trial;                  ///< ≤T: greedy candidate trial row
-  std::span<double> terms;                  ///< ≤T: SetScore mixture terms
-  std::size_t active_count = 0;             ///< live prefix of the active spans
-
-  std::vector<LabelId> candidates;
-  std::vector<std::size_t> cluster_order;
-  std::vector<LabelId> subset;       ///< exhaustive DFS stack
-  std::vector<LabelId> best_subset;  ///< exhaustive best-so-far
-  std::vector<char> used;            ///< greedy candidate marks
+  std::size_t active_count = 0;             ///< live prefix of `active_ids`
 };
 
 /// Builds the tables from a fitted model.
@@ -130,24 +113,15 @@ void ItemClusterLogWeights(const CpaModel& model, const PredictionTables& tables
                            const sweep::ClusterActivity& activity,
                            PredictionScratch& scratch);
 
-/// Greedy MAP instantiation over `candidates` given cluster log-weights.
-LabelSet GreedyInstantiate(const PredictionTables& tables,
-                           std::span<const double> cluster_log_weights,
-                           std::span<const LabelId> candidates,
-                           PredictionScratch& scratch);
-
-/// Bounded exhaustive instantiation (all subsets of `candidates` up to
-/// `max_size`); the oracle for GreedyInstantiate and the No L search.
-LabelSet ExhaustiveInstantiate(const PredictionTables& tables,
-                               std::span<const double> cluster_log_weights,
-                               std::span<const LabelId> candidates,
-                               std::size_t max_size, PredictionScratch& scratch);
-
-/// Candidate labels for an item (answered labels + top cluster labels),
-/// deduplicated and sorted into `scratch.candidates`.
-void CollectCandidates(const PredictionTables& tables, const AnswerMatrix& answers,
-                       ItemId item, std::span<const double> cluster_log_weights,
-                       PredictionScratch& scratch);
+/// Predicts one item into row `item` of `prediction` (sized by the
+/// caller): `ItemClusterLogWeights`, the softmax over the active clusters,
+/// the mixed Bernoulli scores, then the 0.5 threshold. An item without
+/// answers keeps an empty set and a zero score row. Every scratch write
+/// overwrites its prefix, so one scratch serves any sequence of items.
+void PredictOneItem(const CpaModel& model, const PredictionTables& tables,
+                    const AnswerMatrix& answers,
+                    const sweep::ClusterActivity& activity, ItemId item,
+                    PredictionScratch& scratch, CpaPrediction& prediction);
 
 }  // namespace internal
 }  // namespace cpa

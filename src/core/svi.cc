@@ -102,7 +102,6 @@ Result<CpaOnline> CpaOnline::Create(std::size_t num_items, std::size_t num_worke
   online.item_seeded_.assign(num_items, false);
   online.seen_by_item_.resize(num_items);
   online.seen_by_worker_.resize(num_workers);
-  online.size_counts_.Reset(4, online.model_.num_clusters(), 0.0);
   return online;
 }
 
@@ -149,7 +148,6 @@ Status CpaOnline::ObserveBatch(const AnswerMatrix& answers,
   // --- Group the batch by worker and by item; update running tallies.
   std::map<WorkerId, std::vector<std::size_t>> by_worker;
   std::map<ItemId, std::vector<std::size_t>> by_item;
-  std::size_t max_answer_size = 0;
   for (std::size_t index : batch) {
     const WorkerId worker = view_.worker(index);
     const ItemId item = view_.item(index);
@@ -157,15 +155,8 @@ Status CpaOnline::ObserveBatch(const AnswerMatrix& answers,
     by_item[item].push_back(index);
     seen_by_worker_[worker].push_back(static_cast<std::uint32_t>(index));
     seen_by_item_[item].push_back(static_cast<std::uint32_t>(index));
-    max_answer_size = std::max(max_answer_size, view_.label_count(index));
-    if (!worker_seen_[worker]) {
-      worker_seen_[worker] = true;
-      ++workers_seen_;
-    }
-    if (!item_seen_[item]) {
-      item_seen_[item] = true;
-      ++items_seen_;
-    }
+    worker_seen_[worker] = true;
+    item_seen_[item] = true;
   }
   answers_seen_ += batch.size();
 
@@ -234,7 +225,6 @@ Status CpaOnline::ObserveBatch(const AnswerMatrix& answers,
         const std::string key = consensus.ToString();
         auto it = consensus_cluster_.find(key);
         if (it == consensus_cluster_.end() && next_cluster_ < T) {
-          cluster_consensus_.push_back(consensus);
           it = consensus_cluster_.emplace(key, next_cluster_++).first;
         }
         item_seeded_[item] = true;
@@ -349,19 +339,6 @@ Status CpaOnline::ObserveBatch(const AnswerMatrix& answers,
     sweep::UpdateZetaAndThetaChannel(model, activity, scheduler);
   }
 
-  // --- Size-prior counts (plain data statistic, no decay). A batch is
-  // small, so its row adds run inline on the calling thread.
-  if (max_answer_size + 3 > size_counts_.rows()) {
-    Matrix grown(max_answer_size + 3, T, 0.0);
-    std::copy(size_counts_.Data().begin(), size_counts_.Data().end(),
-              grown.Data().begin());
-    size_counts_ = std::move(grown);
-  }
-  sweep::AccumulateSizeCounts(model.phi, view_, batch, size_counts_);
-  model.size_prior = size_counts_.Transposed();
-  for (double& count : model.size_prior.Data()) count += 0.5;
-  model.size_prior.NormalizeRows();
-
   model.RefreshExpectations();
   return Status::OK();
 }
@@ -461,8 +438,9 @@ void CpaOnline::SaveState(CheckpointWriter& writer) const {
   writer.WriteU64(batch_count_);
   writer.WriteDouble(last_rate_);
   writer.WriteU64(answers_seen_);
-  writer.WriteU64(workers_seen_);
-  writer.WriteU64(items_seen_);
+  // Retired seen-counts: zero placeholders.
+  writer.WriteU64(0);
+  writer.WriteU64(0);
   writer.WriteBools(worker_seen_);
   writer.WriteBools(item_seen_);
   writer.WriteBools(item_seeded_);
@@ -475,12 +453,9 @@ void CpaOnline::SaveState(CheckpointWriter& writer) const {
     writer.WriteString(key);
     writer.WriteU64(cluster);
   }
-  writer.WriteU64(cluster_consensus_.size());
-  for (const LabelSet& consensus : cluster_consensus_) {
-    writer.WriteLabelSet(consensus);
-  }
+  writer.WriteU64(0);  // retired per-cluster consensus sets: none
   writer.WriteU64(next_cluster_);
-  writer.WriteMatrix(size_counts_.Transposed());
+  writer.WriteMatrix(Matrix());  // retired label-set-size counts: empty
 }
 
 Status CpaOnline::RestoreState(CheckpointReader& reader) {
@@ -506,8 +481,9 @@ Status CpaOnline::ReadState(CheckpointReader& reader) {
   CPA_ASSIGN_OR_RETURN(batch_count_, reader.ReadSize());
   CPA_ASSIGN_OR_RETURN(last_rate_, reader.ReadDouble());
   CPA_ASSIGN_OR_RETURN(answers_seen_, reader.ReadSize());
-  CPA_ASSIGN_OR_RETURN(workers_seen_, reader.ReadSize());
-  CPA_ASSIGN_OR_RETURN(items_seen_, reader.ReadSize());
+  // The retired worker and item seen-counts, discarded.
+  CPA_RETURN_NOT_OK(reader.ReadSize().status());
+  CPA_RETURN_NOT_OK(reader.ReadSize().status());
   CPA_ASSIGN_OR_RETURN(worker_seen_, reader.ReadBools());
   CPA_ASSIGN_OR_RETURN(item_seen_, reader.ReadBools());
   CPA_ASSIGN_OR_RETURN(item_seeded_, reader.ReadBools());
@@ -547,23 +523,24 @@ Status CpaOnline::ReadState(CheckpointReader& reader) {
     }
     consensus_cluster_.emplace(std::move(key), cluster);
   }
+  // The retired per-cluster consensus sets, discarded.
   CPA_ASSIGN_OR_RETURN(const std::size_t consensus_count, reader.ReadSize());
   if (consensus_count > reader.remaining() / sizeof(std::uint32_t)) {
     return Status::InvalidArgument("checkpoint consensus count too large");
   }
-  cluster_consensus_.assign(consensus_count, {});
-  for (LabelSet& consensus : cluster_consensus_) {
-    CPA_ASSIGN_OR_RETURN(consensus, reader.ReadLabelSet());
+  for (std::size_t k = 0; k < consensus_count; ++k) {
+    CPA_RETURN_NOT_OK(reader.ReadLabelSet().status());
   }
   CPA_ASSIGN_OR_RETURN(next_cluster_, reader.ReadSize());
   if (next_cluster_ > model_.num_clusters()) {
     return Status::InvalidArgument("checkpoint next_cluster out of range");
   }
-  CPA_ASSIGN_OR_RETURN(const Matrix cluster_major_counts, reader.ReadMatrix());
-  if (cluster_major_counts.rows() != model_.num_clusters()) {
-    return Status::InvalidArgument("checkpoint size_counts rows != T");
+  // The retired label-set-size counts (T rows in older blobs, empty
+  // since), discarded.
+  CPA_ASSIGN_OR_RETURN(const Matrix retired_counts, reader.ReadMatrix());
+  if (retired_counts.rows() != model_.num_clusters() && !retired_counts.empty()) {
+    return Status::InvalidArgument("checkpoint label-set-size counts rows != T");
   }
-  size_counts_ = cluster_major_counts.Transposed();
   return Status::OK();
 }
 

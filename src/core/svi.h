@@ -97,10 +97,12 @@ class CpaOnline {
   /// \name Checkpointing (engine/checkpoint.h).
   ///
   /// Serializes the model plus every piece of learner state that feeds
-  /// future batches (step counters, seen-sets, cluster seeding, size
-  /// counts). The one derived cache, the flat `AnswerView`, is rebuilt
-  /// lazily after restore, which is exact: it is a pure function of the
-  /// stream.
+  /// future batches (step counters, seen-sets, cluster seeding). The one
+  /// derived cache, the flat `AnswerView`, is rebuilt lazily after restore,
+  /// which is exact: it is a pure function of the stream. The layout keeps
+  /// slots for four retired fields (two seen-counts, the per-cluster
+  /// consensus sets and the label-set-size counts): written as zeros or
+  /// empty, and read, checked and discarded, so older blobs still restore.
   /// `RestoreState` requires a freshly `Create`d learner of the same
   /// dimensions; continuing afterwards is bit-identical to never stopping.
   /// A failed restore leaves the learner fresh.
@@ -148,9 +150,6 @@ class CpaOnline {
   std::size_t batch_count_ = 0;
   double last_rate_ = 0.0;
   std::size_t answers_seen_ = 0;
-  // Only the v1 checkpoint layout reads these two and `cluster_consensus_`.
-  std::size_t workers_seen_ = 0;
-  std::size_t items_seen_ = 0;
   std::vector<bool> worker_seen_;
   std::vector<bool> item_seen_;
 
@@ -169,14 +168,8 @@ class CpaOnline {
   // the allocations on noise.
   static constexpr std::size_t kMinAnswersToSeed = 2;
   std::map<std::string, std::size_t> consensus_cluster_;
-  std::vector<LabelSet> cluster_consensus_;
   std::size_t next_cluster_ = 0;
   std::vector<bool> item_seeded_;
-
-  // Undecayed ϕ-weighted answer-set-size counts feeding the size prior,
-  // size-major ((S+1) × T, `sweep::AccumulateSizeCounts`); checkpoints
-  // store the cluster-major transpose (T rows).
-  Matrix size_counts_;
 };
 
 }  // namespace cpa

@@ -168,8 +168,8 @@ void UpdateZeta(CpaModel& model, const ClusterActivity& activity,
                 const SweepScheduler& scheduler);
 
 /// Beta-Bernoulli label channel (θ_tc posteriors feeding the ϕ evidence
-/// term, marginal label scores, and the kBernoulliProfile prediction mode)
-/// from ϕ and ỹ.
+/// term and, through their means, the marginal label scores prediction
+/// thresholds) from ϕ and ỹ.
 void UpdateThetaChannel(CpaModel& model, const ClusterActivity& activity,
                         const SweepScheduler& scheduler);
 
@@ -178,26 +178,6 @@ void UpdateThetaChannel(CpaModel& model, const ClusterActivity& activity,
 /// and merge tree, so both come out bit for bit as the two calls give them.
 void UpdateZetaAndThetaChannel(CpaModel& model, const ClusterActivity& activity,
                                const SweepScheduler& scheduler);
-
-/// @}
-
-/// \name Label-set-size counts (the prediction size prior).
-/// @{
-
-/// Adds ϕ-weighted answer-set-size counts onto `counts`, which is
-/// size-major ((S+1) × T: row n holds the answers of size n): for every
-/// answer index j of `indices`, in order, counts(|x_j|, t) += ϕ(item_j, t)
-/// through `PhiRows::AddRows` over the item's one row. Each count receives
-/// its additions in answer order, and a skipped zero would only have added
-/// +0.0, so the bits match a dense row add.
-template <typename Indices>
-void AccumulateSizeCounts(const PhiRows& phi, const AnswerView& view,
-                          const Indices& indices, Matrix& counts) {
-  for (const std::size_t j : indices) {
-    const ItemId item = view.item(j);
-    phi.AddRows(item, item + 1, counts.Row(view.label_count(j)));
-  }
-}
 
 /// @}
 

@@ -188,7 +188,6 @@ Result<CpaModel> FitCpa(const AnswerMatrix& answers, std::size_t num_labels,
       if (options.label_evidence == LabelEvidence::kSelfTraining && iter > 0) {
         sweep::UpdateThetaChannel(model, activity, scheduler);
         model.RefreshExpectations();
-        model.UpdateSizePrior(view);
         // Scheduled on the fit's own scheduler: the self-training predict
         // pass reuses the already-warm lane arenas.
         auto predicted = PredictLabels(model, answers, scheduler);
@@ -226,8 +225,6 @@ Result<CpaModel> FitCpa(const AnswerMatrix& answers, std::size_t num_labels,
     }
     if (change < 10.0 * options.tolerance) evidence_frozen = true;
   }
-
-  model.UpdateSizePrior(view);
   return model;
 }
 

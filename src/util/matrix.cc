@@ -31,10 +31,6 @@ double Matrix::ColSum(std::size_t c) const {
   return total;
 }
 
-void Matrix::NormalizeRows() {
-  for (std::size_t r = 0; r < rows_; ++r) NormalizeInPlace(Row(r));
-}
-
 double Matrix::MaxAbsDiff(const Matrix& other) const {
   CPA_CHECK_EQ(rows_, other.rows_);
   CPA_CHECK_EQ(cols_, other.cols_);
@@ -45,16 +41,6 @@ std::size_t Matrix::ArgMaxRow(std::size_t r) const {
   const auto row = Row(r);
   return static_cast<std::size_t>(
       std::max_element(row.begin(), row.end()) - row.begin());
-}
-
-Matrix Matrix::Transposed() const {
-  Matrix out(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t c = 0; c < cols_; ++c) {
-      out.data_[c * rows_ + r] = data_[r * cols_ + c];
-    }
-  }
-  return out;
 }
 
 // Sum, Dot and Axpy are defined in core/sweep/sweep_kernels_avx2.cc — the

@@ -72,18 +72,11 @@ class Matrix {
   double RowSum(std::size_t r) const;
   double ColSum(std::size_t c) const;
 
-  /// Normalises every row to sum to one (rows summing to <= 0 become
-  /// uniform).
-  void NormalizeRows();
-
   /// Largest absolute entry-wise difference against `other` (same shape).
   double MaxAbsDiff(const Matrix& other) const;
 
   /// Index of the largest entry in row `r`.
   std::size_t ArgMaxRow(std::size_t r) const;
-
-  /// The cols x rows transpose (entries copied, never recomputed).
-  Matrix Transposed() const;
 
  private:
   std::size_t rows_;

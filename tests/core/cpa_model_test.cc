@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/sweep/answer_view.h"
 #include "core/sweep/sweep_scheduler.h"
 #include "util/rng.h"
 #include "util/special_functions.h"
@@ -132,17 +131,38 @@ TEST(StickBreakingTest, ExpectedMassesFormSubProbability) {
   EXPECT_GT(total, 0.5);
 }
 
-TEST(CpaModelTest, RefreshExpectationsMatchesDirichletDefinition) {
-  auto model = CpaModel::Create(4, 3, 3, SmallOptions());
+TEST(CpaModelTest, RefreshThetaExpectationsMatchesBetaDefinition) {
+  // T = 4 clusters, C = 6 labels (non-square, so a transposed index in the
+  // label-major delta cache cannot pass), every (a, b) distinct.
+  auto model = CpaModel::Create(4, 3, 6, SmallOptions());
   ASSERT_TRUE(model.ok());
   CpaModel& m = model.value();
-  m.zeta(0, 0) = 4.0;
-  m.zeta(0, 1) = 2.0;
-  m.zeta(0, 2) = 2.0;
-  m.RefreshExpectations();
-  const double digamma_sum = Digamma(8.0);
-  EXPECT_NEAR(m.elog_phi(0, 0), Digamma(4.0) - digamma_sum, 1e-12);
-  EXPECT_NEAR(m.elog_phi(0, 1), Digamma(2.0) - digamma_sum, 1e-12);
+  for (std::size_t t = 0; t < 4; ++t) {
+    for (std::size_t c = 0; c < 6; ++c) {
+      const double x = static_cast<double>(t);
+      const double y = static_cast<double>(c);
+      m.theta_a(t, c) = 0.3 + 0.7 * x + 0.11 * y;
+      m.theta_b(t, c) = 2.5 + 0.05 * x * y;
+    }
+  }
+  m.RefreshThetaExpectations();
+  ASSERT_EQ(m.elog_theta_delta_t.rows(), 6u);
+  ASSERT_EQ(m.elog_theta_delta_t.cols(), 4u);
+  for (std::size_t t = 0; t < 4; ++t) {
+    double base = 0.0;
+    for (std::size_t c = 0; c < 6; ++c) {
+      const double a = m.theta_a(t, c);
+      const double b = m.theta_b(t, c);
+      const double on = Digamma(a) - Digamma(a + b);
+      const double off = Digamma(b) - Digamma(a + b);
+      base += off;
+      EXPECT_EQ(m.elog_theta(t, c), on);
+      EXPECT_EQ(m.elog_not_theta(t, c), off);
+      EXPECT_EQ(m.elog_theta_delta_t(c, t), on - off);
+      EXPECT_EQ(m.bernoulli_profile(t, c), a / (a + b));
+    }
+    EXPECT_EQ(m.elog_theta_base[t], base);
+  }
 }
 
 TEST(CpaModelTest, AnswerExpectedLogLikSumsSelectedComponents) {
@@ -153,84 +173,6 @@ TEST(CpaModelTest, AnswerExpectedLogLikSumsSelectedComponents) {
   const LabelSet labels = {0, 2};
   const double expected = m.elog_psi[1](2, 0) + m.elog_psi[1](2, 2);
   EXPECT_NEAR(m.AnswerExpectedLogLik(1, 2, labels), expected, 1e-12);
-}
-
-TEST(CpaModelTest, UpdateSizePriorTracksAnswerSizes) {
-  auto model = CpaModel::Create(3, 2, 5, SmallOptions());
-  ASSERT_TRUE(model.ok());
-  CpaModel& m = model.value();
-  AnswerMatrix answers(3, 2);
-  ASSERT_TRUE(answers.Add(0, 0, LabelSet{0, 1}).ok());
-  ASSERT_TRUE(answers.Add(1, 0, LabelSet{0, 1}).ok());
-  ASSERT_TRUE(answers.Add(2, 1, LabelSet{2}).ok());
-  m.UpdateSizePrior(AnswerView(answers));
-  // Rows normalised, with most mass on sizes 1 and 2.
-  for (std::size_t t = 0; t < m.num_clusters(); ++t) {
-    EXPECT_NEAR(Sum(m.size_prior.Row(t)), 1.0, 1e-9);
-  }
-  // Aggregate over clusters: size 2 mass should exceed size 4 mass.
-  double size2 = 0.0;
-  double size4 = 0.0;
-  for (std::size_t t = 0; t < m.num_clusters(); ++t) {
-    size2 += m.size_prior(t, 2);
-    size4 += m.size_prior(t, 4);
-  }
-  EXPECT_GT(size2, size4);
-}
-
-/// The cluster-major strided accumulation `UpdateSizePrior` used to run:
-/// every (t, n) entry starts at 0.5 and receives the ϕ of each answer of
-/// size n, in answer order.
-Matrix StridedSizePriorReference(const PhiRows& phi, const AnswerMatrix& answers) {
-  std::size_t max_size = 1;
-  for (const Answer& a : answers.answers()) max_size = std::max(max_size, a.labels.size());
-  Matrix prior(phi.cols(), max_size + 3, 0.5);
-  for (const Answer& a : answers.answers()) {
-    const std::vector<double> row = phi.DenseRow(a.item);
-    for (std::size_t t = 0; t < phi.cols(); ++t) {
-      prior(t, a.labels.size()) += row[t];
-    }
-  }
-  prior.NormalizeRows();
-  return prior;
-}
-
-TEST(CpaModelTest, UpdateSizePriorBitIdenticalToStridedReference) {
-  // Rows of every stored form: initial (regenerated), one-hot, and floored
-  // softmax rows with exact zeros (dropped by the store).
-  CpaOptions options = SmallOptions();
-  options.max_clusters = 300;
-  auto model = CpaModel::Create(40, 30, 8, options);
-  ASSERT_TRUE(model.ok());
-  CpaModel& m = model.value();
-  Rng rng(17);
-  std::vector<double> logits(m.num_clusters());
-  for (ItemId i = 0; i < 40; ++i) {
-    if (i % 3 == 1) m.phi.AssignOneHot(i, rng.NextBounded(m.num_clusters()));
-    if (i % 3 == 2) {
-      for (double& logit : logits) logit = -60.0 * rng.NextDouble();
-      SoftmaxInPlace(logits, 27.6);
-      m.phi.Assign(i, logits);
-    }
-  }
-  AnswerMatrix answers(40, 30);
-  for (ItemId i = 0; i < 40; ++i) {
-    for (WorkerId u = 0; u < 30; u += 1 + static_cast<WorkerId>(rng.NextBounded(3))) {
-      LabelSet labels;
-      const std::uint64_t size = 1 + rng.NextBounded(5);
-      for (std::uint64_t k = 0; k < size; ++k) {
-        labels.Add(static_cast<LabelId>(rng.NextBounded(8)));
-      }
-      ASSERT_TRUE(answers.Add(i, u, labels).ok());
-    }
-  }
-  const Matrix expected = StridedSizePriorReference(m.phi, answers);
-  m.UpdateSizePrior(AnswerView(answers));
-  ASSERT_EQ(m.size_prior.rows(), expected.rows());
-  ASSERT_EQ(m.size_prior.cols(), expected.cols());
-  EXPECT_EQ(std::memcmp(m.size_prior.Data().data(), expected.Data().data(),
-                        expected.size() * sizeof(double)),
-            0);
 }
 
 TEST(CpaModelTest, CreateMatchesTheDenseInitialisationBitForBit) {

@@ -4,7 +4,6 @@
 
 #include <cmath>
 #include <limits>
-#include <numeric>
 
 #include "data/dataset.h"
 
@@ -21,7 +20,6 @@ struct FittedWorld {
 };
 
 FittedWorld FitWorld(std::uint64_t seed, const PopulationMix& mix,
-                     PredictionMode mode = PredictionMode::kBernoulliProfile,
                      std::size_t items = 150) {
   Rng rng(seed);
   TruthConfig truth_config;
@@ -57,7 +55,6 @@ FittedWorld FitWorld(std::uint64_t seed, const PopulationMix& mix,
   options.max_communities = 6;
   options.max_clusters = 48;
   options.max_iterations = 20;
-  options.prediction_mode = mode;
   auto model = FitCpa(world.dataset.answers, 10, options);
   EXPECT_TRUE(model.ok());
   world.model = std::move(model).value();
@@ -81,21 +78,10 @@ struct ItemPipeline {
     return scratch.log_weights;
   }
 
-  std::vector<LabelId> Candidates(const AnswerMatrix& answers, ItemId item,
-                                  std::span<const double> log_weights) {
-    internal::CollectCandidates(tables, answers, item, log_weights, scratch);
-    return scratch.candidates;
-  }
-
-  LabelSet Greedy(std::span<const double> log_weights,
-                  std::span<const LabelId> candidates) {
-    return internal::GreedyInstantiate(tables, log_weights, candidates, scratch);
-  }
-
-  LabelSet Exhaustive(std::span<const double> log_weights,
-                      std::span<const LabelId> candidates, std::size_t max_size) {
-    return internal::ExhaustiveInstantiate(tables, log_weights, candidates, max_size,
-                                           scratch);
+  /// Predicts `item` into `prediction` (sized for the model's items).
+  void Predict(const AnswerMatrix& answers, ItemId item, CpaPrediction& prediction) {
+    internal::PredictOneItem(model, tables, answers, activity, item, scratch,
+                             prediction);
   }
 
   const CpaModel& model;
@@ -127,28 +113,6 @@ TEST(PredictLabelsTest, AccurateOnReliableCrowd) {
   EXPECT_GT(MeanF1(prediction.value().labels, world.dataset.ground_truth), 0.85);
 }
 
-TEST(PredictLabelsTest, MultinomialSizePriorModeIsReasonableButSizeBiased) {
-  // The paper-literal multinomial mode systematically under-predicts large
-  // sets: clearly usable, but measurably below the
-  // Bernoulli default on the same data.
-  const FittedWorld multinomial =
-      FitWorld(3, PopulationMix::AllReliable(), PredictionMode::kMultinomialSizePrior);
-  const FittedWorld bernoulli =
-      FitWorld(3, PopulationMix::AllReliable(), PredictionMode::kBernoulliProfile);
-  const auto multinomial_prediction =
-      PredictLabels(multinomial.model, multinomial.dataset.answers);
-  const auto bernoulli_prediction =
-      PredictLabels(bernoulli.model, bernoulli.dataset.answers);
-  ASSERT_TRUE(multinomial_prediction.ok());
-  ASSERT_TRUE(bernoulli_prediction.ok());
-  const double multinomial_f1 =
-      MeanF1(multinomial_prediction.value().labels, multinomial.dataset.ground_truth);
-  const double bernoulli_f1 =
-      MeanF1(bernoulli_prediction.value().labels, bernoulli.dataset.ground_truth);
-  EXPECT_GT(multinomial_f1, 0.5);
-  EXPECT_GE(bernoulli_f1, multinomial_f1);
-}
-
 TEST(PredictLabelsTest, ScoresAreProbabilities) {
   const FittedWorld world = FitWorld(5, PopulationMix::PaperSimulationDefault());
   const auto prediction = PredictLabels(world.model, world.dataset.answers);
@@ -175,8 +139,7 @@ TEST(PredictLabelsTest, UnansweredItemsStayEmpty) {
 }
 
 TEST(PredictLabelsTest, DimensionMismatchIsError) {
-  const FittedWorld world = FitWorld(9, PopulationMix::AllReliable(),
-                                     PredictionMode::kMultinomialSizePrior, 50);
+  const FittedWorld world = FitWorld(9, PopulationMix::AllReliable(), 50);
   const AnswerMatrix wrong(3, 3);
   EXPECT_FALSE(PredictLabels(world.model, wrong).ok());
 }
@@ -193,165 +156,56 @@ TEST(PredictLabelsTest, ParallelPredictionMatchesSequential) {
   }
 }
 
-TEST(GreedyVsExhaustiveTest, GreedyMatchesOracleOnMostItems) {
-  const FittedWorld world = FitWorld(13, PopulationMix::PaperSimulationDefault(),
-                                     PredictionMode::kMultinomialSizePrior, 80);
-  ItemPipeline pipeline(world.model);
-  std::size_t matches = 0;
-  std::size_t compared = 0;
-  double greedy_total = 0.0;
-  double oracle_total = 0.0;
-  for (ItemId i = 0; i < 80; ++i) {
-    if (world.dataset.answers.AnswersOfItem(i).empty()) continue;
-    const auto log_weights = pipeline.LogWeights(world.dataset.answers, i);
-    auto candidates = pipeline.Candidates(world.dataset.answers, i, log_weights);
-    if (candidates.size() > 14) candidates.resize(14);  // keep the oracle cheap
-    const LabelSet greedy = pipeline.Greedy(log_weights, candidates);
-    const LabelSet oracle = pipeline.Exhaustive(
-        log_weights, candidates, pipeline.tables.log_size_prior.cols() - 1);
-    ++compared;
-    matches += (greedy == oracle);
-    greedy_total += static_cast<double>(greedy.size());
-    oracle_total += static_cast<double>(oracle.size());
+TEST(PredictLabelsTest, ZeroAnswerItemStaysEmptyWithZeroScores) {
+  // An item with no observed answers must instantiate the empty set and
+  // leave an all-zero score row.
+  const FittedWorld world = FitWorld(7, PopulationMix::AllReliable());
+  std::vector<std::size_t> keep;
+  for (std::size_t index = 0; index < world.dataset.answers.num_answers(); ++index) {
+    if (world.dataset.answers.answer(index).item != 3) keep.push_back(index);
   }
-  ASSERT_GT(compared, 0u);
-  // Greedy is not exact, but must agree with the oracle on the vast
-  // majority of items and produce similar set sizes overall.
-  EXPECT_GT(static_cast<double>(matches) / compared, 0.85);
-  EXPECT_NEAR(greedy_total / compared, oracle_total / compared, 0.5);
-}
-
-TEST(GreedyInstantiateTest, EmptyCandidatesGiveEmptySet) {
-  const FittedWorld world = FitWorld(17, PopulationMix::AllReliable(),
-                                     PredictionMode::kMultinomialSizePrior, 40);
-  ItemPipeline pipeline(world.model);
-  const auto log_weights = pipeline.LogWeights(world.dataset.answers, 0);
-  EXPECT_TRUE(pipeline.Greedy(log_weights, {}).empty());
-}
-
-TEST(ExhaustiveInstantiateTest, RespectsMaxSize) {
-  const FittedWorld world = FitWorld(19, PopulationMix::AllReliable(),
-                                     PredictionMode::kMultinomialSizePrior, 40);
-  ItemPipeline pipeline(world.model);
-  const auto log_weights = pipeline.LogWeights(world.dataset.answers, 0);
-  const std::vector<LabelId> candidates = {0, 1, 2, 3, 4, 5};
-  const LabelSet set = pipeline.Exhaustive(log_weights, candidates, 2);
-  EXPECT_LE(set.size(), 2u);
-}
-
-TEST(CollectCandidatesTest, ContainsAnsweredLabels) {
-  const FittedWorld world = FitWorld(23, PopulationMix::AllReliable(),
-                                     PredictionMode::kMultinomialSizePrior, 60);
-  ItemPipeline pipeline(world.model);
-  for (ItemId i = 0; i < 10; ++i) {
-    const auto indices = world.dataset.answers.AnswersOfItem(i);
-    if (indices.empty()) continue;
-    const auto log_weights = pipeline.LogWeights(world.dataset.answers, i);
-    const auto candidates = pipeline.Candidates(world.dataset.answers, i, log_weights);
-    for (std::size_t index : indices) {
-      for (LabelId c : world.dataset.answers.answer(index).labels) {
-        EXPECT_NE(std::find(candidates.begin(), candidates.end(), c), candidates.end())
-            << "label " << c << " missing from candidates of item " << i;
-      }
-    }
+  const AnswerMatrix sparse = world.dataset.answers.Subset(keep);
+  const auto model = FitCpa(sparse, 10, world.model.options());
+  ASSERT_TRUE(model.ok());
+  const auto prediction = PredictLabels(model.value(), sparse);
+  ASSERT_TRUE(prediction.ok());
+  EXPECT_TRUE(prediction.value().labels[3].empty());
+  for (double score : prediction.value().scores.Row(3)) {
+    EXPECT_EQ(score, 0.0);
   }
-}
-
-TEST(PredictLabelsTest, ZeroAnswerItemStaysEmptyInBothModes) {
-  // An item with no observed answers must instantiate the empty set — in
-  // the Bernoulli default and in the multinomial greedy mode — and leave
-  // an all-zero score row.
-  for (PredictionMode mode :
-       {PredictionMode::kBernoulliProfile, PredictionMode::kMultinomialSizePrior}) {
-    const FittedWorld world = FitWorld(7, PopulationMix::AllReliable(), mode);
-    std::vector<std::size_t> keep;
-    for (std::size_t index = 0; index < world.dataset.answers.num_answers();
-         ++index) {
-      if (world.dataset.answers.answer(index).item != 3) keep.push_back(index);
-    }
-    const AnswerMatrix sparse = world.dataset.answers.Subset(keep);
-    const auto model = FitCpa(sparse, 10, world.model.options());
-    ASSERT_TRUE(model.ok());
-    const auto prediction = PredictLabels(model.value(), sparse);
-    ASSERT_TRUE(prediction.ok());
-    EXPECT_TRUE(prediction.value().labels[3].empty());
-    for (double score : prediction.value().scores.Row(3)) {
-      EXPECT_EQ(score, 0.0);
-    }
-  }
-}
-
-TEST(GreedyInstantiateTest, WeightsPrunedToSingleClusterStillInstantiate) {
-  // One dominant cluster: everything else falls below the prune threshold
-  // after normalisation, so the greedy must run on exactly one active
-  // cluster and still produce that cluster's labels.
-  const FittedWorld world = FitWorld(31, PopulationMix::AllReliable(),
-                                     PredictionMode::kMultinomialSizePrior, 60);
-  ItemPipeline pipeline(world.model);
-  std::vector<double> log_weights(world.model.num_clusters(), -1e6);
-  log_weights[1] = 0.0;  // all the mass on cluster 1
-  const std::vector<LabelId> candidates = pipeline.tables.top_labels[1];
-  const LabelSet greedy = pipeline.Greedy(log_weights, candidates);
-  EXPECT_EQ(pipeline.scratch.active_count, 1u);
-  EXPECT_EQ(pipeline.scratch.active_ids[0], 1u);
-  // The single-cluster oracle agrees.
-  EXPECT_EQ(greedy, pipeline.Exhaustive(log_weights, candidates,
-                                        pipeline.tables.log_size_prior.cols() - 1));
-}
-
-TEST(GreedyInstantiateTest, CandidatePoolBeyondSizePriorSupportIsCapped) {
-  // More candidates than the size prior supports: SetScore returns -inf
-  // for any n >= log_size_prior.cols(), so the instantiated set must stop
-  // strictly below the support bound no matter how many candidates score
-  // well.
-  const FittedWorld world = FitWorld(37, PopulationMix::AllReliable(),
-                                     PredictionMode::kMultinomialSizePrior, 60);
-  ItemPipeline pipeline(world.model);
-  const std::size_t support = pipeline.tables.log_size_prior.cols();
-  ASSERT_GT(support, 1u);
-  const auto log_weights = pipeline.LogWeights(world.dataset.answers, 0);
-  std::vector<LabelId> all_labels(world.model.num_labels());
-  std::iota(all_labels.begin(), all_labels.end(), 0u);
-  ASSERT_GE(all_labels.size(), support);
-  EXPECT_LT(pipeline.Greedy(log_weights, all_labels).size(), support);
-  EXPECT_LT(pipeline.Exhaustive(log_weights, all_labels, all_labels.size()).size(),
-            support);
 }
 
 TEST(PredictLabelsTest, ParallelAndArenaPathsAreBitIdentical) {
   // The memory-plane acceptance on the prediction side: sequential
   // (inline, lane-0 arena), 4-thread (per-lane arenas), and the
   // scratch-form per-item pipeline all produce identical labels and
-  // bit-identical scores — in both prediction modes.
-  for (PredictionMode mode :
-       {PredictionMode::kBernoulliProfile, PredictionMode::kMultinomialSizePrior}) {
-    const FittedWorld world = FitWorld(41, PopulationMix::PaperSimulationDefault(),
-                                       mode);
-    const auto sequential = PredictLabels(world.model, world.dataset.answers);
-    ThreadPool pool(4);
-    const auto parallel = PredictLabels(world.model, world.dataset.answers, &pool);
-    ASSERT_TRUE(sequential.ok());
-    ASSERT_TRUE(parallel.ok());
-    ASSERT_EQ(sequential.value().labels.size(), parallel.value().labels.size());
-    for (std::size_t i = 0; i < sequential.value().labels.size(); ++i) {
-      EXPECT_EQ(sequential.value().labels[i], parallel.value().labels[i]) << i;
-    }
-    EXPECT_DOUBLE_EQ(
-        sequential.value().scores.MaxAbsDiff(parallel.value().scores), 0.0);
-
-    if (mode != PredictionMode::kMultinomialSizePrior) continue;
-    // The scratch forms, one item at a time over a local arena, against
-    // the sharded PredictLabels output.
-    ItemPipeline pipeline(world.model);
-    for (ItemId i = 0; i < world.dataset.num_items(); ++i) {
-      if (world.dataset.answers.AnswersOfItem(i).empty()) continue;
-      const auto log_weights = pipeline.LogWeights(world.dataset.answers, i);
-      const auto candidates =
-          pipeline.Candidates(world.dataset.answers, i, log_weights);
-      EXPECT_EQ(pipeline.Greedy(log_weights, candidates), sequential.value().labels[i])
-          << "item " << i;
-    }
+  // bit-identical scores.
+  const FittedWorld world = FitWorld(41, PopulationMix::PaperSimulationDefault());
+  const auto sequential = PredictLabels(world.model, world.dataset.answers);
+  ThreadPool pool(4);
+  const auto parallel = PredictLabels(world.model, world.dataset.answers, &pool);
+  ASSERT_TRUE(sequential.ok());
+  ASSERT_TRUE(parallel.ok());
+  ASSERT_EQ(sequential.value().labels.size(), parallel.value().labels.size());
+  for (std::size_t i = 0; i < sequential.value().labels.size(); ++i) {
+    EXPECT_EQ(sequential.value().labels[i], parallel.value().labels[i]) << i;
   }
+  EXPECT_DOUBLE_EQ(sequential.value().scores.MaxAbsDiff(parallel.value().scores), 0.0);
+
+  // The scratch form, one item at a time over a local arena (descending,
+  // so every item follows a different one than in a shard), against the
+  // sharded PredictLabels output.
+  ItemPipeline pipeline(world.model);
+  CpaPrediction items;
+  items.labels.resize(world.dataset.num_items());
+  items.scores.Reset(world.dataset.num_items(), world.model.num_labels());
+  for (std::size_t i = world.dataset.num_items(); i-- > 0;) {
+    pipeline.Predict(world.dataset.answers, static_cast<ItemId>(i), items);
+  }
+  for (std::size_t i = 0; i < items.labels.size(); ++i) {
+    EXPECT_EQ(items.labels[i], sequential.value().labels[i]) << "item " << i;
+  }
+  EXPECT_EQ(items.scores.MaxAbsDiff(sequential.value().scores), 0.0);
 }
 
 /// The per-(answer, cluster) likelihood term exactly as the dense loop
@@ -399,8 +253,7 @@ std::vector<double> DenseItemLogWeights(const CpaModel& model,
 }
 
 TEST(ItemClusterLogWeightsTest, LiveCommunityPathEqualsDenseFormula) {
-  FittedWorld world = FitWorld(17, PopulationMix::PaperSimulationDefault(),
-                               PredictionMode::kMultinomialSizePrior);
+  FittedWorld world = FitWorld(17, PopulationMix::PaperSimulationDefault());
   CpaModel& model = world.model;
   const std::size_t M = model.num_communities();
   ASSERT_GE(M, 5u);

@@ -248,10 +248,11 @@ std::uint64_t Fnv1a(std::string_view bytes) {
 }
 
 TEST(CpaOnlineTest, CheckpointBytesMatchGolden) {
-  // Size and FNV-1a hash of a learner's checkpoint after a fixed stream,
-  // recorded at commit cf37490: pins the online fit and the checkpoint's
-  // cluster-major (T-row) layout of the running label-set-size counts to
-  // the byte. A restore and re-save must reproduce the same bytes.
+  // Size and FNV-1a hash of a learner's checkpoint after a fixed stream:
+  // pins the online fit and the checkpoint layout, whose retired fields
+  // (seen-counts, per-cluster consensus sets, label-set-size counts and
+  // prior) are written as fixed placeholders, to the byte. A restore and
+  // re-save must reproduce the same bytes.
   const Dataset dataset = OnlineDataset(43, 120);
   Rng rng(47);
   const BatchPlan plan = MakeWorkerBatches(dataset.answers, 10, rng);
@@ -264,8 +265,8 @@ TEST(CpaOnlineTest, CheckpointBytesMatchGolden) {
   CheckpointWriter writer;
   online.value().SaveState(writer);
   const std::string& bytes = writer.bytes();
-  EXPECT_EQ(bytes.size(), 112716u);
-  EXPECT_EQ(Fnv1a(bytes), 0xd59c127fd74b0799ULL) << StrFormat(
+  EXPECT_EQ(bytes.size(), 105092u);
+  EXPECT_EQ(Fnv1a(bytes), 0xd830243d847838e0ULL) << StrFormat(
       "0x%016llx", static_cast<unsigned long long>(Fnv1a(bytes)));
 
   auto restored = CpaOnline::Create(dataset.num_items(), dataset.num_workers(), 10,

@@ -19,8 +19,7 @@
 namespace cpa {
 namespace {
 
-/// Small simulated stream: 10 labels keeps even the No L exhaustive
-/// instantiation fast.
+/// Small simulated stream: 10 labels, 30 workers.
 Dataset StreamDataset(std::uint64_t seed, std::size_t items = 150) {
   Rng rng(seed);
   TruthConfig truth_config;

@@ -50,17 +50,6 @@ TEST(MatrixTest, RowAndColSums) {
   EXPECT_DOUBLE_EQ(m.ColSum(1), 6.0);
 }
 
-TEST(MatrixTest, NormalizeRowsMakesStochastic) {
-  Matrix m = {{2.0, 2.0}, {0.0, 0.0}, {1.0, 3.0}};
-  m.NormalizeRows();
-  EXPECT_DOUBLE_EQ(m(0, 0), 0.5);
-  EXPECT_DOUBLE_EQ(m(1, 0), 0.5);  // zero row becomes uniform
-  EXPECT_DOUBLE_EQ(m(2, 1), 0.75);
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    EXPECT_NEAR(m.RowSum(r), 1.0, 1e-12);
-  }
-}
-
 TEST(MatrixTest, MaxAbsDiff) {
   Matrix a = {{1.0, 2.0}};
   Matrix b = {{1.5, 1.0}};
@@ -72,18 +61,6 @@ TEST(MatrixTest, ArgMaxRow) {
   Matrix m = {{0.1, 0.7, 0.2}, {0.9, 0.05, 0.05}};
   EXPECT_EQ(m.ArgMaxRow(0), 1u);
   EXPECT_EQ(m.ArgMaxRow(1), 0u);
-}
-
-TEST(MatrixTest, TransposedSwapsRowsAndColumns) {
-  const Matrix m = {{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}};
-  const Matrix t = m.Transposed();
-  ASSERT_EQ(t.rows(), 3u);
-  ASSERT_EQ(t.cols(), 2u);
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    for (std::size_t c = 0; c < m.cols(); ++c) EXPECT_EQ(t(c, r), m(r, c));
-  }
-  EXPECT_EQ(t.Transposed().MaxAbsDiff(m), 0.0);
-  EXPECT_TRUE(Matrix().Transposed().empty());
 }
 
 TEST(VectorKernelsTest, SumAndNormalize) {
