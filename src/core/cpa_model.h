@@ -18,6 +18,8 @@
 /// (`LabelEvidence`), and cached digamma expectations refreshed once per
 /// sweep. Prediction reads κ, ϕ, λ and the θ posterior means
 /// (`bernoulli_profile`); nothing reads ζ's expectation, so none is cached.
+/// Only the `PhiMean`/`CommunityReliability` accessors read ζ; no fit or
+/// prediction does.
 ///
 /// The parameter members are deliberately public: the inference modules
 /// (vi.cc, svi.cc) own their mutation. External consumers use the

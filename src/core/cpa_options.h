@@ -25,10 +25,11 @@ enum class LabelEvidence {
   kAnswerFrequency,
 
   /// Like kAnswerFrequency, but each answer is weighted by its worker's
-  /// community reliability — a community's reliability being the agreement
-  /// of its confusion vectors ψ with the cluster profiles φ across
-  /// clusters. This mutual-reinforcement loop suppresses spammer influence
-  /// on the profiles. Default.
+  /// reliability (`sweep::ComputeWorkerReliability`): the worker's mean
+  /// soft-Jaccard agreement with the current consensus ỹ, shrunk toward
+  /// the κ-mixed mean of its communities, sharpened and floored (the
+  /// `reliability_*` fields below). This mutual-reinforcement loop
+  /// suppresses spammer influence on the consensus. Default.
   kReliabilityWeighted,
 
   /// Feeds each sweep's predicted label sets back as hard pseudo truth

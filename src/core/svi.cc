@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 #include "core/sweep/sweep_kernels.h"
 #include "core/sweep/sweep_scheduler.h"
@@ -18,6 +17,11 @@ namespace {
 /// enough answers — judging against one- or two-answer "consensus" crushes
 /// honest workers and locks the reinforcement loop into noise.
 constexpr std::size_t kMinAnswersForReliability = 4;
+
+/// Forgetting rate r of the reported learning rate ω_b = (1+b)^{−r}: the
+/// paper finds r ∈ [0.85, 0.9] best and uses 0.875 in its scalability
+/// experiments (§4.1). No update reads ω_b (see svi.h).
+constexpr double kForgettingRate = 0.875;
 
 /// Workers per reliability shard: a worker's seen answers are few, so
 /// shards stay coarse enough to amortise the pool hand-off.
@@ -73,15 +77,19 @@ void UpdateSeenWorkerReliability(
   }
 }
 
+/// The checkpoint's seen flags: entity k has been seen iff its seen list is
+/// non-empty.
+std::vector<bool> SeenFlags(const std::vector<std::vector<std::uint32_t>>& seen) {
+  std::vector<bool> flags(seen.size());
+  for (std::size_t k = 0; k < seen.size(); ++k) flags[k] = !seen[k].empty();
+  return flags;
+}
+
 }  // namespace
 
 Status SviOptions::Validate() const {
   if (workers_per_batch == 0) {
     return Status::InvalidArgument("workers_per_batch must be positive");
-  }
-  if (forgetting_rate <= 0.5 || forgetting_rate > 1.0) {
-    return Status::InvalidArgument(
-        StrFormat("forgetting_rate %.3f outside (0.5, 1]", forgetting_rate));
   }
   return Status::OK();
 }
@@ -94,11 +102,7 @@ Result<CpaOnline> CpaOnline::Create(std::size_t num_items, std::size_t num_worke
                        CpaModel::Create(num_items, num_workers, num_labels, options));
   CpaOnline online;
   online.model_ = std::move(model);
-  online.svi_options_ = svi_options;
-  online.pool_ = pool;
   online.scheduler_ = std::make_unique<SweepScheduler>(pool);
-  online.worker_seen_.assign(num_workers, false);
-  online.item_seen_.assign(num_items, false);
   online.item_seeded_.assign(num_items, false);
   online.seen_by_item_.resize(num_items);
   online.seen_by_worker_.resize(num_workers);
@@ -131,8 +135,7 @@ Status CpaOnline::ObserveBatch(const AnswerMatrix& answers,
   const CpaOptions& options = model.options();
 
   ++batch_count_;
-  last_rate_ =
-      std::pow(1.0 + static_cast<double>(batch_count_), -svi_options_.forgetting_rate);
+  last_rate_ = std::pow(1.0 + static_cast<double>(batch_count_), -kForgettingRate);
 
   // Auto-calibrate the θ-channel prior mean on the first batch
   // (cpa_options.h).
@@ -145,24 +148,25 @@ Status CpaOnline::ObserveBatch(const AnswerMatrix& answers,
                             static_cast<double>(C));
   }
 
-  // --- Group the batch by worker and by item; update running tallies.
-  std::map<WorkerId, std::vector<std::size_t>> by_worker;
-  std::map<ItemId, std::vector<std::size_t>> by_item;
+  // --- Record the batch in the seen lists; collect its distinct workers
+  // and items in ascending order.
+  std::vector<WorkerId> batch_workers;
+  std::vector<ItemId> batch_items;
+  batch_workers.reserve(batch.size());
+  batch_items.reserve(batch.size());
   for (std::size_t index : batch) {
     const WorkerId worker = view_.worker(index);
     const ItemId item = view_.item(index);
-    by_worker[worker].push_back(index);
-    by_item[item].push_back(index);
+    batch_workers.push_back(worker);
+    batch_items.push_back(item);
     seen_by_worker_[worker].push_back(static_cast<std::uint32_t>(index));
     seen_by_item_[item].push_back(static_cast<std::uint32_t>(index));
-    worker_seen_[worker] = true;
-    item_seen_[item] = true;
   }
   answers_seen_ += batch.size();
-
-  std::vector<WorkerId> batch_workers;
-  batch_workers.reserve(by_worker.size());
-  for (const auto& [u, unused] : by_worker) batch_workers.push_back(u);
+  for (auto* ids : {&batch_workers, &batch_items}) {
+    std::sort(ids->begin(), ids->end());
+    ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
+  }
 
   // --- MAP phase: local κ updates for the batch workers (parallel; rows
   // are disjoint), through the shared Eq. 2 kernel. Every reader of this
@@ -183,100 +187,92 @@ Status CpaOnline::ObserveBatch(const AnswerMatrix& answers,
         /*min_shard=*/4);
   }
 
-  // --- Reinforcement rounds over the batch: reliability weights →
-  // consensus evidence → cluster assignments → θ channel, repeated a few
-  // times (the offline fit gets this reinforcement for free across its
-  // sweeps; a single pass leaves the online consensus noticeably mushier).
-  // Each round writes ϕ only for the batch items.
-  std::vector<ItemId> seeded_now;
+  // --- One reinforcement pass over the batch: reliability weights →
+  // consensus evidence → cluster assignments → θ channel (the offline fit
+  // gets this reinforcement across its sweeps). It writes ϕ only for the
+  // batch items.
+  // Reliability weights compare each batch worker's *seen* answers against
+  // the current consensus ỹ of the answered items — strictly past state,
+  // the learner never peeks beyond the batches it has been shown.
   std::vector<double> worker_weight(model.num_workers(), 1.0);
-  for (std::size_t round = 0; round < svi_options_.reinforcement_rounds; ++round) {
-    // Reliability weights compare each batch worker's *seen* answers
-    // against the current consensus ỹ of the answered items — strictly past
-    // state, the learner never peeks beyond the batches it has been shown.
-    if (options.label_evidence == LabelEvidence::kReliabilityWeighted &&
-        (batch_count_ > 1 || round > 0)) {
-      UpdateSeenWorkerReliability(model, view_, seen_by_worker_, seen_by_item_,
-                                  batch_workers, scheduler, worker_weight);
+  if (options.label_evidence == LabelEvidence::kReliabilityWeighted &&
+      batch_count_ > 1) {
+    UpdateSeenWorkerReliability(model, view_, seen_by_worker_, seen_by_item_,
+                                batch_workers, scheduler, worker_weight);
+  }
+  std::vector<double> dense(C, 0.0);
+  for (ItemId item : batch_items) {
+    const auto& seen = seen_by_item_[item];
+    if (seen.size() < kMinAnswersToSeed) {
+      // Defer until corroborated.
+      model.y_evidence[item].clear();
+      model.y_evidence_weight[item] = 0.0;
+      continue;
     }
-    std::vector<double> dense(C, 0.0);
-    for (const auto& [item, unused] : by_item) {
-      const auto& seen = seen_by_item_[item];
-      if (seen.size() < kMinAnswersToSeed) {
-        // Defer until corroborated.
-        model.y_evidence[item].clear();
-        model.y_evidence_weight[item] = 0.0;
+    sweep::AccumulateLabelEvidence(model, view_, item, seen, worker_weight,
+                                   options.evidence_scale, dense);
+  }
+
+  // --- Label-aligned symmetry breaking for items appearing for the first
+  // time: their consensus set gets a dedicated cluster, allocated
+  // first-come-first-served (streaming analogue of the offline
+  // frequency-ordered seeding); once the truncation is exhausted, new sets
+  // join their best Jaccard match.
+  // Then the ϕ update for the other seeded batch items. Items seeded just
+  // now keep their label-aligned seed — the global parameters have not yet
+  // seen their data. Re-seen items get an exact local coordinate update
+  // over their accumulated answers (the Hoffman-style treatment of
+  // per-item latents), through the evidence-only shared kernel. The answer
+  // term of the offline update (Eq. 3 restored) needs every cluster's
+  // confusion bank to be current; online, banks of rarely-touched clusters
+  // are stale and the term systematically drags items into whichever
+  // clusters accumulated the most mass. The answer likelihood still
+  // reweights clusters at prediction time, where the accumulated λ is used
+  // once rather than amplified through every sweep. (With T = 1 no item is
+  // ever seeded, so there is nothing to update.)
+  if (!options.singleton_clusters && T > 1) {
+    std::vector<ItemId> reseen;
+    for (ItemId item : batch_items) {
+      if (item_seeded_[item]) {
+        reseen.push_back(item);
         continue;
       }
-      sweep::AccumulateLabelEvidence(model, view_, item, seen, worker_weight,
-                                     options.evidence_scale, dense);
-    }
-
-    // --- Label-aligned symmetry breaking for items appearing for the first
-    // time: their consensus set gets a dedicated cluster, allocated
-    // first-come-first-served (streaming analogue of the offline
-    // frequency-ordered seeding); once the truncation is exhausted, new
-    // sets join their best Jaccard match.
-    if (!options.singleton_clusters && T > 1) {
-      for (const auto& [item, unused] : by_item) {
-        if (item_seeded_[item]) continue;
-        const LabelSet consensus = sweep::ConsensusFromEvidence(model, item);
-        if (consensus.empty()) continue;  // still deferred
-        const std::string key = consensus.ToString();
-        auto it = consensus_cluster_.find(key);
-        if (it == consensus_cluster_.end() && next_cluster_ < T) {
-          it = consensus_cluster_.emplace(key, next_cluster_++).first;
-        }
-        item_seeded_[item] = true;
-        if (it != consensus_cluster_.end()) {
-          // A one-hot seed, as `sweep::WriteSeedRow` writes it; the learner
-          // has no convergence check, so the row change is not computed.
-          model.phi.AssignOneHot(item, it->second);
-          seeded_now.push_back(item);
-        }
+      const LabelSet consensus = sweep::ConsensusFromEvidence(model, item);
+      if (consensus.empty()) continue;  // still deferred
+      const std::string key = consensus.ToString();
+      auto it = consensus_cluster_.find(key);
+      if (it == consensus_cluster_.end() && next_cluster_ < T) {
+        it = consensus_cluster_.emplace(key, next_cluster_++).first;
+      }
+      item_seeded_[item] = true;
+      if (it != consensus_cluster_.end()) {
+        // A one-hot seed, as `sweep::WriteSeedRow` writes it; the learner
+        // has no convergence check, so the row change is not computed.
+        model.phi.AssignOneHot(item, it->second);
+      } else {
         // Truncation exhausted and unknown set: no hard seed — the item
         // joins whichever cluster the soft evidence update prefers.
+        reseen.push_back(item);
       }
     }
+    scheduler.ParallelFor(
+        reseen.size(),
+        [&](std::size_t begin, std::size_t end) {
+          for (std::size_t j = begin; j < end; ++j) {
+            sweep::UpdateItemResponsibilityFromEvidence(model, reseen[j]);
+          }
+        },
+        /*min_shard=*/4);
+  }
 
-    // --- ϕ update for the batch items. Items seen for the first time keep
-    // their label-aligned seed — the global parameters have not yet seen
-    // their data. Re-seen items get an exact local coordinate update over
-    // their accumulated answers (the Hoffman-style treatment of per-item
-    // latents), through the evidence-only shared kernel. The answer term of
-    // the offline update (Eq. 3 restored) needs every cluster's confusion
-    // bank to be current; online, banks of rarely-touched clusters are
-    // stale and the term systematically drags items into whichever clusters
-    // accumulated the most mass. The answer likelihood still reweights
-    // clusters at prediction time, where the accumulated λ is used once
-    // rather than amplified through every sweep.
-    if (!options.singleton_clusters) {
-      std::vector<ItemId> reseen;
-      for (const auto& [item, unused] : by_item) {
-        if (item_seeded_[item] &&
-            std::find(seeded_now.begin(), seeded_now.end(), item) == seeded_now.end()) {
-          reseen.push_back(item);
-        }
-      }
-      scheduler.ParallelFor(
-          reseen.size(),
-          [&](std::size_t begin, std::size_t end) {
-            for (std::size_t j = begin; j < end; ++j) {
-              sweep::UpdateItemResponsibilityFromEvidence(model, reseen[j]);
-            }
-          },
-          /*min_shard=*/4);
-    }
-
-    // θ channel for the next reinforcement round (and for prediction). The
-    // last round also rebuilds ζ (see the REDUCE phase) in the same pass.
-    if (round + 1 < svi_options_.reinforcement_rounds) {
-      sweep::UpdateThetaChannel(model, activity, scheduler);
-    } else {
-      sweep::UpdateZetaAndThetaChannel(model, activity, scheduler);
-    }
-    model.RefreshThetaExpectations();
-  }  // reinforcement rounds
+  // ζ (Eq. 10) and the Beta-Bernoulli θ channel: exact recomputation over
+  // the evidence accumulated so far, in one pass. Unlike λ (whose exact
+  // update would re-scan every answer and erase the SVI speedup — it gets
+  // the accumulation below), the label-channel statistics cost
+  // O(seen items × nnz(ỹ) × T) and blending them would drag clusters that a
+  // batch does not touch back toward their prior. Nothing below reads θ's
+  // expectations before the closing `RefreshExpectations`.
+  sweep::UpdateZetaAndThetaChannel(model, activity, scheduler);
 
   // --- REDUCE phase.
   // λ: incremental sufficient-statistics accumulation (Neal–Hinton style)
@@ -307,37 +303,15 @@ Status CpaOnline::ObserveBatch(const AnswerMatrix& answers,
   if (model.num_communities() > 1 && !options.singleton_communities) {
     std::vector<double> mass(M, 0.0);
     for (WorkerId u = 0; u < model.num_workers(); ++u) {
-      if (!worker_seen_[u]) continue;
+      if (seen_by_worker_[u].empty()) continue;
       const auto row = model.kappa.Row(u);
       for (std::size_t m = 0; m < M; ++m) mass[m] += row[m];
     }
-    double tail = 0.0;
-    std::vector<double> tails(M, 0.0);
-    for (std::size_t m = M; m-- > 0;) {
-      tails[m] = tail;
-      tail += mass[m];
-    }
-    for (std::size_t m = 0; m + 1 < M; ++m) {
-      model.rho(m, 0) = 1.0 + mass[m];
-      model.rho(m, 1) = options.alpha + tails[m];
-    }
+    sweep::SticksFromMass(model.rho, mass, options.alpha);
   }
 
   // υ (Eqs. 13–14): exact, since the full ϕ is maintained.
   sweep::UpdateSticks(model.upsilon, model.phi, options.epsilon, scheduler);
-
-  // ζ (Eq. 10) and the Beta-Bernoulli θ channel: exact recomputation over
-  // the evidence accumulated so far. Unlike λ (whose exact update would
-  // re-scan every answer and erase the SVI speedup — it gets the
-  // natural-gradient treatment above), the label-channel statistics cost
-  // O(seen items × nnz(ỹ) × T) and blending them would drag clusters that a
-  // batch does not touch back toward their prior. The last reinforcement
-  // round already computed both from the same ϕ, ỹ, evidence weights and
-  // priors (nothing since has written them), so they are computed here
-  // only when no round ran.
-  if (svi_options_.reinforcement_rounds == 0) {
-    sweep::UpdateZetaAndThetaChannel(model, activity, scheduler);
-  }
 
   model.RefreshExpectations();
   return Status::OK();
@@ -441,8 +415,8 @@ void CpaOnline::SaveState(CheckpointWriter& writer) const {
   // Retired seen-counts: zero placeholders.
   writer.WriteU64(0);
   writer.WriteU64(0);
-  writer.WriteBools(worker_seen_);
-  writer.WriteBools(item_seen_);
+  writer.WriteBools(SeenFlags(seen_by_worker_));
+  writer.WriteBools(SeenFlags(seen_by_item_));
   writer.WriteBools(item_seeded_);
   writer.WriteU64(seen_by_item_.size());
   for (const auto& seen : seen_by_item_) writer.WriteU32s(seen);
@@ -469,8 +443,6 @@ Status CpaOnline::RestoreState(CheckpointReader& reader) {
   CpaOnline restored;
   restored.model_ = model_;
   CPA_RETURN_NOT_OK(restored.ReadState(reader));
-  restored.svi_options_ = svi_options_;
-  restored.pool_ = pool_;
   restored.scheduler_ = std::move(scheduler_);
   *this = std::move(restored);
   return Status::OK();
@@ -484,11 +456,12 @@ Status CpaOnline::ReadState(CheckpointReader& reader) {
   // The retired worker and item seen-counts, discarded.
   CPA_RETURN_NOT_OK(reader.ReadSize().status());
   CPA_RETURN_NOT_OK(reader.ReadSize().status());
-  CPA_ASSIGN_OR_RETURN(worker_seen_, reader.ReadBools());
-  CPA_ASSIGN_OR_RETURN(item_seen_, reader.ReadBools());
+  // The seen flags, which the seen lists below imply, discarded.
+  CPA_ASSIGN_OR_RETURN(const std::vector<bool> worker_seen, reader.ReadBools());
+  CPA_ASSIGN_OR_RETURN(const std::vector<bool> item_seen, reader.ReadBools());
   CPA_ASSIGN_OR_RETURN(item_seeded_, reader.ReadBools());
-  if (worker_seen_.size() != model_.num_workers() ||
-      item_seen_.size() != model_.num_items() ||
+  if (worker_seen.size() != model_.num_workers() ||
+      item_seen.size() != model_.num_items() ||
       item_seeded_.size() != model_.num_items()) {
     return Status::InvalidArgument(
         "checkpoint seen-flag lengths do not match model dims");

@@ -8,13 +8,15 @@
 ///
 /// Answers arrive as batches of worker answers. Per batch `b`:
 /// (MAP phase, parallel) κ rows of the batch workers are recomputed from
-/// their new answers, and re-seen batch items get an exact local ϕ update
-/// over their accumulated answers, in place of the paper's natural-gradient
-/// step in the log-odds µ (Eqs. 15–17); (REDUCE phase) λ accumulates the
-/// batch's sufficient statistics and ρ, υ, ζ, θ are recomputed exactly over
-/// everything seen, in place of the paper's steps scaled by a uniform `U`
-/// factor (the SVI estimator of BENCHMARKS.md "Design choices"). The
-/// learning rate `ω_b = (1+b)^{−r}` is computed and reported
+/// their new answers, then one reinforcement pass over the batch items
+/// (reliability → consensus evidence → cluster seeding → ϕ → θ) gives
+/// re-seen batch items an exact local ϕ update over their accumulated
+/// answers, in place of the paper's natural-gradient step in the log-odds µ
+/// (Eqs. 15–17); (REDUCE phase) λ accumulates the batch's sufficient
+/// statistics and ρ, υ, ζ, θ are recomputed exactly over everything seen,
+/// in place of the paper's steps scaled by a uniform `U` factor (the SVI
+/// estimator of BENCHMARKS.md "Design choices"). The learning rate
+/// `ω_b = (1+b)^{−r}`, with the paper's r = 0.875, is computed and reported
 /// (`last_learning_rate`), but no update reads it.
 ///
 /// The sweep bodies (Eq. 2 κ rows, evidence-only ϕ rows, label-evidence
@@ -45,15 +47,6 @@ struct SviOptions {
   /// Workers per batch (callers typically build plans with
   /// `MakeWorkerBatches(answers, workers_per_batch, rng)`).
   std::size_t workers_per_batch = 25;
-
-  /// Forgetting rate r ∈ (0.5, 1]; the paper finds r ∈ [0.85, 0.9] best
-  /// and uses 0.875 in its scalability experiments. Here it only sets the
-  /// reported ω_b (see the file comment).
-  double forgetting_rate = 0.875;
-
-  /// Reliability ↔ consensus ↔ cluster reinforcement rounds per batch (the
-  /// offline fit gets the equivalent reinforcement across its sweeps).
-  std::size_t reinforcement_rounds = 1;
 
   Status Validate() const;
 };
@@ -103,9 +96,11 @@ class CpaOnline {
   /// slots for four retired fields (two seen-counts, the per-cluster
   /// consensus sets and the label-set-size counts): written as zeros or
   /// empty, and read, checked and discarded, so older blobs still restore.
-  /// `RestoreState` requires a freshly `Create`d learner of the same
-  /// dimensions; continuing afterwards is bit-identical to never stopping.
-  /// A failed restore leaves the learner fresh.
+  /// Its worker and item seen flags are written from the seen lists and
+  /// read, length-checked and discarded. `RestoreState` requires a freshly
+  /// `Create`d learner of the same dimensions; continuing afterwards is
+  /// bit-identical to never stopping. A failed restore leaves the learner
+  /// fresh.
   /// @{
   void SaveState(CheckpointWriter& writer) const;
   Status RestoreState(CheckpointReader& reader);
@@ -128,8 +123,6 @@ class CpaOnline {
   void GlobalRefresh(const AnswerMatrix& answers);
 
   CpaModel model_;
-  SviOptions svi_options_;
-  Executor* pool_ = nullptr;
 
   /// Session-lifetime scheduler: its lane arenas stay warm across batches,
   /// so steady-state SVI steps (and every snapshot predict) reuse the same
@@ -150,13 +143,12 @@ class CpaOnline {
   std::size_t batch_count_ = 0;
   double last_rate_ = 0.0;
   std::size_t answers_seen_ = 0;
-  std::vector<bool> worker_seen_;
-  std::vector<bool> item_seen_;
 
   // Every answer index observed so far, indexed by item and by worker. The
   // learner never reads outside these (no peeking ahead of the stream),
   // but it does not forget either: evidence and local updates use all
-  // answers accumulated for the touched entities.
+  // answers accumulated for the touched entities. An entity has been seen
+  // iff its list is non-empty.
   std::vector<std::vector<std::uint32_t>> seen_by_item_;
   std::vector<std::vector<std::uint32_t>> seen_by_worker_;
 

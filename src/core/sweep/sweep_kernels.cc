@@ -32,23 +32,6 @@ std::span<double> ScoreScratch(std::size_t n) {
   return scratch;
 }
 
-/// Stick Beta parameters from column masses n_k (Eqs. 4/5).
-void SticksFromMass(Matrix& sticks, std::span<const double> mass,
-                    double concentration) {
-  const std::size_t K = mass.size();
-  // Suffix sums: tail_k = Σ_{l > k} n_l.
-  double tail = 0.0;
-  std::vector<double> tails(K, 0.0);
-  for (std::size_t k = K; k-- > 0;) {
-    tails[k] = tail;
-    tail += mass[k];
-  }
-  for (std::size_t k = 0; k + 1 < K; ++k) {
-    sticks(k, 0) = 1.0 + mass[k];
-    sticks(k, 1) = concentration + tails[k];
-  }
-}
-
 /// Column masses Σ_rows of `rows` rows through `add_rows(begin, end,
 /// partial)`, in `kRowGrain` blocks merged in the scheduler's fixed tree.
 /// Partials are K-wide arena checkouts — spans, not vectors — so a sweep's
@@ -421,6 +404,22 @@ void UpdateLabelEvidence(CpaModel& model, const AnswerView& view,
 // ---------------------------------------------------------------------------
 // REDUCE kernels
 // ---------------------------------------------------------------------------
+
+void SticksFromMass(Matrix& sticks, std::span<const double> mass,
+                    double concentration) {
+  const std::size_t K = mass.size();
+  // Suffix sums: tail_k = Σ_{l > k} n_l.
+  double tail = 0.0;
+  std::vector<double> tails(K, 0.0);
+  for (std::size_t k = K; k-- > 0;) {
+    tails[k] = tail;
+    tail += mass[k];
+  }
+  for (std::size_t k = 0; k + 1 < K; ++k) {
+    sticks(k, 0) = 1.0 + mass[k];
+    sticks(k, 1) = concentration + tails[k];
+  }
+}
 
 void UpdateSticks(Matrix& sticks, const Matrix& responsibilities,
                   double concentration, const SweepScheduler& scheduler) {

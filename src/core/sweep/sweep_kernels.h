@@ -159,6 +159,12 @@ void UpdateSticks(Matrix& sticks, const Matrix& responsibilities,
 void UpdateSticks(Matrix& sticks, const PhiRows& phi, double concentration,
                   const SweepScheduler& scheduler);
 
+/// Eqs. 4/5 (and 11/12) from given column masses n_k: stick k gets
+/// (1 + n_k, concentration + Σ_{l>k} n_l). `sticks` has K − 1 rows for K
+/// masses.
+void SticksFromMass(Matrix& sticks, std::span<const double> mass,
+                    double concentration);
+
 /// Eq. 6: λ from scratch over every answer of the view.
 void UpdateLambda(CpaModel& model, const AnswerView& view,
                   const ClusterActivity& activity, const SweepScheduler& scheduler);

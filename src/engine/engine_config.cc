@@ -98,8 +98,6 @@ JsonValue EngineConfig::ToJson() const {
 
   JsonValue::Object svi_object;
   svi_object["workers_per_batch"] = Num(svi.workers_per_batch);
-  svi_object["forgetting_rate"] = Num(svi.forgetting_rate);
-  svi_object["reinforcement_rounds"] = Num(svi.reinforcement_rounds);
 
   JsonValue::Object majority_object;
   majority_object["threshold"] = Num(majority.threshold);
@@ -163,8 +161,6 @@ Result<EngineConfig> EngineConfig::FromJson(const JsonValue& json) {
   if (const JsonValue* svi_object = json.Find("svi")) {
     CPA_RETURN_NOT_OK(ReadSize(*svi_object, "workers_per_batch",
                                &config.svi.workers_per_batch));
-    CPA_RETURN_NOT_OK(ReadDouble(*svi_object, "forgetting_rate",
-                                 &config.svi.forgetting_rate));
     // Retired key: older builds wrote `"exact_local_phi": true` (the
     // exact local ϕ update, now the only path) into session checkpoints,
     // so true is accepted and ignored. false asked for the removed
@@ -177,8 +173,27 @@ Result<EngineConfig> EngineConfig::FromJson(const JsonValue& json) {
           "path, Eqs. 15-17) was removed; only the exact local ϕ update "
           "remains");
     }
-    CPA_RETURN_NOT_OK(ReadSize(*svi_object, "reinforcement_rounds",
-                               &config.svi.reinforcement_rounds));
+    // Retired keys: older builds wrote the one value every session ran,
+    // `"forgetting_rate": 0.875` and `"reinforcement_rounds": 1`. Those are
+    // accepted and ignored; any other value would silently change the fit
+    // (or its reported learning rate) on restore, so it is refused.
+    double forgetting_rate = 0.875;
+    CPA_RETURN_NOT_OK(ReadDouble(*svi_object, "forgetting_rate", &forgetting_rate));
+    if (forgetting_rate != 0.875) {
+      return Status::InvalidArgument(StrFormat(
+          "svi.forgetting_rate=%g was removed; the learning rate is fixed at "
+          "r = 0.875",
+          forgetting_rate));
+    }
+    std::size_t reinforcement_rounds = 1;
+    CPA_RETURN_NOT_OK(
+        ReadSize(*svi_object, "reinforcement_rounds", &reinforcement_rounds));
+    if (reinforcement_rounds != 1) {
+      return Status::InvalidArgument(StrFormat(
+          "svi.reinforcement_rounds=%zu was removed; every batch runs one "
+          "reinforcement pass",
+          reinforcement_rounds));
+    }
   }
   if (const JsonValue* majority_object = json.Find("majority")) {
     CPA_RETURN_NOT_OK(
@@ -234,8 +249,6 @@ Result<EngineConfig> EngineConfig::WithFlags(const Flags& flags) const {
   config.svi.workers_per_batch =
       size_flag("workers-per-batch", config.svi.workers_per_batch);
   CPA_RETURN_NOT_OK(negative);
-  config.svi.forgetting_rate =
-      flags.GetDouble("forgetting-rate", config.svi.forgetting_rate);
   config.majority.threshold =
       flags.GetDouble("mv-threshold", config.majority.threshold);
   CPA_RETURN_NOT_OK(config.Validate());

@@ -77,8 +77,8 @@ struct EngineConfig {
 
   /// Applies `--method`, `--num-items/--num-workers/--num-labels`,
   /// `--cpa-iterations`, `--max-communities`, `--max-clusters`,
-  /// `--workers-per-batch`, `--forgetting-rate`, `--mv-threshold` on top of
-  /// `*this` (flags only override what they name).
+  /// `--workers-per-batch`, `--mv-threshold` on top of `*this` (flags only
+  /// override what they name).
   Result<EngineConfig> WithFlags(const Flags& flags) const;
 };
 

@@ -74,16 +74,9 @@ double MeanF1(const std::vector<LabelSet>& predictions,
   return counted > 0 ? total / counted : 0.0;
 }
 
-TEST(SviOptionsTest, ValidatesForgettingRate) {
+TEST(SviOptionsTest, RejectsZeroWorkersPerBatch) {
   SviOptions options;
   EXPECT_TRUE(options.Validate().ok());
-  options.forgetting_rate = 0.5;  // boundary excluded
-  EXPECT_FALSE(options.Validate().ok());
-  options.forgetting_rate = 1.0;
-  EXPECT_TRUE(options.Validate().ok());
-  options.forgetting_rate = 1.1;
-  EXPECT_FALSE(options.Validate().ok());
-  options = SviOptions();
   options.workers_per_batch = 0;
   EXPECT_FALSE(options.Validate().ok());
 }

@@ -123,8 +123,6 @@ TEST(EngineConfigTest, JsonRoundTripPreservesEverySerializedField) {
   config.cpa.tolerance = 5e-4;
   config.cpa.seed = 20180417;
   config.svi.workers_per_batch = 13;
-  config.svi.forgetting_rate = 0.9;
-  config.svi.reinforcement_rounds = 2;
   config.majority.threshold = 0.6;
   config.majority.fallback_to_top_label = true;
   config.em.max_iterations = 11;
@@ -159,8 +157,6 @@ TEST(EngineConfigTest, JsonRoundTripPreservesEverySerializedField) {
   EXPECT_DOUBLE_EQ(r.cpa.tolerance, config.cpa.tolerance);
   EXPECT_EQ(r.cpa.seed, config.cpa.seed);
   EXPECT_EQ(r.svi.workers_per_batch, config.svi.workers_per_batch);
-  EXPECT_DOUBLE_EQ(r.svi.forgetting_rate, config.svi.forgetting_rate);
-  EXPECT_EQ(r.svi.reinforcement_rounds, config.svi.reinforcement_rounds);
   EXPECT_DOUBLE_EQ(r.majority.threshold, config.majority.threshold);
   EXPECT_EQ(r.majority.fallback_to_top_label, config.majority.fallback_to_top_label);
   EXPECT_EQ(r.em.max_iterations, config.em.max_iterations);
@@ -183,8 +179,7 @@ TEST(EngineConfigTest, FromJsonAcceptsPartialDocuments) {
   EXPECT_EQ(config.value().num_labels, 7u);
   // Untouched knobs keep their defaults.
   EXPECT_EQ(config.value().cpa.max_iterations, CpaOptions().max_iterations);
-  EXPECT_DOUBLE_EQ(config.value().svi.forgetting_rate,
-                   SviOptions().forgetting_rate);
+  EXPECT_EQ(config.value().svi.workers_per_batch, SviOptions().workers_per_batch);
 }
 
 TEST(EngineConfigTest, FromJsonRejectsWrongKinds) {
@@ -213,6 +208,39 @@ TEST(EngineConfigTest, FromJsonHandlesRetiredExactLocalPhiKey) {
   const Status status = EngineConfig::FromJson(removed.value()).status();
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(status.message().find("exact_local_phi"), std::string::npos);
+}
+
+// The retired `svi.forgetting_rate` and `svi.reinforcement_rounds` keys:
+// older checkpoints embed the only values any session ran (0.875 and 1),
+// which still parse; any other value is refused, and neither key is
+// written any more.
+TEST(EngineConfigTest, FromJsonHandlesRetiredSviKeys) {
+  const auto legacy = JsonValue::Parse(
+      R"({"method": "CPA-SVI",
+          "svi": {"forgetting_rate": 0.875, "reinforcement_rounds": 1}})");
+  ASSERT_TRUE(legacy.ok());
+  EXPECT_TRUE(EngineConfig::FromJson(legacy.value()).ok());
+  const struct {
+    const char* key;
+    const char* document;
+  } removed_values[] = {
+      {"forgetting_rate", R"({"method": "CPA-SVI", "svi": {"forgetting_rate": 0.9}})"},
+      {"reinforcement_rounds",
+       R"({"method": "CPA-SVI", "svi": {"reinforcement_rounds": 2}})"},
+  };
+  for (const auto& [key, document] : removed_values) {
+    SCOPED_TRACE(key);
+    const auto removed = JsonValue::Parse(document);
+    ASSERT_TRUE(removed.ok());
+    const Status status = EngineConfig::FromJson(removed.value()).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find(key), std::string::npos);
+  }
+  const JsonValue written = EngineConfig().ToJson();
+  const JsonValue* svi = written.Find("svi");
+  ASSERT_NE(svi, nullptr);
+  EXPECT_EQ(svi->Find("forgetting_rate"), nullptr);
+  EXPECT_EQ(svi->Find("reinforcement_rounds"), nullptr);
 }
 
 TEST(EngineRegistryTest, SessionsCarryTheRegistryNameTheyWereOpenedUnder) {

@@ -102,11 +102,10 @@ EngineConfig FingerprintConfig(const std::string& method, const Dataset& dataset
 
 /// Streams the dataset through CPA-SVI in worker batches, refreshing a
 /// snapshot every third batch, and hashes every refresh plus the final one.
-std::uint64_t StreamFingerprint(std::size_t threads, std::size_t rounds = 1) {
+std::uint64_t StreamFingerprint(std::size_t threads) {
   const Dataset dataset = FingerprintDataset(20180417);
-  EngineConfig config = FingerprintConfig("CPA-SVI", dataset, threads);
-  config.svi.reinforcement_rounds = rounds;
-  auto engine = EngineRegistry::Global().Open(config);
+  auto engine =
+      EngineRegistry::Global().Open(FingerprintConfig("CPA-SVI", dataset, threads));
   EXPECT_TRUE(engine.ok()) << engine.status().ToString();
   if (!engine.ok()) return 0;
   Rng rng(41);
@@ -142,21 +141,12 @@ std::uint64_t FinalizeFingerprint(const std::string& method, std::size_t threads
 }
 
 constexpr std::uint64_t kSviStreamFingerprint = 0x4709ae4205c36185ull;
-constexpr std::uint64_t kSviNoRoundsFingerprint = 0xb0450eb59522cbe7ull;
-constexpr std::uint64_t kSviTwoRoundsFingerprint = 0x8404e308356e2b38ull;
 constexpr std::uint64_t kCpaFinalizeFingerprint = 0x2a4fccd2d98492faull;
 constexpr std::uint64_t kCpaNoZFinalizeFingerprint = 0xf095137c40ccd2dcull;
 
 TEST(FitFingerprintTest, SviStreamWithRefreshes) {
   EXPECT_EQ(StreamFingerprint(1), kSviStreamFingerprint);
   EXPECT_EQ(StreamFingerprint(3), kSviStreamFingerprint);
-}
-
-// Zero rounds keeps the REDUCE-phase θ update; two rounds repeat the
-// batch's θ recomputation before the REDUCE phase reuses it.
-TEST(FitFingerprintTest, SviStreamReinforcementRounds) {
-  EXPECT_EQ(StreamFingerprint(1, 0), kSviNoRoundsFingerprint);
-  EXPECT_EQ(StreamFingerprint(1, 2), kSviTwoRoundsFingerprint);
 }
 
 TEST(FitFingerprintTest, CpaOfflineFinalize) {
