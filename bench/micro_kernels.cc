@@ -355,6 +355,21 @@ void BM_UpdateSticksPhi(benchmark::State& state) {
 }
 BENCHMARK(BM_UpdateSticksPhi)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
 
+/// One evidence-only ϕ row write at the Fig 7 shape (T = 1024 and C = 10
+/// from `CpaOptions::Recommended(10^4, 10)`), cycling over the fitted items:
+/// the kernel behind the SVI batch step's re-seen rows and
+/// `GlobalRefresh`'s soft updates.
+void BM_UpdateItemResponsibilityFromEvidence(benchmark::State& state) {
+  const Fig7Fixture& f = Fig7Fixture::Get();
+  CpaModel model = f.model;
+  ItemId i = 0;
+  for (auto _ : state) {
+    sweep::UpdateItemResponsibilityFromEvidence(model, i);
+    i = (i + 1) % model.num_items();
+  }
+}
+BENCHMARK(BM_UpdateItemResponsibilityFromEvidence);
+
 void BM_ComputeElbo(benchmark::State& state) {
   FittedFixture& f = FittedFixture::Get();
   for (auto _ : state) {

@@ -40,6 +40,7 @@ int main(int argc, char** argv) {
 
   auto config = EngineConfig::ForDataset("CPA-SVI", d).WithFlags(flags.value());
   CPA_CHECK(config.ok()) << config.status().ToString();
+  CPA_CHECK_OK(flags.value().CheckAllRead());
   // The config (method + dimensions + typed options) is serializable —
   // this JSON round-trips through EngineConfig::FromJson.
   std::printf("config: %s\n\n", config.value().ToJson().Dump().c_str());

@@ -38,14 +38,20 @@ int main(int argc, char** argv) {
               stats.num_labels, stats.mean_answers_per_item);
 
   // --- Aggregate with each method (one registry session per method).
-  TablePrinter table({"Method", "Precision", "Recall", "F1", "Time"});
-  std::unique_ptr<ConsensusEngine> cpa_session;  // kept for the posterior
+  std::vector<EngineConfig> configs;
   for (const std::string& method : PaperMethodNames()) {
     auto config =
         EngineConfig::ForDataset(method, dataset.value()).WithFlags(flags.value());
     CPA_CHECK(config.ok()) << config.status().ToString();
     config.value().method = method;  // WithFlags may override --method
-    auto engine = EngineRegistry::Global().Open(config.value());
+    configs.push_back(std::move(config).value());
+  }
+  CPA_CHECK_OK(flags.value().CheckAllRead());
+  TablePrinter table({"Method", "Precision", "Recall", "F1", "Time"});
+  std::unique_ptr<ConsensusEngine> cpa_session;  // kept for the posterior
+  for (const EngineConfig& config : configs) {
+    const std::string& method = config.method;
+    auto engine = EngineRegistry::Global().Open(config);
     CPA_CHECK(engine.ok()) << method << ": " << engine.status().ToString();
     const auto result = RunExperiment(*engine.value(), dataset.value());
     CPA_CHECK(result.ok()) << method << ": " << result.status().ToString();

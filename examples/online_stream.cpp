@@ -35,6 +35,7 @@ int main(int argc, char** argv) {
 
   auto config = EngineConfig::ForDataset("CPA-SVI", d).WithFlags(flags.value());
   CPA_CHECK(config.ok()) << config.status().ToString();
+  CPA_CHECK_OK(flags.value().CheckAllRead());
   auto engine = EngineRegistry::Global().Open(config.value());
   CPA_CHECK(engine.ok()) << engine.status().ToString();
 

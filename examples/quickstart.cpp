@@ -12,10 +12,15 @@
 #include "core/cpa.h"
 #include "data/dataset.h"
 #include "eval/metrics.h"
+#include "util/flags.h"
 
 using namespace cpa;
 
-int main() {
+int main(int argc, char** argv) {
+  // No flags: refuse any, rather than ignore them.
+  const auto flags = Flags::Parse(argc, argv);
+  CPA_CHECK(flags.ok()) << flags.status().ToString();
+  CPA_CHECK_OK(flags.value().CheckAllRead());
   // --- Build the answer matrix of Table 1 (labels are 0-based indices
   // into the label-name list below).
   const std::vector<std::string> label_names = {"sky", "plane", "sun", "water",

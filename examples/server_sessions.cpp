@@ -36,6 +36,7 @@ int main(int argc, char** argv) {
   SessionManagerOptions options;
   options.num_threads =
       static_cast<std::size_t>(flags.value().GetInt("num-threads", 2));
+  CPA_CHECK_OK(flags.value().CheckAllRead());
   SessionManager manager(options);
 
   // Two concurrent sessions over the same stream: the offline baseline

@@ -28,6 +28,7 @@ int main(int argc, char** argv) {
   FactoryOptions factory_options;
   factory_options.scale = flags.value().GetDouble("scale", 0.25);
   const double spam_fraction = flags.value().GetDouble("spam", 0.3);
+  CPA_CHECK_OK(flags.value().CheckAllRead());
 
   auto clean = MakePaperDataset(PaperDatasetId::kTopic, factory_options);
   CPA_CHECK(clean.ok()) << clean.status().ToString();

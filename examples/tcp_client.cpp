@@ -103,6 +103,7 @@ int main(int argc, char** argv) {
   factory_options.scale = flags.value().GetDouble("scale", 0.08);
   const std::size_t batches =
       static_cast<std::size_t>(flags.value().GetInt("batches", 4));
+  CPA_CHECK_OK(flags.value().CheckAllRead());
 
   auto dataset = MakePaperDataset(PaperDatasetId::kTopic, factory_options);
   CPA_CHECK(dataset.ok()) << dataset.status().ToString();

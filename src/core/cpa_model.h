@@ -42,6 +42,7 @@ namespace cpa {
 
 class CheckpointWriter;
 class CheckpointReader;
+class SweepScheduler;
 
 /// \brief Variational parameters, expectations and posterior accessors.
 class CpaModel {
@@ -116,6 +117,11 @@ class CpaModel {
   /// Recomputes every cached expectation from the current parameters.
   void RefreshExpectations();
 
+  /// The same, with the per-cluster λ and θ digammas sharded over
+  /// `scheduler` by cluster range. Each cluster's values are computed as
+  /// the inline form computes them, so the two agree bit for bit.
+  void RefreshExpectations(const SweepScheduler& scheduler);
+
   /// Recomputes only the θ-channel expectations (elog_theta,
   /// elog_not_theta, elog_theta_base, bernoulli_profile) — the cheap subset
   /// the online learner needs inside its reinforcement rounds.
@@ -188,6 +194,15 @@ class CpaModel {
   /// @}
 
  private:
+  /// Sizes the θ-channel caches for `RefreshThetaRows`.
+  void ResetThetaExpectations();
+
+  /// The E[ln ψ] rows of clusters [begin, end) from λ.
+  void RefreshPsiRows(std::size_t begin, std::size_t end);
+
+  /// The θ-channel cache entries of clusters [begin, end).
+  void RefreshThetaRows(std::size_t begin, std::size_t end);
+
   std::size_t num_items_ = 0;
   std::size_t num_workers_ = 0;
   std::size_t num_labels_ = 0;

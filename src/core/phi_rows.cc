@@ -281,14 +281,40 @@ void PhiRows::Assign(std::size_t r, std::span<const double> values) {
     weights[count] = values[t];
     count += values[t] != 0.0;
   }
-  Row& row = rows_[r];
   if (3 * count > 2 * cols_) {
     // 12 bytes per pair against 8 per column: keep the dense row.
+    Row& row = rows_[r];
     if (row.clusters.capacity() > 0) row = Row{};
     row.weights.assign(values.begin(), values.end());
     form_[r] = Form::kDense;
     return;
   }
+  AssignSparse(r, std::span(clusters).first(count), std::span(weights).first(count),
+               count);
+}
+
+void PhiRows::AssignPairs(std::size_t r, std::span<const std::uint32_t> clusters,
+                          std::span<const double> weights) {
+  CPA_CHECK_EQ(clusters.size(), weights.size());
+  std::size_t count = 0;
+  for (const double w : weights) count += w != 0.0;
+  if (3 * count > 2 * cols_) {
+    // `Assign`'s dense row: the pairs over zeros (an absent entry is 0).
+    Row& row = rows_[r];
+    if (row.clusters.capacity() > 0) row = Row{};
+    row.weights.assign(cols_, 0.0);
+    for (std::size_t k = 0; k < clusters.size(); ++k) {
+      row.weights[clusters[k]] = weights[k];
+    }
+    form_[r] = Form::kDense;
+    return;
+  }
+  AssignSparse(r, clusters, weights, count);
+}
+
+void PhiRows::AssignSparse(std::size_t r, std::span<const std::uint32_t> clusters,
+                           std::span<const double> weights, std::size_t count) {
+  Row& row = rows_[r];
   // Exact-size storage, reallocated when the row outgrows it or shrinks to
   // under half of it: online rows start near-dense and thin out as the
   // stream goes on, and must not keep their early footprint.
@@ -298,12 +324,13 @@ void PhiRows::Assign(std::size_t r, std::span<const double> values) {
     row.weights.reserve(count);
   }
   std::size_t heavy = 0;
-  for (std::size_t k = 0; k < count; ++k) heavy += weights[k] >= kHeavyWeight;
+  for (const double w : weights) heavy += w >= kHeavyWeight;
   row.clusters.resize(count);
   row.weights.resize(count);
   std::size_t next_heavy = 0;
   std::size_t next_light = heavy;
-  for (std::size_t k = 0; k < count; ++k) {
+  for (std::size_t k = 0; k < clusters.size(); ++k) {
+    if (weights[k] == 0.0) continue;  // dropped, as `Assign` drops zeros
     const std::size_t at = weights[k] >= kHeavyWeight ? next_heavy++ : next_light++;
     row.clusters[at] = clusters[k];
     row.weights[at] = weights[k];

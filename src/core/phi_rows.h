@@ -168,6 +168,13 @@ class PhiRows {
   /// than the nonzero pairs (12 bytes each).
   void Assign(std::size_t r, std::span<const double> values);
 
+  /// Replaces row r by the row whose nonzeros are the pairs (`clusters`,
+  /// `weights`), ascending by cluster and every other entry 0: the row
+  /// `Assign` stores for that dense row, without a T-wide pass unless the
+  /// row is kept dense. Zero weights are dropped as `Assign` drops them.
+  void AssignPairs(std::size_t r, std::span<const std::uint32_t> clusters,
+                   std::span<const double> weights);
+
   /// Replaces row r by the single entry (t, 1.0).
   void AssignOneHot(std::size_t r, std::size_t t);
 
@@ -207,6 +214,11 @@ class PhiRows {
   /// Row r's initial values in this thread's scratch (valid until the next
   /// call on the same thread).
   std::span<const double> RegenerateToScratch(std::size_t r) const;
+
+  /// Stores row r as the sparse pairs (`clusters`, `weights`), ascending,
+  /// of which `count` have a nonzero weight (the zeros are skipped).
+  void AssignSparse(std::size_t r, std::span<const std::uint32_t> clusters,
+                    std::span<const double> weights, std::size_t count);
 
   /// `AtLeast` for every case but a sparse row at `kHeavyWeight`.
   Entries GatherAtLeast(std::size_t r, double threshold) const;

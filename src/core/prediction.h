@@ -33,6 +33,8 @@
 /// parameters below 1 (mode on the simplex boundary), so posterior means
 /// are used instead — the standard plug-in.
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/cpa_model.h"
@@ -67,6 +69,15 @@ Result<CpaPrediction> PredictLabels(const CpaModel& model, const AnswerMatrix& a
 /// already-warm lane arenas instead of building a fresh scheduler per call.
 Result<CpaPrediction> PredictLabels(const CpaModel& model, const AnswerMatrix& answers,
                                     const SweepScheduler& scheduler);
+
+/// Same, reading item i's answers as the flat indices `answers_by_item[i]`
+/// into `view`, in that order — the online learner's seen answers, with no
+/// copy of them. Equals predicting from the matrix of exactly those
+/// answers, added item by item in that order.
+Result<CpaPrediction> PredictLabels(
+    const CpaModel& model, const AnswerView& view,
+    std::span<const std::vector<std::uint32_t>> answers_by_item,
+    const SweepScheduler& scheduler);
 
 namespace internal {
 

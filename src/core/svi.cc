@@ -27,6 +27,16 @@ constexpr double kForgettingRate = 0.875;
 /// shards stay coarse enough to amortise the pool hand-off.
 constexpr std::size_t kWorkerGrain = 256;
 
+/// Clusters per shard of the batch λ accumulation: at the Fig 7 shape
+/// (T = 1024) two shards split the banks, while sessions of fewer than
+/// 2 × 512 clusters accumulate inline, without a pool hand-off.
+constexpr std::size_t kBatchClusterGrain = 512;
+
+/// Items per shard of `GlobalRefresh`'s evidence pass and seed writes: the
+/// Fig 7 stream's 10^4 items split over the pool, while sessions of fewer
+/// than 2 × 1024 items run them inline.
+constexpr std::size_t kRefreshItemGrain = 1024;
+
 /// Reliability weights for `workers` from their *seen* answers: mean
 /// soft-Jaccard agreement with the current consensus over corroborated
 /// items, then relative pow/floor weighting — the incremental-seen-state
@@ -285,19 +295,28 @@ Status CpaOnline::ObserveBatch(const AnswerMatrix& answers,
   // early contributions are merely stale.
   // The view yields exactly the item's clusters with ϕ ≥ kSkipMass,
   // ascending — the same (cluster, weight) sequence as a T-wide ϕ scan.
-  for (std::size_t index : batch) {
-    const auto labels = view_.labels(index);
-    const auto kappa_row = model.kappa.Row(view_.worker(index));
-    activity.ForEach(view_.item(index), [&](std::size_t t, double phi_weight) {
-      Matrix& bank = model.lambda[t];
-      for (std::size_t m = 0; m < M; ++m) {
-        const double weight = phi_weight * kappa_row[m];
-        if (weight < 1e-10) continue;
-        auto row = bank.Row(m);
-        for (LabelId c : labels) row[c] += weight;
-      }
-    });
-  }
+  // Shards own disjoint cluster ranges and each walks the whole batch in
+  // order, so every bank entry takes its additions in batch order at any
+  // thread count.
+  scheduler.ParallelFor(
+      T,
+      [&](std::size_t t_begin, std::size_t t_end) {
+        for (std::size_t index : batch) {
+          const auto labels = view_.labels(index);
+          const auto kappa_row = model.kappa.Row(view_.worker(index));
+          activity.ForEachIn(view_.item(index), t_begin, t_end,
+                             [&](std::size_t t, double phi_weight) {
+                               Matrix& bank = model.lambda[t];
+                               for (std::size_t m = 0; m < M; ++m) {
+                                 const double weight = phi_weight * kappa_row[m];
+                                 if (weight < 1e-10) continue;
+                                 auto row = bank.Row(m);
+                                 for (LabelId c : labels) row[c] += weight;
+                               }
+                             });
+        }
+      },
+      /*min_shard=*/kBatchClusterGrain);
 
   // ρ (Eqs. 11–12): exact over the workers seen so far (cheap: U × M).
   if (model.num_communities() > 1 && !options.singleton_communities) {
@@ -313,7 +332,7 @@ Status CpaOnline::ObserveBatch(const AnswerMatrix& answers,
   // υ (Eqs. 13–14): exact, since the full ϕ is maintained.
   sweep::UpdateSticks(model.upsilon, model.phi, options.epsilon, scheduler);
 
-  model.RefreshExpectations();
+  model.RefreshExpectations(scheduler);
   return Status::OK();
 }
 
@@ -331,7 +350,6 @@ void CpaOnline::GlobalRefresh(const AnswerMatrix& answers) {
   std::vector<WorkerId> all_workers(model.num_workers());
   for (WorkerId u = 0; u < model.num_workers(); ++u) all_workers[u] = u;
   std::vector<double> worker_weight(model.num_workers(), 1.0);
-  std::vector<double> dense(C, 0.0);
   constexpr std::size_t kRounds = 3;
   for (std::size_t round = 0; round < kRounds; ++round) {
     // Reliability weights over every seen answer on corroborated items.
@@ -339,13 +357,19 @@ void CpaOnline::GlobalRefresh(const AnswerMatrix& answers) {
       UpdateSeenWorkerReliability(model, view_, seen_by_worker_, seen_by_item_,
                                   all_workers, scheduler, worker_weight);
     }
-    // Consensus evidence for every seen item.
-    for (ItemId i = 0; i < model.num_items(); ++i) {
-      const auto& seen = seen_by_item_[i];
-      if (seen.empty()) continue;
-      sweep::AccumulateLabelEvidence(model, view_, i, seen, worker_weight,
-                                     options.evidence_scale, dense);
-    }
+    // Consensus evidence for every seen item (disjoint rows).
+    scheduler.ParallelFor(
+        model.num_items(),
+        [&](std::size_t begin, std::size_t end) {
+          std::vector<double> dense(C, 0.0);
+          for (std::size_t i = begin; i < end; ++i) {
+            const auto& seen = seen_by_item_[i];
+            if (seen.empty()) continue;
+            sweep::AccumulateLabelEvidence(model, view_, static_cast<ItemId>(i), seen,
+                                           worker_weight, options.evidence_scale, dense);
+          }
+        },
+        /*min_shard=*/kRefreshItemGrain);
     if (!options.singleton_clusters && T > 1) {
       if (round == 0) {
         // Reseed-then-ascend, exactly like the offline fit: regroup every
@@ -353,8 +377,19 @@ void CpaOnline::GlobalRefresh(const AnswerMatrix& answers) {
         // by group frequency. The incremental first-come allocation used
         // during batch ingestion drifts out of the size-biased stick
         // order as the stream evolves; prediction time is the moment to
-        // realign (all of this still only reads seen data).
-        sweep::SeedClustersFromConsensus(model);
+        // realign (all of this still only reads seen data). One-hot
+        // seeds on disjoint rows, as `sweep::SeedClustersFromConsensus`
+        // writes them; the learner has no convergence check, so no row
+        // change is computed.
+        const std::vector<std::size_t> seeds = sweep::ConsensusSeedClusters(model);
+        scheduler.ParallelFor(
+            model.num_items(),
+            [&](std::size_t begin, std::size_t end) {
+              for (std::size_t i = begin; i < end; ++i) {
+                if (seeds[i] != sweep::kNoSeed) model.phi.AssignOneHot(i, seeds[i]);
+              }
+            },
+            /*min_shard=*/kRefreshItemGrain);
       } else {
         // Evidence-only soft update for every item with evidence.
         scheduler.ParallelFor(
@@ -380,7 +415,9 @@ void CpaOnline::GlobalRefresh(const AnswerMatrix& answers) {
     sweep::UpdateSticks(model.upsilon, model.phi, options.epsilon, scheduler);
     StickBreakingExpectedLog(model.upsilon, model.elog_tau);
   }
-  model.RefreshExpectations();
+  // No closing `RefreshExpectations`: the rounds write neither λ nor ρ, so
+  // E ln ψ and E ln π are those the last batch left, and the last round
+  // has just refreshed θ's expectations and E ln τ.
 }
 
 Result<CpaPrediction> CpaOnline::Predict(const AnswerMatrix& answers) {
@@ -397,14 +434,9 @@ Result<CpaPrediction> CpaOnline::Predict(const AnswerMatrix& answers) {
     }
   }
   GlobalRefresh(answers);
-  // Restrict prediction to the answers actually observed.
-  std::vector<std::size_t> seen_indices;
-  seen_indices.reserve(answers_seen_);
-  for (const auto& seen : seen_by_item_) {
-    seen_indices.insert(seen_indices.end(), seen.begin(), seen.end());
-  }
-  const AnswerMatrix seen_answers = answers.Subset(seen_indices);
-  return PredictLabels(model_, seen_answers, *scheduler_);
+  // Restrict prediction to the answers actually observed: each item's seen
+  // answers, read through the view in the order they were seen.
+  return PredictLabels(model_, view_, seen_by_item_, *scheduler_);
 }
 
 void CpaOnline::SaveState(CheckpointWriter& writer) const {

@@ -49,6 +49,27 @@
 /// one body for every level, since the dense variants differ only in how
 /// they take the max.
 ///
+/// ### Fused ϕ row kernels
+///
+/// `evidence_scores` and `softmax_floored_pairs` split the evidence-only ϕ
+/// row update into one score pass and one pair-emitting softmax, with the
+/// operations of the unfused chain (copy E ln τ, one `axpy` per evidence
+/// term, `softmax_floored`, then the store's compaction):
+///
+/// - `evidence_scores` applies each element's terms in the chain's order,
+///   one mul then one add each, so every score has the chain's bits. Its
+///   max is a `max_value` selection over the finished scores, taken in the
+///   same pass in four lane chains at both levels, so the two levels
+///   return the same bits. Against `max_value` any order selects the same
+///   value: only a ±0 tie could pick the other zero, and neither v − (±0)
+///   nor exp(±0) tells them apart downstream.
+/// - `softmax_floored_pairs` takes that max, so it skips the max pass. A
+///   survivor t adds its exp into lane t % 4, as the dense kernel does, and
+///   the combine is the dense one. Only survivors are divided by the sum,
+///   and a floored entry's 0 is never written, which leaves out only the
+///   zeros the store would drop. The caller keeps the dense uniform
+///   fallback for a row whose max is not finite.
+///
 /// A kernel that cannot keep this contract ships scalar-only. The contract
 /// is enforced by `tests/core/simd_kernels_test.cc`: exact scalar↔AVX2
 /// equality on randomized spans (all alignments and remainder tails) plus a
@@ -108,6 +129,22 @@ struct Kernels {
   /// Truncated softmax in place: entries more than `floor_nats` below the
   /// row max become exactly 0. Returns the log-normaliser.
   double (*softmax_floored)(double* v, std::size_t n, double floor_nats);
+  /// Builds a ϕ score row and returns its max: out[i] = init[i] +
+  /// Σ_k scales[k]·rows[k][i], each term one mul and one add in k order —
+  /// the per-element operations of copying `init` and running one `axpy`
+  /// per term. The max has `max_value`'s semantics (NaN skipped; -inf for
+  /// n == 0). `rows` and `scales` hold `terms` entries (0 copies `init`).
+  double (*evidence_scores)(const double* init, const double* const* rows,
+                            const double* scales, std::size_t terms, double* out,
+                            std::size_t n);
+  /// `softmax_floored` of `v` given its finite max, emitted as the
+  /// surviving (index, weight) pairs ascending by index into `indices` and
+  /// `weights` (each n long); returns their count. Same lane sums, exps and
+  /// divides as `softmax_floored`, but only the survivors are written and
+  /// divided. `v` is left unchanged.
+  std::size_t (*softmax_floored_pairs)(const double* v, std::size_t n, double max,
+                                       double floor_nats, std::uint32_t* indices,
+                                       double* weights);
   /// Adds four of ϕ's initial rows into `into`, element by element and in
   /// row order: into[i] += row_0[i], then row_1[i], row_2[i], row_3[i].
   /// Row k is regenerated from the xoshiro256** state `states[4k..4k+3]`:

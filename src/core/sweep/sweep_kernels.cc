@@ -23,13 +23,64 @@ constexpr std::size_t kRowGrain = 1024;
 /// 8M entries = 64 MB, ≈ the λ budget of `CpaOptions::Recommended`.
 constexpr std::size_t kLambdaScratchEntryBudget = 8'000'000;
 
-/// The T-wide score row of the ϕ MAP kernels, owned by the calling thread:
-/// they run from arena-less `ParallelFor` shards too, and must not allocate
-/// per call.
-std::span<double> ScoreScratch(std::size_t n) {
-  thread_local std::vector<double> scratch;
-  scratch.resize(n);
+/// The buffers of one ϕ row write, owned by the calling thread: the ϕ MAP
+/// kernels run from arena-less `ParallelFor` shards too, and must not
+/// allocate per call.
+struct RowScratch {
+  std::vector<double> scores;           ///< T
+  std::vector<std::uint32_t> clusters;  ///< T: the surviving pairs
+  std::vector<double> weights;          ///< T
+  std::vector<const double*> terms;     ///< the evidence rows of the scores
+  std::vector<double> scales;           ///< and their scales
+};
+
+RowScratch& RowScratchFor(std::size_t T) {
+  thread_local RowScratch scratch;
+  scratch.scores.resize(T);
+  scratch.clusters.resize(T);
+  scratch.weights.resize(T);
   return scratch;
+}
+
+/// Item i's evidence-only ϕ scores into `scratch.scores`, returning their
+/// max: E ln τ_t plus, through the Beta-Bernoulli channel,
+///   w_i Σ_c [ỹ_ic E ln θ_tc + (1−ỹ_ic) E ln(1−θ_tc)]
+///     = w_i Σ_c E ln(1−θ_tc)
+///       + Σ_{c: ỹ>0} (w_i ỹ_ic)(E ln θ_tc − E ln(1−θ_tc)),
+/// with w_i the item's pseudo-observation multiplicity. The base sum is
+/// cached per cluster and the per-label deltas are label-major rows over t;
+/// `evidence_scores` adds them in that order, element by element.
+double EvidenceScores(const CpaModel& model, ItemId i, RowScratch& scratch) {
+  scratch.terms.clear();
+  scratch.scales.clear();
+  if (!model.y_evidence[i].empty()) {
+    const double evidence_scale = model.y_evidence_weight[i];
+    scratch.terms.push_back(model.elog_theta_base.data());
+    scratch.scales.push_back(evidence_scale);
+    for (const auto& [c, weight] : model.y_evidence[i]) {
+      scratch.terms.push_back(model.elog_theta_delta_t.Row(c).data());
+      scratch.scales.push_back(evidence_scale * weight);
+    }
+  }
+  return simd::Active().evidence_scores(model.elog_tau.data(), scratch.terms.data(),
+                                        scratch.scales.data(), scratch.terms.size(),
+                                        scratch.scores.data(), scratch.scores.size());
+}
+
+/// Stores the floored softmax of `scratch.scores`, whose max is `max`, as
+/// ϕ row i: the surviving pairs, straight into the row store. A row whose
+/// max is not finite takes the dense uniform fallback.
+void AssignFlooredSoftmax(CpaModel& model, ItemId i, double max, RowScratch& scratch) {
+  if (!std::isfinite(max)) {
+    SoftmaxInPlace(scratch.scores, kSoftmaxFloorNats);
+    model.phi.Assign(i, scratch.scores);
+    return;
+  }
+  const std::size_t count = simd::Active().softmax_floored_pairs(
+      scratch.scores.data(), scratch.scores.size(), max, kSoftmaxFloorNats,
+      scratch.clusters.data(), scratch.weights.data());
+  model.phi.AssignPairs(i, std::span(scratch.clusters).first(count),
+                        std::span(scratch.weights).first(count));
 }
 
 /// Column masses Σ_rows of `rows` rows through `add_rows(begin, end,
@@ -163,47 +214,33 @@ void UpdateWorkerResponsibility(CpaModel& model, const AnswerView& view, WorkerI
   SoftmaxInPlace(scores, kSoftmaxFloorNats);
 }
 
-/// Through the Beta-Bernoulli channel:
-///   w_i Σ_c [ỹ_ic E ln θ_tc + (1−ỹ_ic) E ln(1−θ_tc)]
-///     = w_i Σ_c E ln(1−θ_tc)
-///       + Σ_{c: ỹ>0} (w_i ỹ_ic)(E ln θ_tc − E ln(1−θ_tc)),
-/// with w_i the item's pseudo-observation multiplicity. The base sum is
-/// cached per cluster; the per-label deltas are label-major AXPYs over t.
-void AddEvidenceTerm(const CpaModel& model, ItemId i, std::span<double> scores) {
-  if (model.y_evidence[i].empty()) return;
-  const std::size_t T = model.num_clusters();
-  const double evidence_scale = model.y_evidence_weight[i];
-  Axpy(evidence_scale, model.elog_theta_base, scores.first(T));
-  for (const auto& [c, weight] : model.y_evidence[i]) {
-    Axpy(evidence_scale * weight, model.elog_theta_delta_t.Row(c), scores);
-  }
-}
-
 void UpdateItemResponsibility(CpaModel& model, const AnswerView& view, ItemId i,
                               std::span<const std::uint32_t> indices) {
   const std::size_t M = model.num_communities();
   const std::size_t T = model.num_clusters();
-  const std::span<double> scores = ScoreScratch(T);
-  for (std::size_t t = 0; t < T; ++t) scores[t] = model.elog_tau[t];
-  AddEvidenceTerm(model, i, scores);
+  RowScratch& scratch = RowScratchFor(T);
+  const double max = EvidenceScores(model, i, scratch);
   // Optional answer term (Eq. 3 omits it; see cpa_options.h).
-  if (model.options().phi_answer_term) {
-    for (std::uint32_t index : indices) {
-      const auto labels = view.labels(index);
-      const auto kappa_row = model.kappa.Row(view.worker(index));
-      for (std::size_t t = 0; t < T; ++t) {
-        const Matrix& elog_psi_t = model.elog_psi[t];
-        double expected = 0.0;
-        for (std::size_t m = 0; m < M; ++m) {
-          const double weight = kappa_row[m];
-          if (weight < kSkipMass) continue;
-          const auto psi_row = elog_psi_t.Row(m);
-          double loglik = 0.0;
-          for (LabelId c : labels) loglik += psi_row[c];
-          expected += weight * loglik;
-        }
-        scores[t] += expected;
+  if (!model.options().phi_answer_term) {
+    AssignFlooredSoftmax(model, i, max, scratch);
+    return;
+  }
+  const std::span<double> scores = scratch.scores;
+  for (std::uint32_t index : indices) {
+    const auto labels = view.labels(index);
+    const auto kappa_row = model.kappa.Row(view.worker(index));
+    for (std::size_t t = 0; t < T; ++t) {
+      const Matrix& elog_psi_t = model.elog_psi[t];
+      double expected = 0.0;
+      for (std::size_t m = 0; m < M; ++m) {
+        const double weight = kappa_row[m];
+        if (weight < kSkipMass) continue;
+        const auto psi_row = elog_psi_t.Row(m);
+        double loglik = 0.0;
+        for (LabelId c : labels) loglik += psi_row[c];
+        expected += weight * loglik;
       }
+      scores[t] += expected;
     }
   }
   SoftmaxInPlace(scores, kSoftmaxFloorNats);
@@ -211,12 +248,8 @@ void UpdateItemResponsibility(CpaModel& model, const AnswerView& view, ItemId i,
 }
 
 void UpdateItemResponsibilityFromEvidence(CpaModel& model, ItemId i) {
-  const std::size_t T = model.num_clusters();
-  const std::span<double> scores = ScoreScratch(T);
-  for (std::size_t t = 0; t < T; ++t) scores[t] = model.elog_tau[t];
-  AddEvidenceTerm(model, i, scores);
-  SoftmaxInPlace(scores, kSoftmaxFloorNats);
-  model.phi.Assign(i, scores);
+  RowScratch& scratch = RowScratchFor(model.num_clusters());
+  AssignFlooredSoftmax(model, i, EvidenceScores(model, i, scratch), scratch);
 }
 
 // ---------------------------------------------------------------------------
@@ -549,7 +582,7 @@ double WriteSeedRow(CpaModel& model, ItemId item, std::size_t cluster) {
   return change;
 }
 
-double SeedClustersFromConsensus(CpaModel& model) {
+std::vector<std::size_t> ConsensusSeedClusters(const CpaModel& model) {
   // Symmetry breaking for the item clusters: items sharing an identical
   // majority-consensus label set start in the same cluster. Distinct
   // consensus sets are ranked by frequency and assigned cluster indices in
@@ -559,8 +592,9 @@ double SeedClustersFromConsensus(CpaModel& model) {
   // assigned cluster with the highest Jaccard overlap. Without label-
   // aligned seeding the truncated mixture routinely locks into clusterings
   // uncorrelated with the label structure.
+  std::vector<std::size_t> seed_cluster(model.num_items(), kNoSeed);
   const std::size_t T = model.num_clusters();
-  if (T <= 1) return 0.0;
+  if (T <= 1) return seed_cluster;
 
   struct Group {
     LabelSet consensus;
@@ -582,14 +616,9 @@ double SeedClustersFromConsensus(CpaModel& model) {
     return a->consensus.labels()[0] < b->consensus.labels()[0];  // deterministic
   });
 
-  // Every evidenced item is in exactly one group, so each row is written
-  // once and its seed change is its change over the whole call.
-  double change = 0.0;
   const std::size_t assigned = std::min(ranked.size(), T);
   for (std::size_t rank = 0; rank < assigned; ++rank) {
-    for (ItemId i : ranked[rank]->items) {
-      change = std::max(change, WriteSeedRow(model, i, rank));
-    }
+    for (ItemId i : ranked[rank]->items) seed_cluster[i] = rank;
   }
   // Overflow sets: join the assigned cluster with the best Jaccard match.
   for (std::size_t rank = assigned; rank < ranked.size(); ++rank) {
@@ -603,9 +632,19 @@ double SeedClustersFromConsensus(CpaModel& model) {
         best_cluster = candidate;
       }
     }
-    for (ItemId i : ranked[rank]->items) {
-      change = std::max(change, WriteSeedRow(model, i, best_cluster));
-    }
+    for (ItemId i : ranked[rank]->items) seed_cluster[i] = best_cluster;
+  }
+  return seed_cluster;
+}
+
+double SeedClustersFromConsensus(CpaModel& model) {
+  const std::vector<std::size_t> seed_cluster = ConsensusSeedClusters(model);
+  // Every evidenced item has one seed, so each row is written once and its
+  // seed change is its change over the whole call.
+  double change = 0.0;
+  for (ItemId i = 0; i < model.num_items(); ++i) {
+    if (seed_cluster[i] == kNoSeed) continue;
+    change = std::max(change, WriteSeedRow(model, i, seed_cluster[i]));
   }
   return change;
 }

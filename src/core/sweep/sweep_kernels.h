@@ -21,6 +21,7 @@
 /// clusters with non-negligible mass — so an answer touches its item's few
 /// active clusters instead of scanning a T-wide ϕ row.
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -70,6 +71,18 @@ struct ClusterActivity {
       fn(static_cast<std::size_t>(active.clusters[k]), active.weights[k]);
     }
   }
+
+  /// `ForEach` restricted to the clusters in [t_begin, t_end).
+  template <typename Fn>
+  void ForEachIn(ItemId item, std::size_t t_begin, std::size_t t_end, Fn&& fn) const {
+    const PhiRows::Entries active = phi->AtLeast(item, threshold);
+    const auto clusters = active.clusters;
+    std::size_t k = static_cast<std::size_t>(
+        std::lower_bound(clusters.begin(), clusters.end(), t_begin) - clusters.begin());
+    for (; k < clusters.size() && clusters[k] < t_end; ++k) {
+      fn(static_cast<std::size_t>(clusters[k]), active.weights[k]);
+    }
+  }
 };
 
 /// Binds `out` to `phi` at `threshold` (> 0). The scheduler is unused: the
@@ -90,19 +103,19 @@ void UpdateWorkerResponsibility(CpaModel& model, const AnswerView& view, WorkerI
 
 /// Eq. 3 (+ optional answer evidence): recomputes ϕ row `i` from the answers
 /// of item `i` and the item's label evidence ỹ_i. The T scores live in the
-/// calling thread's scratch (callers shard with or without an arena); the
-/// floored softmax result is stored by its nonzero entries.
+/// calling thread's scratch (callers shard with or without an arena). With
+/// `phi_answer_term` off (the default) this is
+/// `UpdateItemResponsibilityFromEvidence`; with it on, the answer term is
+/// added to the scores and the floored softmax goes through the dense row.
 void UpdateItemResponsibility(CpaModel& model, const AnswerView& view, ItemId i,
                               std::span<const std::uint32_t> indices);
 
 /// The evidence-only ϕ row update (Eq. 3 without the answer term): the SVI
-/// local phase for re-seen items and the global-refresh soft update.
+/// local phase for re-seen items and the global-refresh soft update. One
+/// `evidence_scores` pass builds the scores and their max, and
+/// `softmax_floored_pairs` hands the surviving pairs to
+/// `PhiRows::AssignPairs` (simd.h, "Fused ϕ row kernels").
 void UpdateItemResponsibilityFromEvidence(CpaModel& model, ItemId i);
-
-/// Adds the label-evidence term of the ϕ update onto `scores` (length T),
-/// scaled by the item's pseudo-observation weight. Uses the label-major
-/// `elog_theta_delta_t` cache; no-op when the item carries no evidence.
-void AddEvidenceTerm(const CpaModel& model, ItemId i, std::span<double> scores);
 
 /// @}
 
@@ -201,10 +214,22 @@ LabelSet ConsensusFromEvidence(const CpaModel& model, ItemId item);
 /// convergence check needs no ϕ snapshot.
 double WriteSeedRow(CpaModel& model, ItemId item, std::size_t cluster);
 
-/// Initialises ϕ rows so items with identical majority-consensus label
-/// sets start in the same cluster, with clusters assigned in consensus-
-/// frequency order (matched to the size-biased stick-breaking geometry).
-/// Returns the largest row change over the rows it wrote (0 when none).
+/// `ConsensusSeedClusters`' entry for an item without evidence, whose row
+/// is kept.
+inline constexpr std::size_t kNoSeed = static_cast<std::size_t>(-1);
+
+/// The seed cluster of every item: items with identical majority-consensus
+/// label sets share one, with clusters assigned in consensus-frequency
+/// order (matched to the size-biased stick-breaking geometry), and sets
+/// beyond the truncation join their best Jaccard match. `kNoSeed` for an
+/// item without evidence, and for every item when T ≤ 1.
+std::vector<std::size_t> ConsensusSeedClusters(const CpaModel& model);
+
+/// Seeds every evidenced item's ϕ row one-hot on its
+/// `ConsensusSeedClusters` cluster (`WriteSeedRow`), on the calling
+/// thread. Returns the largest row change over the rows it wrote (0 when
+/// none). The offline fit seeds through it; the online learner, which
+/// needs no change, shards the one-hot writes itself.
 double SeedClustersFromConsensus(CpaModel& model);
 
 /// @}

@@ -173,6 +173,41 @@ double SoftmaxFlooredScalar(double* v, std::size_t n, double floor_nats) {
   return max + std::log(sum);
 }
 
+double EvidenceScoresScalar(const double* init, const double* const* rows,
+                            const double* scales, std::size_t terms, double* out,
+                            std::size_t n) {
+  double lane[4] = {kNegInf, kNegInf, kNegInf, kNegInf};
+  for (std::size_t i = 0; i < n; ++i) {
+    double score = init[i];
+    for (std::size_t k = 0; k < terms; ++k) score += scales[k] * rows[k][i];
+    out[i] = score;
+    lane[i % 4] = std::max(lane[i % 4], score);
+  }
+  return std::max(std::max(lane[0], lane[1]), std::max(lane[2], lane[3]));
+}
+
+std::size_t SoftmaxFlooredPairsScalar(const double* v, std::size_t n, double max,
+                                      double floor_nats, std::uint32_t* indices,
+                                      double* weights) {
+  // Element i adds into lane i % 4, as in SoftmaxFlooredScalar's main loop
+  // and tail (the tail starts at a multiple of 4).
+  double lane[4] = {0.0, 0.0, 0.0, 0.0};
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double t = v[i] - max;
+    if (t > -floor_nats) {
+      const double e = std::exp(t);
+      indices[count] = static_cast<std::uint32_t>(i);
+      weights[count] = e;
+      ++count;
+      lane[i % 4] += e;
+    }
+  }
+  const double sum = (lane[0] + lane[1]) + (lane[2] + lane[3]);
+  for (std::size_t k = 0; k < count; ++k) weights[k] /= sum;
+  return count;
+}
+
 void AddJitteredRows4Scalar(const std::uint64_t* states, const double* sums,
                             double* into, std::size_t n) {
   Rng g0 = Rng::FromState({states[0], states[1], states[2], states[3]});
@@ -194,7 +229,7 @@ void AddJitteredRows4Scalar(const std::uint64_t* states, const double* sums,
 constexpr Kernels kScalarKernels = {
     AccumulateScalar, AxpyScalar,    SumScalar,     DotScalar,
     MaxValueScalar,   LogSumExpScalar, SoftmaxScalar, SoftmaxFlooredScalar,
-    AddJitteredRows4Scalar,
+    EvidenceScoresScalar, SoftmaxFlooredPairsScalar, AddJitteredRows4Scalar,
 };
 
 // ---------------------------------------------------------------------------
@@ -376,6 +411,101 @@ CPA_TARGET_AVX2 double SoftmaxFlooredAvx2(double* v, std::size_t n,
   return max + std::log(sum);
 }
 
+/// One 4-block of `EvidenceScoresScalar`'s scores: the terms in k order,
+/// each one vmulpd then one vaddpd, as `AxpyAvx2` applies them.
+CPA_TARGET_AVX2 inline __m256d EvidenceBlock(const double* init,
+                                            const double* const* rows,
+                                            const double* scales, std::size_t terms,
+                                            std::size_t i) {
+  __m256d score = _mm256_loadu_pd(init + i);
+  for (std::size_t k = 0; k < terms; ++k) {
+    score = _mm256_add_pd(
+        score, _mm256_mul_pd(_mm256_set1_pd(scales[k]), _mm256_loadu_pd(rows[k] + i)));
+  }
+  return score;
+}
+
+CPA_TARGET_AVX2 double EvidenceScoresAvx2(const double* init,
+                                          const double* const* rows,
+                                          const double* scales, std::size_t terms,
+                                          double* out, std::size_t n) {
+  // Lane j of `max` sees elements j, j + 4, j + 8, … in order, as the
+  // scalar lanes do; `vmaxpd(x, acc)` keeps acc on NaN and on ties, like
+  // `std::max(acc, x)` (see MaxValueAvx2).
+  __m256d max = _mm256_set1_pd(kNegInf);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256d a = EvidenceBlock(init, rows, scales, terms, i);
+    const __m256d b = EvidenceBlock(init, rows, scales, terms, i + 4);
+    _mm256_storeu_pd(out + i, a);
+    _mm256_storeu_pd(out + i + 4, b);
+    max = _mm256_max_pd(b, _mm256_max_pd(a, max));
+  }
+  for (; i + 4 <= n; i += 4) {
+    const __m256d a = EvidenceBlock(init, rows, scales, terms, i);
+    _mm256_storeu_pd(out + i, a);
+    max = _mm256_max_pd(a, max);
+  }
+  alignas(32) double lane[4];
+  _mm256_store_pd(lane, max);
+  for (std::size_t l = 0; i < n; ++i, ++l) {
+    double score = init[i];
+    for (std::size_t k = 0; k < terms; ++k) score += scales[k] * rows[k][i];
+    out[i] = score;
+    lane[l] = std::max(lane[l], score);
+  }
+  return std::max(std::max(lane[0], lane[1]), std::max(lane[2], lane[3]));
+}
+
+CPA_TARGET_AVX2 std::size_t SoftmaxFlooredPairsAvx2(const double* v, std::size_t n,
+                                                    double max, double floor_nats,
+                                                    std::uint32_t* indices,
+                                                    double* weights) {
+  // The block skip of SoftmaxFlooredAvx2, with nothing stored for a block
+  // that fails the floor entirely; survivors take the scalar `std::exp` in
+  // ascending lane order.
+  const __m256d maxv = _mm256_set1_pd(max);
+  const __m256d cut = _mm256_set1_pd(-floor_nats);
+  double lane[4] = {0.0, 0.0, 0.0, 0.0};
+  alignas(32) double t[4];
+  std::size_t count = 0;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d d = _mm256_sub_pd(_mm256_loadu_pd(v + i), maxv);
+    unsigned alive =
+        static_cast<unsigned>(_mm256_movemask_pd(_mm256_cmp_pd(d, cut, _CMP_GT_OQ)));
+    if (alive == 0) continue;
+    _mm256_store_pd(t, d);
+    do {
+      const unsigned l = static_cast<unsigned>(__builtin_ctz(alive));
+      const double e = std::exp(t[l]);
+      indices[count] = static_cast<std::uint32_t>(i + l);
+      weights[count] = e;
+      ++count;
+      lane[l] += e;
+      alive &= alive - 1;
+    } while (alive != 0);
+  }
+  for (std::size_t l = 0; i < n; ++i, ++l) {
+    const double d = v[i] - max;
+    if (d > -floor_nats) {
+      const double e = std::exp(d);
+      indices[count] = static_cast<std::uint32_t>(i);
+      weights[count] = e;
+      ++count;
+      lane[l] += e;
+    }
+  }
+  const double sum = (lane[0] + lane[1]) + (lane[2] + lane[3]);
+  const __m256d sv = _mm256_set1_pd(sum);
+  std::size_t k = 0;
+  for (; k + 4 <= count; k += 4) {
+    _mm256_storeu_pd(weights + k, _mm256_div_pd(_mm256_loadu_pd(weights + k), sv));
+  }
+  for (; k < count; ++k) weights[k] /= sum;
+  return count;
+}
+
 CPA_TARGET_AVX2 inline __m256i Rotl64(__m256i x, int k) {
   return _mm256_or_si256(_mm256_slli_epi64(x, k), _mm256_srli_epi64(x, 64 - k));
 }
@@ -465,7 +595,7 @@ CPA_TARGET_AVX2 void AddJitteredRows4Avx2(const std::uint64_t* states,
 constexpr Kernels kAvx2Kernels = {
     AccumulateAvx2, AxpyAvx2,      SumAvx2,     DotAvx2,
     MaxValueAvx2,   LogSumExpAvx2, SoftmaxAvx2, SoftmaxFlooredAvx2,
-    AddJitteredRows4Avx2,
+    EvidenceScoresAvx2, SoftmaxFlooredPairsAvx2, AddJitteredRows4Avx2,
 };
 
 #endif  // CPA_SIMD_HAVE_AVX2

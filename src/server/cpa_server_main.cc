@@ -8,6 +8,8 @@
 ///                [--router --workers ADDR,ADDR,...]
 ///   $ cpa_server --methods   # list registered methods + simd level, exit
 ///
+/// An unknown flag is refused: the server exits non-zero and names it.
+///
 /// Without `--tcp`/`--unix` the server speaks line-delimited JSON over
 /// stdin/stdout — one JSON request per input line, one JSON response per
 /// output line (src/server/protocol.h; full format with transcripts in
@@ -79,7 +81,37 @@ int main(int argc, char** argv) {
   const auto flags = cpa::Flags::Parse(argc, argv);
   CPA_CHECK(flags.ok()) << flags.status().ToString();
 
-  if (flags.value().GetBool("methods", false)) {
+  // Every flag is read before any is acted on, so an unknown one is
+  // refused whichever mode the others select.
+  const bool list_methods = flags.value().GetBool("methods", false);
+
+  cpa::ConsensusServerOptions options;
+  options.sessions.num_threads =
+      static_cast<std::size_t>(flags.value().GetInt("num-threads", 1));
+  options.sessions.max_sessions =
+      static_cast<std::size_t>(flags.value().GetInt("max-sessions", 64));
+  options.idle_timeout_seconds = flags.value().GetDouble("idle-timeout", 0.0);
+
+  const std::string transport = flags.value().GetString("transport", "binary");
+  const bool router_mode = flags.value().GetBool("router", false);
+  const std::string unix_path = flags.value().GetString("unix", "");
+  const bool socket_mode =
+      flags.value().GetBool("tcp", false) || router_mode || !unix_path.empty();
+
+  cpa::TcpTransportOptions tcp_options;
+  tcp_options.bind_address = flags.value().GetString("bind", "127.0.0.1");
+  tcp_options.port =
+      static_cast<std::uint16_t>(flags.value().GetInt("port", 0));
+  tcp_options.unix_path = unix_path;
+  tcp_options.max_connections =
+      static_cast<std::size_t>(flags.value().GetInt("max-connections", 1024));
+  tcp_options.max_frame_bytes = static_cast<std::size_t>(flags.value().GetInt(
+      "max-frame-bytes",
+      static_cast<long long>(cpa::server::kDefaultMaxFrameBytes)));
+  const std::string workers = flags.value().GetString("workers", "");
+  CPA_CHECK_OK(flags.value().CheckAllRead());
+
+  if (list_methods) {
     // Capability probe for deploy scripts: the registered methods plus the
     // kernel level this binary will run (docs/ARCHITECTURE.md §3c).
     for (const std::string& name :
@@ -90,24 +122,11 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  cpa::ConsensusServerOptions options;
-  options.sessions.num_threads =
-      static_cast<std::size_t>(flags.value().GetInt("num-threads", 1));
-  options.sessions.max_sessions =
-      static_cast<std::size_t>(flags.value().GetInt("max-sessions", 64));
-  options.idle_timeout_seconds = flags.value().GetDouble("idle-timeout", 0.0);
   CPA_CHECK_GE(options.sessions.num_threads, 1u);
   CPA_CHECK_GE(options.sessions.max_sessions, 1u);
-
-  const std::string transport = flags.value().GetString("transport", "binary");
   CPA_CHECK(transport == "binary" || transport == "json")
       << "--transport must be 'json' or 'binary', got '" << transport << "'";
   options.accept_binary = transport == "binary";
-
-  const bool router_mode = flags.value().GetBool("router", false);
-  const std::string unix_path = flags.value().GetString("unix", "");
-  const bool socket_mode =
-      flags.value().GetBool("tcp", false) || router_mode || !unix_path.empty();
 
   if (!socket_mode) {
     cpa::ConsensusServer server(options);
@@ -120,17 +139,6 @@ int main(int argc, char** argv) {
     server.Serve(std::cin, std::cout);
     return 0;
   }
-
-  cpa::TcpTransportOptions tcp_options;
-  tcp_options.bind_address = flags.value().GetString("bind", "127.0.0.1");
-  tcp_options.port =
-      static_cast<std::uint16_t>(flags.value().GetInt("port", 0));
-  tcp_options.unix_path = unix_path;
-  tcp_options.max_connections =
-      static_cast<std::size_t>(flags.value().GetInt("max-connections", 1024));
-  tcp_options.max_frame_bytes = static_cast<std::size_t>(flags.value().GetInt(
-      "max-frame-bytes",
-      static_cast<long long>(cpa::server::kDefaultMaxFrameBytes)));
 
   // Mask the shutdown signals before any thread exists so every thread
   // inherits the mask and sigwait below is the only consumer.
@@ -147,7 +155,6 @@ int main(int argc, char** argv) {
   cpa::FrameHandler* handler = nullptr;
   if (router_mode) {
     cpa::RouterOptions router_options;
-    const std::string workers = flags.value().GetString("workers", "");
     for (const std::string& address : cpa::Split(workers, ',')) {
       if (!address.empty()) router_options.workers.push_back(address);
     }

@@ -29,31 +29,48 @@ Result<Flags> Flags::Parse(int argc, char** argv) {
   return flags;
 }
 
-std::string Flags::GetString(std::string_view name, std::string_view fallback) const {
+const std::string* Flags::Read(std::string_view name) const {
+  read_.emplace(name);
   const auto it = values_.find(name);
-  return it != values_.end() ? it->second : std::string(fallback);
+  return it != values_.end() ? &it->second : nullptr;
+}
+
+std::string Flags::GetString(std::string_view name, std::string_view fallback) const {
+  const std::string* value = Read(name);
+  return value != nullptr ? *value : std::string(fallback);
 }
 
 long long Flags::GetInt(std::string_view name, long long fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  const auto parsed = ParseInt(it->second);
+  const std::string* value = Read(name);
+  if (value == nullptr) return fallback;
+  const auto parsed = ParseInt(*value);
   return parsed.ok() ? parsed.value() : fallback;
 }
 
 double Flags::GetDouble(std::string_view name, double fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  const auto parsed = ParseDouble(it->second);
+  const std::string* value = Read(name);
+  if (value == nullptr) return fallback;
+  const auto parsed = ParseDouble(*value);
   return parsed.ok() ? parsed.value() : fallback;
 }
 
 bool Flags::GetBool(std::string_view name, bool fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string* value = Read(name);
+  if (value == nullptr) return fallback;
+  return *value == "true" || *value == "1" || *value == "yes";
 }
 
-bool Flags::Has(std::string_view name) const { return values_.count(name) > 0; }
+bool Flags::Has(std::string_view name) const { return Read(name) != nullptr; }
+
+Status Flags::CheckAllRead() const {
+  std::string unread;
+  for (const auto& [name, value] : values_) {
+    if (read_.count(name) > 0) continue;
+    unread += unread.empty() ? "--" : ", --";
+    unread += name;
+  }
+  if (unread.empty()) return Status::OK();
+  return Status::InvalidArgument(StrFormat("unknown flag(s): %s", unread.c_str()));
+}
 
 }  // namespace cpa

@@ -7,8 +7,15 @@
 /// Flags use `--name=value` or `--name value` syntax. Every bench binary
 /// must run with zero flags (sane defaults) so `for b in build/bench/*`
 /// works; flags only tweak scale for interactive exploration.
+///
+/// A binary that wants unknown flags refused reads every flag it accepts
+/// and then calls `CheckAllRead`, which fails on any supplied flag no
+/// accessor asked for (a misspelt or retired flag would otherwise run
+/// silently with its default). The accessors record each name they are
+/// asked for, so one `Flags` must not be read from two threads at once.
 
 #include <map>
+#include <set>
 #include <string>
 #include <string_view>
 
@@ -31,8 +38,16 @@ class Flags {
   /// True if the flag was supplied.
   bool Has(std::string_view name) const;
 
+  /// Fails, naming them, when some supplied flags were never asked for by
+  /// `Get*` or `Has`. Call it once every flag the binary accepts is read.
+  Status CheckAllRead() const;
+
  private:
+  /// Marks `name` as read and returns its value, or nullptr when absent.
+  const std::string* Read(std::string_view name) const;
+
   std::map<std::string, std::string, std::less<>> values_;
+  mutable std::set<std::string, std::less<>> read_;
 };
 
 }  // namespace cpa

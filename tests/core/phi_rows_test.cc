@@ -19,8 +19,9 @@ namespace {
 constexpr double kFloorNats = 27.6;  // the ϕ MAP kernels' softmax floor
 
 bool BitEqual(std::span<const double> a, std::span<const double> b) {
+  // memcmp must not see the null data of an empty span.
   return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
 /// A floored softmax row over `cols` clusters: a few dozen nonzeros, the
@@ -230,6 +231,97 @@ TEST(PhiRowsTest, NearDenseRowsAreKeptDenseAndThinBackToPairs) {
   phi.Assign(1, sparse);
   EXPECT_EQ(phi.HeapBytes(), one_hot_bytes + (pairs - 1) * (sizeof(std::uint32_t) +
                                                             sizeof(double)));
+}
+
+/// Row r of `a` and row r of `b` are stored alike: the same form, bits,
+/// runs and capacities (the stores' heap bytes are compared by the caller).
+void ExpectSameRow(const PhiRows& a, const PhiRows& b, std::size_t r) {
+  ASSERT_EQ(a.IsInitial(r), b.IsInitial(r));
+  EXPECT_TRUE(BitEqual(a.DenseRow(r), b.DenseRow(r)));
+  const Support a_nonzeros = NonzerosOf(a, r);
+  const Support b_nonzeros = NonzerosOf(b, r);
+  EXPECT_EQ(a_nonzeros.clusters, b_nonzeros.clusters);
+  EXPECT_TRUE(BitEqual(a_nonzeros.weights, b_nonzeros.weights));
+  for (const double threshold : {kHeavyWeight, 1e-10}) {
+    const PhiRows::Entries a_run = a.AtLeast(r, threshold);
+    const std::vector<std::uint32_t> a_clusters(a_run.clusters.begin(),
+                                                a_run.clusters.end());
+    const std::vector<double> a_weights(a_run.weights.begin(), a_run.weights.end());
+    const PhiRows::Entries b_run = b.AtLeast(r, threshold);
+    EXPECT_EQ(a_clusters,
+              std::vector<std::uint32_t>(b_run.clusters.begin(), b_run.clusters.end()));
+    EXPECT_TRUE(BitEqual(a_weights, b_run.weights));
+  }
+}
+
+TEST(PhiRowsTest, AssignPairsStoresWhatAssignStoresForTheDenseRow) {
+  const std::size_t cols = 60;
+  Rng init(17);
+  PhiRows dense_written;
+  dense_written.ResetJittered(2, cols, init);
+  PhiRows pairs_written = dense_written;
+  Rng rng(19);
+
+  // Hand-built heavy/light row: light entries at both ends and between
+  // the heavy ones, 1e-8 itself heavy.
+  std::vector<double> heavy_light(cols, 0.0);
+  heavy_light[0] = 1e-9;
+  heavy_light[1] = 0.4;
+  heavy_light[3] = 5e-9;
+  heavy_light[4] = 0.6;
+  heavy_light[5] = kHeavyWeight;
+  heavy_light[59] = 2e-12;
+  // More than 2T/3 nonzeros (kept dense), with exact zeros and light
+  // entries among them.
+  std::vector<double> near_dense(cols);
+  for (double& value : near_dense) value = 0.001 + rng.NextDouble();
+  for (std::size_t t = 0; t < cols; t += 6) near_dense[t] = 0.0;
+  near_dense[7] = 3e-9;
+  std::vector<double> one_entry(cols, 0.0);
+  one_entry[37] = 1.0;
+  const std::vector<double> empty(cols, 0.0);
+  // Exactly 2T/3 nonzeros stay pairs; the 25-entry row after it keeps
+  // their storage only if they did (a dense row's T doubles are more than
+  // twice 25).
+  const auto first_nonzeros = [&](std::size_t count) {
+    std::vector<double> row(cols, 0.0);
+    for (std::size_t t = 0; t < count; ++t) {
+      row[(7 * t) % cols] = t % 5 == 0 ? 4e-9 : 0.01;
+    }
+    return row;
+  };
+  // Row 0 goes through every form in turn (sparse → dense → one entry →
+  // sparse → …), so the capacity rules on rewrites are compared too.
+  const std::vector<std::vector<double>> rows = {
+      SoftmaxRow(cols, rng), near_dense, one_entry, heavy_light,
+      near_dense,            SoftmaxRow(cols, rng), empty, near_dense,
+      one_entry,             first_nonzeros(2 * cols / 3), first_nonzeros(25),
+      SoftmaxRow(cols, rng)};
+  for (std::size_t step = 0; step < rows.size(); ++step) {
+    SCOPED_TRACE(step);
+    const std::vector<double>& row = rows[step];
+    Support pairs;
+    for (std::size_t t = 0; t < cols; ++t) {
+      if (row[t] == 0.0) continue;
+      pairs.clusters.push_back(static_cast<std::uint32_t>(t));
+      pairs.weights.push_back(row[t]);
+    }
+    dense_written.Assign(0, row);
+    pairs_written.AssignPairs(0, pairs.clusters, pairs.weights);
+    ExpectSameRow(dense_written, pairs_written, 0);
+    ExpectSameRow(dense_written, pairs_written, 1);  // untouched, initial
+    EXPECT_EQ(dense_written.HeapBytes(), pairs_written.HeapBytes());
+  }
+
+  // A zero weight among the pairs is dropped, as `Assign` drops zeros.
+  Support with_zero{{2, 9, 30}, {0.25, 0.0, 0.75}};
+  std::vector<double> row(cols, 0.0);
+  row[2] = 0.25;
+  row[30] = 0.75;
+  dense_written.Assign(1, row);
+  pairs_written.AssignPairs(1, with_zero.clusters, with_zero.weights);
+  ExpectSameRow(dense_written, pairs_written, 1);
+  EXPECT_EQ(dense_written.HeapBytes(), pairs_written.HeapBytes());
 }
 
 TEST(PhiRowsTest, InitialStoreHoldsNoTWideRows) {

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "data/dataset.h"
 
+#include "core/sweep/answer_view.h"
 #include "core/vi.h"
 #include "util/special_functions.h"
 #include "simulation/crowd_simulator.h"
@@ -136,6 +139,49 @@ TEST(PredictLabelsTest, UnansweredItemsStayEmpty) {
   const auto prediction = PredictLabels(model.value(), sparse);
   ASSERT_TRUE(prediction.ok());
   EXPECT_TRUE(prediction.value().labels[0].empty());
+}
+
+TEST(PredictLabelsTest, SeenAnswerListsMatchTheSubsetMatrix) {
+  // The online learner's form: each item's seen answers as flat indices
+  // into the view of the whole stream, some dropped and the rest in an
+  // order other than the stream's. It must equal predicting from the
+  // matrix of exactly those answers, added item by item in list order.
+  const FittedWorld world = FitWorld(13, PopulationMix::PaperSimulationDefault());
+  const AnswerMatrix& stream = world.dataset.answers;
+  const AnswerView view(stream);
+  std::vector<std::vector<std::uint32_t>> seen(stream.num_items());
+  Rng rng(5);
+  for (ItemId i = 0; i < stream.num_items(); ++i) {
+    for (std::uint32_t index : view.AnswersOfItem(i)) {
+      if (rng.NextBounded(4) != 0) seen[i].push_back(index);
+    }
+    std::reverse(seen[i].begin(), seen[i].end());
+  }
+  seen[2].clear();  // an item with no seen answers stays empty
+  std::vector<std::size_t> subset_order;
+  for (const auto& list : seen) {
+    subset_order.insert(subset_order.end(), list.begin(), list.end());
+  }
+  const AnswerMatrix subset = stream.Subset(subset_order);
+
+  ThreadPool pool(3);
+  const SweepScheduler scheduler(&pool);
+  const auto from_lists = PredictLabels(world.model, view, seen, scheduler);
+  const auto from_subset = PredictLabels(world.model, subset, scheduler);
+  ASSERT_TRUE(from_lists.ok());
+  ASSERT_TRUE(from_subset.ok());
+  EXPECT_TRUE(from_lists.value().labels[2].empty());
+  for (std::size_t i = 0; i < stream.num_items(); ++i) {
+    EXPECT_EQ(from_lists.value().labels[i], from_subset.value().labels[i]) << i;
+  }
+  const auto a = from_lists.value().scores.Data();
+  const auto b = from_subset.value().scores.Data();
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0);
+
+  // Lists that do not cover the model's items are refused.
+  seen.pop_back();
+  EXPECT_FALSE(PredictLabels(world.model, view, seen, scheduler).ok());
 }
 
 TEST(PredictLabelsTest, DimensionMismatchIsError) {

@@ -7,12 +7,15 @@
 #include <cstring>
 #include <limits>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "core/phi_rows.h"
+#include "core/sweep/sweep_kernels.h"
 #include "core/vi.h"
 #include "simulation/dataset_factory.h"
 #include "util/special_functions.h"
+#include "util/string_utils.h"
 
 namespace cpa::simd {
 namespace {
@@ -175,6 +178,173 @@ TEST_F(SimdKernelsTest, SoftmaxDegenerateRowsMatchScalar) {
   }
 }
 
+/// A score row's inputs for `evidence_scores`: `init` plus `terms` rows
+/// with their scales, each `n + offset` long.
+struct EvidenceInputs {
+  std::vector<double> init;
+  std::vector<std::vector<double>> rows;
+  std::vector<double> scales;
+  std::vector<const double*> row_ptrs;  ///< rows[k].data() + offset
+};
+
+EvidenceInputs MakeEvidenceInputs(std::mt19937_64& rng, std::size_t n, std::size_t offset,
+                                  std::size_t terms, double inf_fraction) {
+  std::uniform_real_distribution<double> scale(0.0, 30.0);
+  EvidenceInputs in;
+  in.init = RandomRow(rng, n + offset, inf_fraction);
+  for (std::size_t k = 0; k < terms; ++k) {
+    in.rows.push_back(RandomRow(rng, n + offset, 0.0));
+    in.scales.push_back(scale(rng));
+  }
+  for (const auto& row : in.rows) in.row_ptrs.push_back(row.data() + offset);
+  return in;
+}
+
+/// The unfused chain the fused kernels replace: `init` copied, then one
+/// `axpy` per term, at the given level.
+std::vector<double> AxpyChain(const Kernels& kernels, const EvidenceInputs& in,
+                              std::size_t n, std::size_t offset) {
+  std::vector<double> out(in.init.begin() + static_cast<std::ptrdiff_t>(offset),
+                          in.init.begin() + static_cast<std::ptrdiff_t>(offset + n));
+  for (std::size_t k = 0; k < in.rows.size(); ++k) {
+    kernels.axpy(in.scales[k], in.row_ptrs[k], out.data(), n);
+  }
+  return out;
+}
+
+TEST_F(SimdKernelsTest, EvidenceScoresExactlyMatchScalarAndTheAxpyChain) {
+  for (std::size_t n : kSizes) {
+    for (std::size_t offset : kAlignOffsets) {
+      for (std::size_t terms : {0u, 1u, 3u, 11u}) {
+        const EvidenceInputs in = MakeEvidenceInputs(rng_, n, offset, terms, 0.05);
+        std::vector<double> a(n + 1, -1.0);
+        std::vector<double> b(n + offset + 1, -1.0);
+        const double max_a = scalar_.evidence_scores(in.init.data() + offset,
+                                                     in.row_ptrs.data(), in.scales.data(),
+                                                     terms, a.data(), n);
+        const double max_b = avx2_.evidence_scores(in.init.data() + offset,
+                                                   in.row_ptrs.data(), in.scales.data(),
+                                                   terms, b.data() + offset, n);
+        EXPECT_TRUE(BitEqual(max_a, max_b)) << "n=" << n << " terms=" << terms;
+        const std::vector<double> chain = AxpyChain(scalar_, in, n, offset);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_TRUE(BitEqual(a[i], b[offset + i])) << "n=" << n << " i=" << i;
+          ASSERT_TRUE(BitEqual(a[i], chain[i])) << "n=" << n << " i=" << i;
+        }
+        EXPECT_TRUE(BitEqual(a[n], -1.0));  // nothing written past the row
+        EXPECT_TRUE(BitEqual(b[offset + n], -1.0));
+        EXPECT_TRUE(BitEqual(max_a, scalar_.max_value(chain.data(), n)))
+            << "n=" << n << " terms=" << terms;
+      }
+    }
+  }
+}
+
+TEST_F(SimdKernelsTest, EvidenceScoresMaxSkipsNanAndKeepsInfinities) {
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (std::size_t n : {1u, 3u, 4u, 7u, 8u, 13u, 64u}) {
+    // Every lane position of the special value, main loop and tail alike.
+    for (std::size_t at = 0; at < n; ++at) {
+      for (const double special : {kNan, kInf, kNegInf}) {
+        std::vector<double> init(n, kNegInf);
+        if (special != kNegInf) {
+          init = RandomRow(rng_, n, 0.0);
+        }
+        init[at] = special;
+        std::vector<double> a(n);
+        std::vector<double> b(n);
+        const double max_a =
+            scalar_.evidence_scores(init.data(), nullptr, nullptr, 0, a.data(), n);
+        const double max_b =
+            avx2_.evidence_scores(init.data(), nullptr, nullptr, 0, b.data(), n);
+        ASSERT_TRUE(BitEqual(max_a, max_b)) << "n=" << n << " at=" << at;
+        ASSERT_TRUE(BitEqual(max_a, scalar_.max_value(init.data(), n)));
+        if (special == kInf) {
+          EXPECT_EQ(max_a, kInf);
+        } else if (special == kNegInf) {
+          EXPECT_EQ(max_a, kNegInf);  // an all -inf row
+        } else {
+          EXPECT_FALSE(std::isnan(max_a));
+        }
+        for (std::size_t i = 0; i < n; ++i) ASSERT_TRUE(BitEqual(a[i], b[i]));
+      }
+    }
+  }
+}
+
+/// The survivors of `softmax_floored` on `row` (its dense output's
+/// nonzeros, ascending).
+void DenseFlooredPairs(const Kernels& kernels, std::vector<double> row,
+                       std::vector<std::uint32_t>& indices,
+                       std::vector<double>& weights) {
+  kernels.softmax_floored(row.data(), row.size(), kFloorNats);
+  indices.clear();
+  weights.clear();
+  for (std::size_t i = 0; i < row.size(); ++i) {
+    if (row[i] == 0.0) continue;
+    indices.push_back(static_cast<std::uint32_t>(i));
+    weights.push_back(row[i]);
+  }
+}
+
+/// Pins `softmax_floored_pairs` of `row` at both levels against each other
+/// and against the dense floored softmax's nonzeros.
+void ExpectPairsMatch(const Kernels& scalar, const Kernels& avx2,
+                      const std::vector<double>& row, std::size_t offset,
+                      const std::string& label) {
+  const std::size_t n = row.size() - offset;
+  const double max = scalar.max_value(row.data() + offset, n);
+  ASSERT_TRUE(std::isfinite(max)) << label;
+  std::vector<std::uint32_t> ia(n + 1, 7u);
+  std::vector<double> wa(n + 1, -1.0);
+  std::vector<std::uint32_t> ib(n + 1, 7u);
+  std::vector<double> wb(n + 1, -1.0);
+  const std::size_t ca = scalar.softmax_floored_pairs(row.data() + offset, n, max,
+                                                      kFloorNats, ia.data(), wa.data());
+  const std::size_t cb = avx2.softmax_floored_pairs(row.data() + offset, n, max,
+                                                    kFloorNats, ib.data(), wb.data());
+  ASSERT_EQ(ca, cb) << label;
+  std::vector<std::uint32_t> dense_indices;
+  std::vector<double> dense_weights;
+  const std::vector<double> window(row.begin() + static_cast<std::ptrdiff_t>(offset),
+                                     row.end());
+  DenseFlooredPairs(scalar, window, dense_indices, dense_weights);
+  ASSERT_EQ(ca, dense_indices.size()) << label;
+  for (std::size_t k = 0; k < ca; ++k) {
+    ASSERT_EQ(ia[k], ib[k]) << label << " k=" << k;
+    ASSERT_TRUE(BitEqual(wa[k], wb[k])) << label << " k=" << k;
+    ASSERT_EQ(ia[k], dense_indices[k]) << label << " k=" << k;
+    ASSERT_TRUE(BitEqual(wa[k], dense_weights[k])) << label << " k=" << k;
+  }
+  EXPECT_EQ(ia[ca], 7u) << label;  // nothing written past the survivors
+  EXPECT_EQ(ib[cb], 7u) << label;
+}
+
+TEST_F(SimdKernelsTest, SoftmaxFlooredPairsExactlyMatchScalarAndTheDenseKernel) {
+  for (std::size_t n : kSizes) {
+    if (n == 0) continue;
+    for (std::size_t offset : kAlignOffsets) {
+      std::vector<double> row = RandomRow(rng_, n + offset);
+      row[offset + n / 2] = 5.0;  // a finite max
+      const std::string where = StrFormat("n=%zu offset=%zu", n, offset);
+      ExpectPairsMatch(scalar_, avx2_, row, offset, "random " + where);
+      // Every 4-block floored but the max's: with the max in the tail (or
+      // the last block), the main loop emits nothing.
+      std::vector<double> peaked(n + offset, -40.0);
+      peaked[offset + n - 1] = 0.0;
+      ExpectPairsMatch(scalar_, avx2_, peaked, offset, "peaked " + where);
+      // Survivors in every lane of every block, NaN and -inf entries among
+      // them (NaN fails the floor comparison and is dropped).
+      std::vector<double> flat = RandomRow(rng_, n + offset, 0.0);
+      for (double& v : flat) v = -std::fmod(std::abs(v), 20.0);
+      if (n > 1) flat[offset + 1] = std::numeric_limits<double>::quiet_NaN();
+      if (n > 2) flat[offset + 2] = kNegInf;
+      ExpectPairsMatch(scalar_, avx2_, flat, offset, "flat " + where);
+    }
+  }
+}
+
 // The end-to-end bar: a full offline fit is bit-identical with the scalar
 // and AVX2 tables (the CPA_SIMD=off CI leg runs the same comparison through
 // the environment escape hatch).
@@ -237,6 +407,111 @@ TEST_F(SimdKernelsTest, FitCpaBitIdenticalScalarVsAvx2) {
   for (std::size_t t = 0; t < a.num_clusters(); ++t) {
     EXPECT_DOUBLE_EQ(a.lambda[t].MaxAbsDiff(b.lambda[t]), 0.0) << t;
   }
+}
+
+/// ϕ row `i` of `a` and of `b` are stored alike (form, bits, runs).
+void ExpectSamePhiRow(const PhiRows& a, const PhiRows& b, std::size_t i) {
+  ASSERT_EQ(a.IsInitial(i), b.IsInitial(i)) << "row " << i;
+  const std::vector<double> da = a.DenseRow(i);
+  const std::vector<double> db = b.DenseRow(i);
+  for (std::size_t t = 0; t < da.size(); ++t) {
+    ASSERT_TRUE(BitEqual(da[t], db[t])) << "row " << i << " t=" << t;
+  }
+  const PhiRows::Entries ra = a.AtLeast(i, kHeavyWeight);
+  const PhiRows::Entries rb = b.AtLeast(i, kHeavyWeight);
+  ASSERT_EQ(ra.clusters.size(), rb.clusters.size()) << "row " << i;
+  for (std::size_t k = 0; k < ra.clusters.size(); ++k) {
+    ASSERT_EQ(ra.clusters[k], rb.clusters[k]) << "row " << i;
+    ASSERT_TRUE(BitEqual(ra.weights[k], rb.weights[k])) << "row " << i;
+  }
+}
+
+/// The evidence-only ϕ row write as it was before the fused kernels: E ln τ
+/// copied, the `Axpy` chain, `SoftmaxInPlace(floor)`, then `Assign`.
+void UnfusedEvidenceRowWrite(CpaModel& model, ItemId i) {
+  std::vector<double> scores(model.elog_tau);
+  if (!model.y_evidence[i].empty()) {
+    const double evidence_scale = model.y_evidence_weight[i];
+    Axpy(evidence_scale, model.elog_theta_base, scores);
+    for (const auto& [c, weight] : model.y_evidence[i]) {
+      Axpy(evidence_scale * weight, model.elog_theta_delta_t.Row(c), scores);
+    }
+  }
+  SoftmaxInPlace(scores, sweep::kSoftmaxFloorNats);
+  model.phi.Assign(i, scores);
+}
+
+// The fused ϕ row write against the unfused chain, at both levels, on a
+// model whose rows come out sparse (light runs included), kept dense
+// (near-flat scores), or empty of evidence, and on E ln τ caches with a
+// +inf, NaN or all -inf entries (the dense uniform fallback).
+TEST(FusedPhiRowTest, EvidenceRowWriteMatchesTheUnfusedChainAtEveryLevel) {
+  CpaOptions options;
+  options.max_clusters = 67;  // a 3-wide tail after the 4-blocks
+  options.max_communities = 3;
+  const std::size_t I = 60;
+  const std::size_t C = 6;
+  auto created = CpaModel::Create(I, 4, C, options);
+  ASSERT_TRUE(created.ok());
+  CpaModel model = std::move(created).value();
+  std::mt19937_64 rng(99);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (double& v : model.theta_a.Data()) v = 0.05 + 5.0 * unit(rng);
+  for (double& v : model.theta_b.Data()) v = 0.05 + 5.0 * unit(rng);
+  // Sticks with a large second parameter keep E ln τ within a few nats
+  // across all clusters, so weak evidence leaves most of them alive.
+  for (std::size_t t = 0; t < model.upsilon.rows(); ++t) {
+    model.upsilon(t, 0) = 1.0 + unit(rng);
+    model.upsilon(t, 1) = 20.0 + 30.0 * unit(rng);
+  }
+  model.RefreshExpectations();
+  for (ItemId i = 0; i < I; ++i) {
+    if (i % 5 == 0) continue;  // no evidence: the row is E ln τ alone
+    for (LabelId c = 0; c < C; ++c) {
+      if (unit(rng) < 0.4) model.y_evidence[i].emplace_back(c, unit(rng));
+    }
+    // Every third item gets a weak multiplicity, so its scores stay near
+    // E ln τ's and most clusters survive the floor.
+    model.y_evidence_weight[i] = i % 3 == 0 ? 1e-3 * unit(rng) : 1.0 + 20.0 * unit(rng);
+  }
+  CpaModel plus_inf = model;
+  plus_inf.elog_tau[13] = std::numeric_limits<double>::infinity();
+  CpaModel with_nan = model;
+  with_nan.elog_tau[2] = std::numeric_limits<double>::quiet_NaN();
+  with_nan.elog_tau[64] = std::numeric_limits<double>::quiet_NaN();
+  CpaModel all_neg_inf = model;
+  std::fill(all_neg_inf.elog_tau.begin(), all_neg_inf.elog_tau.end(), kNegInf);
+
+  const Level original = ActiveLevel();
+  for (Level level : {Level::kScalar, Level::kAvx2}) {
+    SetLevelForTesting(level);
+    std::size_t dense_rows = 0;
+    std::size_t light_rows = 0;
+    for (const CpaModel* base : {&model, &plus_inf, &with_nan, &all_neg_inf}) {
+      CpaModel fused = *base;
+      CpaModel unfused = *base;
+      // Twice over, so rows are rewritten from every earlier form.
+      for (int pass = 0; pass < 2; ++pass) {
+        for (ItemId i = 0; i < I; ++i) {
+          sweep::UpdateItemResponsibilityFromEvidence(fused, i);
+          UnfusedEvidenceRowWrite(unfused, i);
+          ExpectSamePhiRow(fused.phi, unfused.phi, i);
+        }
+      }
+      EXPECT_EQ(fused.phi.HeapBytes(), unfused.phi.HeapBytes());
+      for (ItemId i = 0; i < I && base == &model; ++i) {
+        const std::size_t nonzeros =
+            fused.phi.AtLeast(i, std::numeric_limits<double>::min()).clusters.size();
+        dense_rows += 3 * nonzeros > 2 * fused.num_clusters();
+        light_rows += nonzeros > fused.phi.AtLeast(i, kHeavyWeight).clusters.size();
+      }
+    }
+    // Both row forms and the light run were exercised.
+    EXPECT_GT(dense_rows, 0u) << LevelName(level);
+    EXPECT_GT(light_rows, 0u) << LevelName(level);
+    EXPECT_LT(dense_rows, I) << LevelName(level);
+  }
+  SetLevelForTesting(original);
 }
 
 // The active-only softmax of prediction against the dense dispatched

@@ -1,5 +1,6 @@
 #include "util/flags.h"
 
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -62,6 +63,27 @@ TEST(FlagsTest, PositionalArgumentIsError) {
       Flags::Parse(static_cast<int>(argv.size()), const_cast<char**>(argv.data()));
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(FlagsTest, CheckAllReadNamesEveryUnreadFlag) {
+  const Flags flags =
+      MustParse({"--scale=0.08", "--batches", "3", "--forgetting-rate=0.9", "--quick"});
+  EXPECT_DOUBLE_EQ(flags.GetDouble("scale", 1.0), 0.08);
+  EXPECT_EQ(flags.GetInt("batches", 1), 3);
+  const Status unread = flags.CheckAllRead();
+  EXPECT_EQ(unread.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(unread.message().find("--forgetting-rate"), std::string::npos)
+      << unread.ToString();
+  EXPECT_NE(unread.message().find("--quick"), std::string::npos) << unread.ToString();
+  EXPECT_EQ(unread.message().find("--scale"), std::string::npos) << unread.ToString();
+  // Every accessor counts as a read, `Has` included.
+  EXPECT_TRUE(flags.Has("forgetting-rate"));
+  EXPECT_FALSE(flags.GetBool("quick", false) && flags.GetBool("absent", false));
+  EXPECT_TRUE(flags.CheckAllRead().ok());
+}
+
+TEST(FlagsTest, CheckAllReadPassesWithNoFlags) {
+  EXPECT_TRUE(MustParse({}).CheckAllRead().ok());
 }
 
 TEST(FlagsTest, NoArgumentsIsEmptyAndOk) {
