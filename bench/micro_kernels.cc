@@ -270,7 +270,7 @@ void BM_RefreshExpectations(benchmark::State& state) {
   FittedFixture& f = FittedFixture::Get();
   CpaModel model = f.model;
   for (auto _ : state) {
-    model.RefreshExpectations();
+    model.RefreshExpectations(f.scheduler);
   }
 }
 BENCHMARK(BM_RefreshExpectations);

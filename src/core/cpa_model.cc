@@ -142,16 +142,8 @@ Result<CpaModel> CpaModel::Create(std::size_t num_items, std::size_t num_workers
   model.y_evidence.assign(num_items, {});
   model.y_evidence_weight.assign(num_items, 0.0);
   model.bernoulli_profile.Reset(model.T_, num_labels, 0.5);
-  model.RefreshExpectations();
+  model.RefreshExpectations(SweepScheduler());
   return model;
-}
-
-void CpaModel::RefreshExpectations() {
-  StickBreakingExpectedLog(rho, elog_pi);
-  StickBreakingExpectedLog(upsilon, elog_tau);
-  if (elog_psi.size() != T_) elog_psi.assign(T_, Matrix(M_, num_labels_));
-  RefreshPsiRows(0, T_);
-  RefreshThetaExpectations();
 }
 
 void CpaModel::RefreshExpectations(const SweepScheduler& scheduler) {
@@ -428,7 +420,7 @@ Status CpaModel::RestoreState(CheckpointReader& reader) {
   if (retired_prior.rows() != T_ && !retired_prior.empty()) {
     return Status::InvalidArgument("checkpoint label-set-size prior rows != T");
   }
-  RefreshExpectations();
+  RefreshExpectations(SweepScheduler());
   return Status::OK();
 }
 

@@ -114,12 +114,10 @@ class CpaModel {
   /// marginal label scores it thresholds (prediction.h).
   Matrix bernoulli_profile;
 
-  /// Recomputes every cached expectation from the current parameters.
-  void RefreshExpectations();
-
-  /// The same, with the per-cluster λ and θ digammas sharded over
-  /// `scheduler` by cluster range. Each cluster's values are computed as
-  /// the inline form computes them, so the two agree bit for bit.
+  /// Recomputes every cached expectation from the current parameters, with
+  /// the per-cluster λ and θ digammas sharded over `scheduler` by cluster
+  /// range. Each cluster's values are computed by one shard in a fixed
+  /// order, so the result is the same at any thread count.
   void RefreshExpectations(const SweepScheduler& scheduler);
 
   /// Recomputes only the θ-channel expectations (elog_theta,

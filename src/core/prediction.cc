@@ -225,6 +225,13 @@ Result<CpaPrediction> PredictLabels(
       answers_by_item.size() != model.num_items()) {
     return Status::InvalidArgument("answer view does not match model dimensions");
   }
+  for (const auto& seen : answers_by_item) {
+    for (std::uint32_t index : seen) {
+      if (index >= view.num_answers()) {
+        return Status::InvalidArgument("seen answer index is outside the answer view");
+      }
+    }
+  }
   return PredictItems(model, internal::SeenAnswers{view, answers_by_item}, scheduler);
 }
 

@@ -73,7 +73,8 @@ Result<CpaPrediction> PredictLabels(const CpaModel& model, const AnswerMatrix& a
 /// Same, reading item i's answers as the flat indices `answers_by_item[i]`
 /// into `view`, in that order — the online learner's seen answers, with no
 /// copy of them. Equals predicting from the matrix of exactly those
-/// answers, added item by item in that order.
+/// answers, added item by item in that order. Lists that do not cover the
+/// model's items, or an index outside `view`, are refused.
 Result<CpaPrediction> PredictLabels(
     const CpaModel& model, const AnswerView& view,
     std::span<const std::vector<std::uint32_t>> answers_by_item,

@@ -27,16 +27,6 @@ constexpr double kForgettingRate = 0.875;
 /// shards stay coarse enough to amortise the pool hand-off.
 constexpr std::size_t kWorkerGrain = 256;
 
-/// Clusters per shard of the batch λ accumulation: at the Fig 7 shape
-/// (T = 1024) two shards split the banks, while sessions of fewer than
-/// 2 × 512 clusters accumulate inline, without a pool hand-off.
-constexpr std::size_t kBatchClusterGrain = 512;
-
-/// Items per shard of `GlobalRefresh`'s evidence pass and seed writes: the
-/// Fig 7 stream's 10^4 items split over the pool, while sessions of fewer
-/// than 2 × 1024 items run them inline.
-constexpr std::size_t kRefreshItemGrain = 1024;
-
 /// Reliability weights for `workers` from their *seen* answers: mean
 /// soft-Jaccard agreement with the current consensus over corroborated
 /// items, then relative pow/floor weighting — the incremental-seen-state
@@ -295,28 +285,19 @@ Status CpaOnline::ObserveBatch(const AnswerMatrix& answers,
   // early contributions are merely stale.
   // The view yields exactly the item's clusters with ϕ ≥ kSkipMass,
   // ascending — the same (cluster, weight) sequence as a T-wide ϕ scan.
-  // Shards own disjoint cluster ranges and each walks the whole batch in
-  // order, so every bank entry takes its additions in batch order at any
-  // thread count.
-  scheduler.ParallelFor(
-      T,
-      [&](std::size_t t_begin, std::size_t t_end) {
-        for (std::size_t index : batch) {
-          const auto labels = view_.labels(index);
-          const auto kappa_row = model.kappa.Row(view_.worker(index));
-          activity.ForEachIn(view_.item(index), t_begin, t_end,
-                             [&](std::size_t t, double phi_weight) {
-                               Matrix& bank = model.lambda[t];
-                               for (std::size_t m = 0; m < M; ++m) {
-                                 const double weight = phi_weight * kappa_row[m];
-                                 if (weight < 1e-10) continue;
-                                 auto row = bank.Row(m);
-                                 for (LabelId c : labels) row[c] += weight;
-                               }
-                             });
-        }
-      },
-      /*min_shard=*/kBatchClusterGrain);
+  for (std::size_t index : batch) {
+    const auto labels = view_.labels(index);
+    const auto kappa_row = model.kappa.Row(view_.worker(index));
+    activity.ForEach(view_.item(index), [&](std::size_t t, double phi_weight) {
+      Matrix& bank = model.lambda[t];
+      for (std::size_t m = 0; m < M; ++m) {
+        const double weight = phi_weight * kappa_row[m];
+        if (weight < 1e-10) continue;
+        auto row = bank.Row(m);
+        for (LabelId c : labels) row[c] += weight;
+      }
+    });
+  }
 
   // ρ (Eqs. 11–12): exact over the workers seen so far (cheap: U × M).
   if (model.num_communities() > 1 && !options.singleton_communities) {
@@ -369,7 +350,7 @@ void CpaOnline::GlobalRefresh(const AnswerMatrix& answers) {
                                            worker_weight, options.evidence_scale, dense);
           }
         },
-        /*min_shard=*/kRefreshItemGrain);
+        /*min_shard=*/sweep::kItemPassGrain);
     if (!options.singleton_clusters && T > 1) {
       if (round == 0) {
         // Reseed-then-ascend, exactly like the offline fit: regroup every
@@ -377,19 +358,9 @@ void CpaOnline::GlobalRefresh(const AnswerMatrix& answers) {
         // by group frequency. The incremental first-come allocation used
         // during batch ingestion drifts out of the size-biased stick
         // order as the stream evolves; prediction time is the moment to
-        // realign (all of this still only reads seen data). One-hot
-        // seeds on disjoint rows, as `sweep::SeedClustersFromConsensus`
-        // writes them; the learner has no convergence check, so no row
-        // change is computed.
-        const std::vector<std::size_t> seeds = sweep::ConsensusSeedClusters(model);
-        scheduler.ParallelFor(
-            model.num_items(),
-            [&](std::size_t begin, std::size_t end) {
-              for (std::size_t i = begin; i < end; ++i) {
-                if (seeds[i] != sweep::kNoSeed) model.phi.AssignOneHot(i, seeds[i]);
-              }
-            },
-            /*min_shard=*/kRefreshItemGrain);
+        // realign (all of this still only reads seen data). The learner
+        // has no convergence check, so the row change is unused.
+        sweep::SeedClustersFromConsensus(model, scheduler);
       } else {
         // Evidence-only soft update for every item with evidence.
         scheduler.ParallelFor(
@@ -425,6 +396,9 @@ Result<CpaPrediction> CpaOnline::Predict(const AnswerMatrix& answers) {
     return PredictLabels(model_, AnswerMatrix(model_.num_items(), model_.num_workers()),
                          *scheduler_);
   }
+  // `GlobalRefresh` reads the seen answers through the view of `answers`
+  // before prediction checks them, so a matrix that does not hold them is
+  // refused here.
   for (const auto& seen : seen_by_item_) {
     for (std::uint32_t index : seen) {
       if (index >= answers.num_answers()) {

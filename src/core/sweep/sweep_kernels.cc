@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <mutex>
 #include <string>
 #include <utility>
 
@@ -582,6 +583,14 @@ double WriteSeedRow(CpaModel& model, ItemId item, std::size_t cluster) {
   return change;
 }
 
+namespace {
+
+/// `ConsensusSeedClusters`' entry for an item without evidence, whose row
+/// is kept.
+constexpr std::size_t kNoSeed = static_cast<std::size_t>(-1);
+
+/// The seed cluster of every item (`SeedClustersFromConsensus`); `kNoSeed`
+/// for an item without evidence, and for every item when T ≤ 1.
 std::vector<std::size_t> ConsensusSeedClusters(const CpaModel& model) {
   // Symmetry breaking for the item clusters: items sharing an identical
   // majority-consensus label set start in the same cluster. Distinct
@@ -637,15 +646,29 @@ std::vector<std::size_t> ConsensusSeedClusters(const CpaModel& model) {
   return seed_cluster;
 }
 
-double SeedClustersFromConsensus(CpaModel& model) {
+}  // namespace
+
+double SeedClustersFromConsensus(CpaModel& model, const SweepScheduler& scheduler) {
   const std::vector<std::size_t> seed_cluster = ConsensusSeedClusters(model);
   // Every evidenced item has one seed, so each row is written once and its
-  // seed change is its change over the whole call.
+  // seed change is its change over the whole call. Shards write disjoint
+  // rows, and max is a selection, so folding the shard maxima in any order
+  // gives the inline fold's value.
+  std::mutex fold;
   double change = 0.0;
-  for (ItemId i = 0; i < model.num_items(); ++i) {
-    if (seed_cluster[i] == kNoSeed) continue;
-    change = std::max(change, WriteSeedRow(model, i, seed_cluster[i]));
-  }
+  scheduler.ParallelFor(
+      model.num_items(),
+      [&](std::size_t begin, std::size_t end) {
+        double shard_change = 0.0;
+        for (std::size_t i = begin; i < end; ++i) {
+          if (seed_cluster[i] == kNoSeed) continue;
+          shard_change = std::max(
+              shard_change, WriteSeedRow(model, static_cast<ItemId>(i), seed_cluster[i]));
+        }
+        const std::lock_guard<std::mutex> lock(fold);
+        change = std::max(change, shard_change);
+      },
+      kItemPassGrain);
   return change;
 }
 

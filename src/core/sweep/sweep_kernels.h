@@ -21,7 +21,6 @@
 /// clusters with non-negligible mass — so an answer touches its item's few
 /// active clusters instead of scanning a T-wide ϕ row.
 
-#include <algorithm>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -69,18 +68,6 @@ struct ClusterActivity {
     const PhiRows::Entries active = phi->AtLeast(item, threshold);
     for (std::size_t k = 0; k < active.clusters.size(); ++k) {
       fn(static_cast<std::size_t>(active.clusters[k]), active.weights[k]);
-    }
-  }
-
-  /// `ForEach` restricted to the clusters in [t_begin, t_end).
-  template <typename Fn>
-  void ForEachIn(ItemId item, std::size_t t_begin, std::size_t t_end, Fn&& fn) const {
-    const PhiRows::Entries active = phi->AtLeast(item, threshold);
-    const auto clusters = active.clusters;
-    std::size_t k = static_cast<std::size_t>(
-        std::lower_bound(clusters.begin(), clusters.end(), t_begin) - clusters.begin());
-    for (; k < clusters.size() && clusters[k] < t_end; ++k) {
-      fn(static_cast<std::size_t>(clusters[k]), active.weights[k]);
     }
   }
 };
@@ -214,23 +201,21 @@ LabelSet ConsensusFromEvidence(const CpaModel& model, ItemId item);
 /// convergence check needs no ϕ snapshot.
 double WriteSeedRow(CpaModel& model, ItemId item, std::size_t cluster);
 
-/// `ConsensusSeedClusters`' entry for an item without evidence, whose row
-/// is kept.
-inline constexpr std::size_t kNoSeed = static_cast<std::size_t>(-1);
+/// Items per shard of the whole-store item passes (the consensus seed
+/// writes here, the online refresh's evidence pass): the Fig 7 stream's
+/// 10^4 items split over the pool, while sessions of fewer than 2 × 1024
+/// items run them inline, without a pool hand-off.
+inline constexpr std::size_t kItemPassGrain = 1024;
 
-/// The seed cluster of every item: items with identical majority-consensus
-/// label sets share one, with clusters assigned in consensus-frequency
+/// Symmetry breaking for the item clusters: seeds every evidenced item's ϕ
+/// row one-hot (`WriteSeedRow`), and items with identical majority-consensus
+/// label sets share a cluster. Clusters are assigned in consensus-frequency
 /// order (matched to the size-biased stick-breaking geometry), and sets
-/// beyond the truncation join their best Jaccard match. `kNoSeed` for an
-/// item without evidence, and for every item when T ≤ 1.
-std::vector<std::size_t> ConsensusSeedClusters(const CpaModel& model);
-
-/// Seeds every evidenced item's ϕ row one-hot on its
-/// `ConsensusSeedClusters` cluster (`WriteSeedRow`), on the calling
-/// thread. Returns the largest row change over the rows it wrote (0 when
-/// none). The offline fit seeds through it; the online learner, which
-/// needs no change, shards the one-hot writes itself.
-double SeedClustersFromConsensus(CpaModel& model);
+/// beyond the truncation join their best Jaccard match. Items without
+/// evidence keep their rows, and T ≤ 1 writes none. The row writes are
+/// sharded by item over `scheduler`. Returns the largest row change over
+/// the rows written (0 when none), the same at any thread count.
+double SeedClustersFromConsensus(CpaModel& model, const SweepScheduler& scheduler);
 
 /// @}
 

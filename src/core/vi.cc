@@ -126,6 +126,11 @@ Result<CpaModel> FitCpa(const AnswerMatrix& answers, std::size_t num_labels,
 
   const AnswerView view(answers);
   const SweepScheduler scheduler(fit.pool);
+  // The consensus seeds are written on the calling thread: sharding their
+  // row writes over the pool raised offline-fit peak RSS from 52 to 58 MB,
+  // with no resolved time gain (BENCHMARKS.md, "Fig 7: one-pass ϕ row
+  // writes").
+  const SweepScheduler seed_scheduler;
   // The threshold view of ϕ the κ MAP and the λ/ζ/θ REDUCE read: it has no
   // state of its own, so every reader sees ϕ as the last writer left it.
   const sweep::ClusterActivity activity{&model.phi, sweep::kSkipMass};
@@ -138,11 +143,11 @@ Result<CpaModel> FitCpa(const AnswerMatrix& answers, std::size_t num_labels,
   // items into arbitrary clusters that then self-reinforce.
   sweep::UpdateLabelEvidence(model, view, fit.observed_truth, nullptr, scheduler);
   if (!options.singleton_clusters) {
-    sweep::SeedClustersFromConsensus(model);
+    sweep::SeedClustersFromConsensus(model, seed_scheduler);
   }
   sweep::UpdateZetaAndThetaChannel(model, activity, scheduler);
   sweep::UpdateLambda(model, view, activity, scheduler);
-  model.RefreshExpectations();
+  model.RefreshExpectations(scheduler);
 
   ChangeCrossCheck cross_check(model);
   std::vector<LabelSet> self_training_labels;
@@ -187,7 +192,7 @@ Result<CpaModel> FitCpa(const AnswerMatrix& answers, std::size_t num_labels,
     if (!evidence_frozen) {
       if (options.label_evidence == LabelEvidence::kSelfTraining && iter > 0) {
         sweep::UpdateThetaChannel(model, activity, scheduler);
-        model.RefreshExpectations();
+        model.RefreshExpectations(scheduler);
         // Scheduled on the fit's own scheduler: the self-training predict
         // pass reuses the already-warm lane arenas.
         auto predicted = PredictLabels(model, answers, scheduler);
@@ -204,12 +209,12 @@ Result<CpaModel> FitCpa(const AnswerMatrix& answers, std::size_t num_labels,
     if (reseed_sweep) {
       // Re-derive the hard consensus grouping from the freshly sharpened
       // evidence (see `reseed_sweeps` in cpa_options.h).
-      phi_change = sweep::SeedClustersFromConsensus(model);
+      phi_change = sweep::SeedClustersFromConsensus(model, seed_scheduler);
       sweep::UpdateSticks(model.upsilon, model.phi, options.epsilon, scheduler);
       sweep::UpdateLambda(model, view, activity, scheduler);
     }
     sweep::UpdateZetaAndThetaChannel(model, activity, scheduler);
-    model.RefreshExpectations();
+    model.RefreshExpectations(scheduler);
 
     if (fit.track_elbo) {
       out.elbo_trace.push_back(ComputeElbo(model, answers));

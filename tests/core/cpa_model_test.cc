@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <span>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -169,7 +171,7 @@ TEST(CpaModelTest, AnswerExpectedLogLikSumsSelectedComponents) {
   auto model = CpaModel::Create(4, 3, 4, SmallOptions());
   ASSERT_TRUE(model.ok());
   CpaModel& m = model.value();
-  m.RefreshExpectations();
+  m.RefreshExpectations(SweepScheduler());
   const LabelSet labels = {0, 2};
   const double expected = m.elog_psi[1](2, 0) + m.elog_psi[1](2, 2);
   EXPECT_NEAR(m.AnswerExpectedLogLik(1, 2, labels), expected, 1e-12);
@@ -222,6 +224,50 @@ TEST(CpaModelTest, CreateMatchesTheDenseInitialisationBitForBit) {
                           lambda[t].size() * sizeof(double)),
               0)
         << t;
+  }
+}
+
+TEST(CpaModelTest, ShardedRefreshMatchesInlineBitForBit) {
+  // T = 1031 clusters split over two or three shards (the refresh grain is
+  // 512); every cached expectation must match the inline refresh's bits.
+  CpaOptions options = SmallOptions();
+  options.max_clusters = 1031;
+  auto created = CpaModel::Create(5, 4, 7, options);
+  ASSERT_TRUE(created.ok());
+  CpaModel model = std::move(created).value();
+  Rng rng(31);
+  for (auto& bank : model.lambda) {
+    for (double& v : bank.Data()) v = 0.05 + 4.0 * rng.NextDouble();
+  }
+  for (double& v : model.theta_a.Data()) v = 0.05 + 4.0 * rng.NextDouble();
+  for (double& v : model.theta_b.Data()) v = 0.05 + 4.0 * rng.NextDouble();
+  for (double& v : model.upsilon.Data()) v = 0.5 + 3.0 * rng.NextDouble();
+
+  const auto bits_equal = [](std::span<const double> a, std::span<const double> b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
+  CpaModel inline_model = model;
+  inline_model.RefreshExpectations(SweepScheduler());
+  for (const std::size_t threads : {2, 3}) {
+    SCOPED_TRACE(threads);
+    ThreadPool pool(threads);
+    CpaModel sharded = model;
+    sharded.RefreshExpectations(SweepScheduler(&pool));
+    EXPECT_TRUE(bits_equal(sharded.elog_pi, inline_model.elog_pi));
+    EXPECT_TRUE(bits_equal(sharded.elog_tau, inline_model.elog_tau));
+    for (std::size_t t = 0; t < model.num_clusters(); ++t) {
+      ASSERT_TRUE(bits_equal(sharded.elog_psi[t].Data(), inline_model.elog_psi[t].Data()))
+          << t;
+    }
+    EXPECT_TRUE(bits_equal(sharded.elog_theta.Data(), inline_model.elog_theta.Data()));
+    EXPECT_TRUE(
+        bits_equal(sharded.elog_not_theta.Data(), inline_model.elog_not_theta.Data()));
+    EXPECT_TRUE(bits_equal(sharded.elog_theta_base, inline_model.elog_theta_base));
+    EXPECT_TRUE(bits_equal(sharded.elog_theta_delta_t.Data(),
+                           inline_model.elog_theta_delta_t.Data()));
+    EXPECT_TRUE(bits_equal(sharded.bernoulli_profile.Data(),
+                           inline_model.bernoulli_profile.Data()));
   }
 }
 

@@ -179,7 +179,12 @@ TEST(PredictLabelsTest, SeenAnswerListsMatchTheSubsetMatrix) {
   ASSERT_EQ(a.size(), b.size());
   EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0);
 
-  // Lists that do not cover the model's items are refused.
+  // An index outside the view, and lists that do not cover the model's
+  // items, are refused.
+  seen[3].push_back(static_cast<std::uint32_t>(view.num_answers()));
+  EXPECT_FALSE(PredictLabels(world.model, view, seen, scheduler).ok());
+  seen[3].pop_back();
+  ASSERT_TRUE(PredictLabels(world.model, view, seen, scheduler).ok());
   seen.pop_back();
   EXPECT_FALSE(PredictLabels(world.model, view, seen, scheduler).ok());
 }

@@ -464,7 +464,7 @@ TEST(FusedPhiRowTest, EvidenceRowWriteMatchesTheUnfusedChainAtEveryLevel) {
     model.upsilon(t, 0) = 1.0 + unit(rng);
     model.upsilon(t, 1) = 20.0 + 30.0 * unit(rng);
   }
-  model.RefreshExpectations();
+  model.RefreshExpectations(SweepScheduler());
   for (ItemId i = 0; i < I; ++i) {
     if (i % 5 == 0) continue;  // no evidence: the row is E ln τ alone
     for (LabelId c = 0; c < C; ++c) {

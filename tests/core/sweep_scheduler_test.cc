@@ -350,23 +350,6 @@ TEST(ClusterActivityViewTest, ForEachMatchesDenseScanOnEveryRowForm) {
       ExpectSameEntries(ViewScan(phi, i, threshold), DenseScan(phi, i, threshold), i);
     }
   }
-  // `ForEachIn` yields the dense scan's entries inside the cluster range,
-  // for ranges that start and end inside a row, empty ranges included.
-  const sweep::ClusterActivity view{&phi, sweep::kSkipMass};
-  const std::pair<std::size_t, std::size_t> ranges[] = {
-      {0, T}, {0, 10}, {10, T}, {5, 6}, {20, 20}, {36, 37}};
-  for (const auto& [t_begin, t_end] : ranges) {
-    for (ItemId i = 0; i < I; ++i) {
-      std::vector<std::pair<std::size_t, double>> expected;
-      for (const auto& entry : DenseScan(phi, i, sweep::kSkipMass)) {
-        if (entry.first >= t_begin && entry.first < t_end) expected.push_back(entry);
-      }
-      std::vector<std::pair<std::size_t, double>> actual;
-      view.ForEachIn(i, t_begin, t_end,
-                     [&](std::size_t t, double w) { actual.emplace_back(t, w); });
-      ExpectSameEntries(actual, expected, i);
-    }
-  }
   // The two thresholds disagree somewhere, so both were exercised.
   std::size_t differing = 0;
   for (ItemId i = 0; i < I; ++i) {
@@ -441,47 +424,53 @@ TEST(SeedRowChangeTest, SeedClustersFromConsensusReturnsMaxRowChange) {
   model.y_evidence[3] = {{3, 0.7}, {2, 0.2}};
   model.y_evidence[4] = {{0, 1.0}, {1, 0.5}, {4, 0.9}};
   const PhiRows before = model.phi;
-  const double change = sweep::SeedClustersFromConsensus(model);
+  const double change = sweep::SeedClustersFromConsensus(model, SweepScheduler());
   EXPECT_GT(change, 0.0);
   EXPECT_EQ(change, MaxAbsDiff(model.phi, before));
   EXPECT_TRUE(model.phi.IsInitial(5));
   EXPECT_EQ(model.phi.DenseRow(5), before.DenseRow(5));
   // Unchanged evidence reseeds every row onto its current cluster.
-  EXPECT_EQ(sweep::SeedClustersFromConsensus(model), 0.0);
+  EXPECT_EQ(sweep::SeedClustersFromConsensus(model, SweepScheduler()), 0.0);
   // A single cluster leaves ϕ alone.
   CpaModel single = SeedTestModel(2, 1);
   single.y_evidence[0] = {{0, 1.0}};
-  EXPECT_EQ(sweep::SeedClustersFromConsensus(single), 0.0);
+  EXPECT_EQ(sweep::SeedClustersFromConsensus(single, SweepScheduler()), 0.0);
 }
 
-TEST(SeedRowChangeTest, ConsensusSeedClustersAreTheRowsSeedingWrites) {
-  // The online learner writes `ConsensusSeedClusters` one-hot itself; that
-  // must be the rows `SeedClustersFromConsensus` writes. A third of the
-  // items carry no evidence and keep their initial rows, and 5000 items
-  // over 16 clusters overflow the truncation.
+TEST(SeedRowChangeTest, ShardedSeedingMatchesInline) {
+  // 5000 items split over two or three shards (the item grain is 1024) and
+  // overflow 16 clusters. A third of the items carry no evidence and keep
+  // their initial rows; the rest start from different written rows, so
+  // the shards' changes differ and the fold picks the largest.
   const std::size_t I = 5000;
-  CpaModel seeded = SeedTestModel(I, 16);
+  CpaModel model = SeedTestModel(I, 16);
   Rng rng(11);
   for (ItemId i = 0; i < I; ++i) {
     if (rng.NextBounded(3) == 0) continue;
     for (LabelId c = 0; c < 5; ++c) {
-      if (rng.NextBounded(2) == 0) seeded.y_evidence[i].emplace_back(c, rng.NextDouble());
+      if (rng.NextBounded(2) == 0) model.y_evidence[i].emplace_back(c, rng.NextDouble());
+    }
+    if (i < I / 2 && rng.NextBounded(2) == 0) {
+      model.phi.AssignOneHot(i, rng.NextBounded(16));
     }
   }
-  CpaModel one_hot = seeded;
-  const std::vector<std::size_t> seeds = sweep::ConsensusSeedClusters(one_hot);
-  ASSERT_EQ(seeds.size(), I);
-  sweep::SeedClustersFromConsensus(seeded);
-  for (ItemId i = 0; i < I; ++i) {
-    EXPECT_EQ(seeds[i] == sweep::kNoSeed, seeded.y_evidence[i].empty()) << i;
-    if (seeds[i] != sweep::kNoSeed) one_hot.phi.AssignOneHot(i, seeds[i]);
-    ASSERT_EQ(seeded.phi.IsInitial(i), one_hot.phi.IsInitial(i)) << i;
-  }
-  EXPECT_EQ(MaxAbsDiff(seeded.phi, one_hot.phi), 0.0);
-  // One cluster: nothing is seeded.
-  const CpaModel single = SeedTestModel(2, 1);
-  for (std::size_t seed : sweep::ConsensusSeedClusters(single)) {
-    EXPECT_EQ(seed, sweep::kNoSeed);
+  CpaModel inline_model = model;
+  const double inline_change =
+      sweep::SeedClustersFromConsensus(inline_model, SweepScheduler());
+  EXPECT_GT(inline_change, 0.0);
+  for (const std::size_t threads : {2, 3}) {
+    SCOPED_TRACE(threads);
+    ThreadPool pool(threads);
+    CpaModel sharded = model;
+    EXPECT_EQ(sweep::SeedClustersFromConsensus(sharded, SweepScheduler(&pool)),
+              inline_change);
+    for (ItemId i = 0; i < I; ++i) {
+      ASSERT_EQ(sharded.phi.IsInitial(i), inline_model.phi.IsInitial(i)) << i;
+      ASSERT_EQ(sharded.phi.IsInitial(i), model.y_evidence[i].empty() &&
+                                              model.phi.IsInitial(i))
+          << i;
+    }
+    EXPECT_EQ(MaxAbsDiff(sharded.phi, inline_model.phi), 0.0);
   }
 }
 
