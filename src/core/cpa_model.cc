@@ -46,17 +46,8 @@ Status CpaOptions::Validate() const {
   if (lambda0 <= 0.0 || zeta0 <= 0.0) {
     return Status::InvalidArgument("Dirichlet priors must be positive");
   }
-  if (theta_prior_mean < 0.0 || theta_prior_mean >= 1.0) {
-    return Status::InvalidArgument("theta_prior_mean must lie in [0, 1)");
-  }
-  if (theta_prior_strength <= 0.0) {
-    return Status::InvalidArgument("theta_prior_strength must be positive");
-  }
   if (max_iterations == 0) return Status::InvalidArgument("max_iterations must be > 0");
   if (tolerance <= 0.0) return Status::InvalidArgument("tolerance must be positive");
-  if (reliability_floor < 0.0 || reliability_floor > 1.0) {
-    return Status::InvalidArgument("reliability_floor must lie in [0, 1]");
-  }
   return Status::OK();
 }
 
@@ -134,8 +125,6 @@ Result<CpaModel> CpaModel::Create(std::size_t num_items, std::size_t num_workers
     for (double& v : bank.Data()) v += 0.01 * options.lambda0 * rng.NextDouble();
   }
   model.zeta.Reset(model.T_, num_labels, options.zeta0);
-  model.theta_prior_mean_ =
-      options.theta_prior_mean > 0.0 ? options.theta_prior_mean : 0.1;
   model.theta_a.Reset(model.T_, num_labels, model.theta_prior_on());
   model.theta_b.Reset(model.T_, num_labels, model.theta_prior_off());
 
@@ -162,8 +151,12 @@ void CpaModel::RefreshExpectations(const SweepScheduler& scheduler) {
       kRefreshClusterGrain);
 }
 
-void CpaModel::SetThetaPriorMean(double mean) {
-  theta_prior_mean_ = std::clamp(mean, 0.005, 0.45);
+void CpaModel::CalibrateThetaPrior(std::size_t label_total, std::size_t answers) {
+  if (answers == 0) return;
+  const double mean_answer_size =
+      static_cast<double>(label_total) / static_cast<double>(answers);
+  theta_prior_mean_ =
+      std::clamp(mean_answer_size / static_cast<double>(num_labels_), 0.005, 0.45);
 }
 
 void CpaModel::RefreshThetaExpectations() {
@@ -269,7 +262,7 @@ std::vector<double> CpaModel::CommunityReliability() const {
       phi_mean = PhiMean(t);
       score += weights[t] * CosineSimilarity(psi_mean, phi_mean);
     }
-    reliability[m] = std::clamp(score, options_.reliability_floor, 1.0);
+    reliability[m] = std::clamp(score, kReliabilityFloor, 1.0);
   }
   return reliability;
 }

@@ -130,19 +130,17 @@ class CpaModel {
   double AnswerExpectedLogLik(std::size_t t, std::size_t m,
                               const LabelSet& labels) const;
 
-  /// \name Effective Beta prior of the θ channel.
-  /// Calibrated from the data when `CpaOptions::theta_prior_mean` is 0
-  /// (see cpa_options.h); the inference calls SetThetaPriorMean once it
-  /// has seen answers.
+  /// \name Effective Beta prior of the θ channel (cpa_options.h).
   /// @{
-  double theta_prior_on() const {
-    return theta_prior_mean_ * options_.theta_prior_strength;
-  }
+  double theta_prior_on() const { return theta_prior_mean_ * kThetaPriorStrength; }
   double theta_prior_off() const {
-    return (1.0 - theta_prior_mean_) * options_.theta_prior_strength;
+    return (1.0 - theta_prior_mean_) * kThetaPriorStrength;
   }
   double theta_prior_mean() const { return theta_prior_mean_; }
-  void SetThetaPriorMean(double mean);
+  /// Sets the prior mean to (label_total / answers) / C, clamped to
+  /// [0.005, 0.45]; no answers leave it at 0.1. The inference calls it on
+  /// the first answers it sees: the matrix offline, the first batch online.
+  void CalibrateThetaPrior(std::size_t label_total, std::size_t answers);
   /// @}
 
   /// \name Checkpointing (engine/checkpoint.h).

@@ -27,8 +27,8 @@ enum class LabelEvidence {
   /// Like kAnswerFrequency, but each answer is weighted by its worker's
   /// reliability (`sweep::ComputeWorkerReliability`): the worker's mean
   /// soft-Jaccard agreement with the current consensus ỹ, shrunk toward
-  /// the κ-mixed mean of its communities, sharpened and floored (the
-  /// `reliability_*` fields below). This mutual-reinforcement loop
+  /// the κ-mixed mean of its communities, sharpened and floored
+  /// (`kReliabilityFloor` below). This mutual-reinforcement loop
   /// suppresses spammer influence on the consensus. Default.
   kReliabilityWeighted,
 
@@ -36,6 +36,26 @@ enum class LabelEvidence {
   /// (bootstrap sweep uses answer frequency).
   kSelfTraining,
 };
+
+/// Beta prior of the per-cluster per-label Bernoulli channel:
+/// θ_tc ~ Beta(mean·strength, (1−mean)·strength). The prior mean MUST
+/// match the label sparsity of the data — with C labels and ~k-label
+/// items, a fresh cluster under a mean-0.3 prior would "assert" every
+/// label at 0.3 and pay ≈ 0.36·C nats of base evidence versus populated
+/// clusters, starving small clusters at scale. The mean is therefore
+/// calibrated to (mean answer size)/C from the first answers the inference
+/// sees (`CpaModel::CalibrateThetaPrior`; 0.1 until then), at a strength
+/// of one pseudo-observation.
+inline constexpr double kThetaPriorStrength = 1.0;
+
+/// kReliabilityWeighted details: a worker's reliability is its mean
+/// soft-Jaccard agreement with the current consensus, shrunk toward its
+/// community's (answer-weighted) mean agreement with the strength of
+/// `kReliabilityShrinkage` pseudo-answers — the community pooling that
+/// keeps estimates stable for workers with few answers (R1, Fig 3). Its
+/// weight, relative to the best worker's, is floored at `kReliabilityFloor`.
+inline constexpr double kReliabilityShrinkage = 10.0;
+inline constexpr double kReliabilityFloor = 0.05;
 
 /// \brief All knobs of the CPA model.
 struct CpaOptions {
@@ -67,16 +87,6 @@ struct CpaOptions {
   double lambda0 = 0.1;
   double zeta0 = 0.1;
 
-  /// Beta prior of the per-cluster per-label Bernoulli channel:
-  /// θ_tc ~ Beta(mean·strength, (1−mean)·strength). The prior mean MUST
-  /// match the label sparsity of the data — with C labels and ~k-label
-  /// items, a fresh cluster under a mean-0.3 prior would "assert" every
-  /// label at 0.3 and pay ≈ 0.36·C nats of base evidence versus populated
-  /// clusters, starving small clusters at scale. 0 (default) calibrates
-  /// the mean to (mean answer size)/C from the data.
-  double theta_prior_mean = 0.0;
-  double theta_prior_strength = 1.0;
-
   /// Offline VI stopping rule: iterate until the largest responsibility
   /// change falls below `tolerance` (the paper converges at 1e-3) or
   /// `max_iterations` sweeps.
@@ -86,17 +96,9 @@ struct CpaOptions {
   /// Unsupervised label-evidence strategy (see `LabelEvidence`).
   LabelEvidence label_evidence = LabelEvidence::kReliabilityWeighted;
 
-  /// Floor for worker reliability weights in kReliabilityWeighted.
-  double reliability_floor = 0.05;
-
-  /// kReliabilityWeighted details: a worker's reliability is its mean
-  /// soft-Jaccard agreement with the current consensus, shrunk toward its
-  /// community's (answer-weighted) mean agreement with strength
-  /// `reliability_shrinkage` pseudo-answers — the community pooling that
-  /// keeps estimates stable for workers with few answers (R1, Fig 3) —
-  /// and raised to `reliability_sharpness` to widen the honest/spammer
-  /// gap.
-  double reliability_shrinkage = 10.0;
+  /// Power that relative reliabilities are raised to, widening the
+  /// honest/spammer gap. Not a constant: a compile-time 2.0 turns
+  /// `std::pow(x, 2.0)` into `x * x`, which is 1 ulp off libm on some inputs.
   double reliability_sharpness = 2.0;
 
   /// Weight of the label-evidence term in the item-cluster update. The

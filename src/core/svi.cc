@@ -29,7 +29,7 @@ constexpr std::size_t kWorkerGrain = 256;
 
 /// Reliability weights for `workers` from their *seen* answers: mean
 /// soft-Jaccard agreement with the current consensus over corroborated
-/// items, then relative pow/floor weighting — the incremental-seen-state
+/// items, then `sweep::WeighRelativeReliability` — the incremental-seen-state
 /// analogue of `sweep::ComputeWorkerReliability` (which scores a full
 /// matrix), shared by the batch reinforcement rounds and GlobalRefresh.
 /// Only scored workers' entries of `worker_weight` are written. The
@@ -42,7 +42,6 @@ void UpdateSeenWorkerReliability(
     const std::vector<std::vector<std::uint32_t>>& seen_by_item,
     std::span<const WorkerId> workers, const SweepScheduler& scheduler,
     std::vector<double>& worker_weight) {
-  const CpaOptions& options = model.options();
   std::vector<double> agreements(model.num_workers(), -1.0);
   scheduler.ParallelFor(
       workers.size(),
@@ -63,18 +62,8 @@ void UpdateSeenWorkerReliability(
         }
       },
       /*min_shard=*/kWorkerGrain);
-  double best = 0.0;
-  for (WorkerId u : workers) {
-    if (agreements[u] >= 0.0) best = std::max(best, agreements[u]);
-  }
-  // Relative weighting, as in the offline path (sweep_kernels.cc).
-  if (best <= 1e-9) return;
-  for (WorkerId u : workers) {
-    if (agreements[u] < 0.0) continue;
-    worker_weight[u] =
-        std::max(std::pow(agreements[u] / best, options.reliability_sharpness),
-                 options.reliability_floor);
-  }
+  sweep::WeighRelativeReliability(agreements, model.options().reliability_sharpness,
+                                  worker_weight);
 }
 
 /// The checkpoint's seen flags: entity k has been seen iff its seen list is
@@ -137,15 +126,10 @@ Status CpaOnline::ObserveBatch(const AnswerMatrix& answers,
   ++batch_count_;
   last_rate_ = std::pow(1.0 + static_cast<double>(batch_count_), -kForgettingRate);
 
-  // Auto-calibrate the θ-channel prior mean on the first batch
-  // (cpa_options.h).
-  if (batch_count_ == 1 && options.theta_prior_mean <= 0.0) {
-    double total_labels = 0.0;
-    for (std::size_t index : batch) {
-      total_labels += static_cast<double>(view_.label_count(index));
-    }
-    model.SetThetaPriorMean(total_labels / static_cast<double>(batch.size()) /
-                            static_cast<double>(C));
+  if (batch_count_ == 1) {
+    std::size_t label_total = 0;
+    for (std::size_t index : batch) label_total += view_.label_count(index);
+    model.CalibrateThetaPrior(label_total, batch.size());
   }
 
   // --- Record the batch in the seen lists; collect its distinct workers

@@ -346,9 +346,7 @@ std::vector<double> ComputeWorkerReliability(const CpaModel& model,
       community_mass[m] += kappa_row[m] * answer_count[u];
     }
   }
-  std::vector<double> weights(U, 1.0);
-  std::vector<double> shrunk(U, 0.0);
-  double best = 0.0;
+  std::vector<double> shrunk(U, -1.0);  // unscored workers keep weight 1
   for (WorkerId u = 0; u < U; ++u) {
     if (answer_count[u] <= 0.0) continue;
     const auto kappa_row = model.kappa.Row(u);
@@ -358,22 +356,24 @@ std::vector<double> ComputeWorkerReliability(const CpaModel& model,
           community_mass[m] > 0.0 ? community_sum[m] / community_mass[m] : 0.5;
       community_mean += kappa_row[m] * mean;
     }
-    const double s = options.reliability_shrinkage;
+    const double s = kReliabilityShrinkage;
     shrunk[u] =
         (answer_count[u] * agreement[u] + s * community_mean) / (answer_count[u] + s);
-    best = std::max(best, shrunk[u]);
   }
-  // Reliability is relative: normalising by the best worker keeps the
-  // honest/spammer contrast even when heavy spam dilutes the consensus and
-  // absolute agreements are uniformly low (otherwise every weight hits the
-  // floor and the reinforcement loop loses all discrimination).
-  if (best <= 1e-9) return weights;
-  for (WorkerId u = 0; u < U; ++u) {
-    if (answer_count[u] <= 0.0) continue;
-    weights[u] = std::max(std::pow(shrunk[u] / best, options.reliability_sharpness),
-                          options.reliability_floor);
-  }
+  std::vector<double> weights(U, 1.0);
+  WeighRelativeReliability(shrunk, options.reliability_sharpness, weights);
   return weights;
+}
+
+void WeighRelativeReliability(std::span<const double> scores, double sharpness,
+                              std::span<double> weights) {
+  double best = 0.0;
+  for (double score : scores) best = std::max(best, score);
+  if (best <= 1e-9) return;
+  for (std::size_t u = 0; u < scores.size(); ++u) {
+    if (scores[u] < 0.0) continue;
+    weights[u] = std::max(std::pow(scores[u] / best, sharpness), kReliabilityFloor);
+  }
 }
 
 void UpdateLabelEvidence(CpaModel& model, const AnswerView& view,

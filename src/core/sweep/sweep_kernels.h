@@ -135,6 +135,14 @@ std::vector<double> ComputeWorkerReliability(const CpaModel& model,
                                              const AnswerView& view,
                                              const SweepScheduler& scheduler);
 
+/// The reliability weighting of both learners: each scored worker u
+/// (`scores[u] >= 0`) gets `max((scores[u] / best)^sharpness,
+/// kReliabilityFloor)`, `best` being the largest score. Relative weights
+/// keep the honest/spammer contrast when heavy spam makes every absolute
+/// agreement low. Writes nothing when `best <= 1e-9`.
+void WeighRelativeReliability(std::span<const double> scores, double sharpness,
+                              std::span<double> weights);
+
 /// Rebuilds ỹ for every item according to the configured strategy
 /// (`observed_truth` overrides per item when provided; `self_training`
 /// entries, when non-null, supply the current hard predictions). Parallel

@@ -115,14 +115,7 @@ Result<CpaModel> FitCpa(const AnswerMatrix& answers, std::size_t num_labels,
       CpaModel model,
       CpaModel::Create(answers.num_items(), answers.num_workers(), num_labels, options));
 
-  // Auto-calibrate the θ-channel prior mean to the label sparsity of the
-  // data (cpa_options.h).
-  if (options.theta_prior_mean <= 0.0 && answers.num_answers() > 0) {
-    const double mean_answer_size =
-        static_cast<double>(answers.TotalLabelAssignments()) /
-        static_cast<double>(answers.num_answers());
-    model.SetThetaPriorMean(mean_answer_size / static_cast<double>(num_labels));
-  }
+  model.CalibrateThetaPrior(answers.TotalLabelAssignments(), answers.num_answers());
 
   const AnswerView view(answers);
   const SweepScheduler scheduler(fit.pool);

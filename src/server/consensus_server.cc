@@ -110,14 +110,6 @@ Frame ConsensusServer::HandleFrame(const Frame& frame) {
   if (frame.kind == FrameKind::kJson) {
     return Frame{FrameKind::kJson, HandleLine(frame.payload)};
   }
-  if (!options_.accept_binary) {
-    return Frame{FrameKind::kBinary,
-                 server::EncodeBinaryError(
-                     "", "",
-                     Status::FailedPrecondition(
-                         "server runs with --transport json; binary frames "
-                         "are disabled"))};
-  }
   Result<Request> request = server::DecodeBinaryRequest(frame.payload);
   if (!request.ok()) {
     return Frame{FrameKind::kBinary,

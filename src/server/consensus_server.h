@@ -50,12 +50,6 @@ struct ConsensusServerOptions {
   /// Expire sessions idle longer than this many seconds (0 = never), on
   /// the server's sweeper thread.
   double idle_timeout_seconds = 0.0;
-
-  /// Accept binary frames (`--transport binary`, the default). When
-  /// false the server is a JSON-only debugging endpoint: binary frames
-  /// get a FailedPrecondition error reply (in a binary frame, so the
-  /// client can still parse it) and no dispatch happens.
-  bool accept_binary = true;
 };
 
 /// \brief Serves many concurrent consensus sessions over the wire protocol.

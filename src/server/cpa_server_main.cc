@@ -3,12 +3,13 @@
 ///
 ///   $ cpa_server [--num-threads N] [--max-sessions S] [--idle-timeout SEC]
 ///                [--tcp] [--port N] [--bind ADDR] [--unix PATH]
-///                [--transport json|binary]
 ///                [--max-connections C] [--max-frame-bytes B]
 ///                [--router --workers ADDR,ADDR,...]
 ///   $ cpa_server --methods   # list registered methods + simd level, exit
 ///
-/// An unknown flag is refused: the server exits non-zero and names it.
+/// An unknown flag, or a value that does not parse or lies outside its
+/// range, is refused: the server exits non-zero and names it, before it
+/// builds anything.
 ///
 /// Without `--tcp`/`--unix` the server speaks line-delimited JSON over
 /// stdin/stdout — one JSON request per input line, one JSON response per
@@ -26,9 +27,9 @@
 /// and serves the same protocol in length-prefixed frames
 /// (src/server/framing.h): JSON frames for everything, binary frames
 /// (src/server/binary_codec.h) for the hot observe/snapshot/finalize/
-/// checkpoint/restore path unless `--transport json` disables them. With
-/// `--unix PATH` it listens on a UNIX-domain socket instead (same framed
-/// protocol, no TCP stack). Either way one thread serves each connection
+/// checkpoint/restore path. With `--unix PATH` it listens on a
+/// UNIX-domain socket instead (same framed protocol, no TCP stack).
+/// Either way one thread serves each connection
 /// (src/server/tcp_transport.h). The bound endpoint is announced on
 /// stderr as `cpa_server: listening on <addr>`; the process serves until
 /// SIGINT/SIGTERM, then drains connections and exits 0. When
@@ -62,6 +63,11 @@
 
 namespace {
 
+/// Upper bounds of the range-checked flags: `--num-threads` starts that
+/// many threads at once, and a frame is buffered whole before it is parsed.
+constexpr long long kMaxThreads = 1024;
+constexpr long long kMaxSize = 1 << 30;
+
 /// Blocks until SIGINT or SIGTERM arrives. The signals are masked before
 /// the transport spawns its threads, so delivery is funneled to this
 /// sigwait and never interrupts a handler mid-request.
@@ -85,14 +91,14 @@ int main(int argc, char** argv) {
   // refused whichever mode the others select.
   const bool list_methods = flags.value().GetBool("methods", false);
 
+  // Range-checked, so a negative count cannot wrap through the casts below.
   cpa::ConsensusServerOptions options;
-  options.sessions.num_threads =
-      static_cast<std::size_t>(flags.value().GetInt("num-threads", 1));
-  options.sessions.max_sessions =
-      static_cast<std::size_t>(flags.value().GetInt("max-sessions", 64));
+  options.sessions.num_threads = static_cast<std::size_t>(
+      flags.value().GetIntInRange("num-threads", 1, 1, kMaxThreads));
+  options.sessions.max_sessions = static_cast<std::size_t>(
+      flags.value().GetIntInRange("max-sessions", 64, 1, kMaxSize));
   options.idle_timeout_seconds = flags.value().GetDouble("idle-timeout", 0.0);
 
-  const std::string transport = flags.value().GetString("transport", "binary");
   const bool router_mode = flags.value().GetBool("router", false);
   const std::string unix_path = flags.value().GetString("unix", "");
   const bool socket_mode =
@@ -101,13 +107,12 @@ int main(int argc, char** argv) {
   cpa::TcpTransportOptions tcp_options;
   tcp_options.bind_address = flags.value().GetString("bind", "127.0.0.1");
   tcp_options.port =
-      static_cast<std::uint16_t>(flags.value().GetInt("port", 0));
+      static_cast<std::uint16_t>(flags.value().GetIntInRange("port", 0, 0, 65535));
   tcp_options.unix_path = unix_path;
-  tcp_options.max_connections =
-      static_cast<std::size_t>(flags.value().GetInt("max-connections", 1024));
-  tcp_options.max_frame_bytes = static_cast<std::size_t>(flags.value().GetInt(
-      "max-frame-bytes",
-      static_cast<long long>(cpa::server::kDefaultMaxFrameBytes)));
+  tcp_options.max_connections = static_cast<std::size_t>(
+      flags.value().GetIntInRange("max-connections", 1024, 1, kMaxSize));
+  tcp_options.max_frame_bytes = static_cast<std::size_t>(flags.value().GetIntInRange(
+      "max-frame-bytes", cpa::server::kDefaultMaxFrameBytes, 1, kMaxSize));
   const std::string workers = flags.value().GetString("workers", "");
   CPA_CHECK_OK(flags.value().CheckAllRead());
 
@@ -121,12 +126,6 @@ int main(int argc, char** argv) {
     std::printf("%s\n", cpa::simd::SimdReportLine().c_str());
     return 0;
   }
-
-  CPA_CHECK_GE(options.sessions.num_threads, 1u);
-  CPA_CHECK_GE(options.sessions.max_sessions, 1u);
-  CPA_CHECK(transport == "binary" || transport == "json")
-      << "--transport must be 'json' or 'binary', got '" << transport << "'";
-  options.accept_binary = transport == "binary";
 
   if (!socket_mode) {
     cpa::ConsensusServer server(options);
@@ -180,20 +179,18 @@ int main(int argc, char** argv) {
           : unix_path;
   if (router_mode) {
     std::fprintf(stderr,
-                 "cpa_server: routing on %s (transport=%s, workers=%zu, "
+                 "cpa_server: routing on %s (workers=%zu, "
                  "max_connections=%zu, %s)\n",
-                 endpoint.c_str(), transport.c_str(), router->num_workers(),
-                 tcp_options.max_connections,
+                 endpoint.c_str(), router->num_workers(), tcp_options.max_connections,
                  cpa::simd::SimdReportLine().c_str());
   } else {
     std::fprintf(stderr,
-                 "cpa_server: listening on %s (transport=%s, "
+                 "cpa_server: listening on %s ("
                  "num_threads=%zu, max_sessions=%zu, max_connections=%zu, "
                  "idle_timeout=%.1fs, %s)\n",
-                 endpoint.c_str(), transport.c_str(),
-                 options.sessions.num_threads, options.sessions.max_sessions,
-                 tcp_options.max_connections, options.idle_timeout_seconds,
-                 cpa::simd::SimdReportLine().c_str());
+                 endpoint.c_str(), options.sessions.num_threads,
+                 options.sessions.max_sessions, tcp_options.max_connections,
+                 options.idle_timeout_seconds, cpa::simd::SimdReportLine().c_str());
   }
 
   WaitForShutdownSignal();

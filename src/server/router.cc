@@ -15,6 +15,11 @@ namespace {
 using server::Frame;
 using server::FrameKind;
 
+/// Ring points per worker. More points smooth the session distribution;
+/// 64 keeps the imbalance under a few percent for small fleets.
+/// tools/tcp_smoke.py's ring mirrors this count.
+constexpr std::size_t kVirtualNodes = 64;
+
 /// The ring hash: FNV-1a 64 with a Murmur3 avalanche finalizer. Not
 /// cryptographic; it only needs to spread session ids evenly and be
 /// identical on every router instance. The finalizer matters: plain
@@ -120,7 +125,7 @@ Status Router::Start() {
   // One ring entry per (worker, virtual node). Hash collisions just drop
   // a point — harmless at 64 points per worker.
   for (std::size_t i = 0; i < workers_.size(); ++i) {
-    for (std::size_t v = 0; v < options_.virtual_nodes; ++v) {
+    for (std::size_t v = 0; v < kVirtualNodes; ++v) {
       ring_.emplace(
           RingHash(StrFormat("%s#%zu", workers_[i]->address.c_str(), v)), i);
     }

@@ -13,9 +13,9 @@
 ///      session id (a shallow JSON field read or a fixed-offset binary
 ///      read — the body is never re-encoded),
 ///   2. picks a worker by consistent-hashing the session id onto a ring
-///      of virtual nodes (FNV-1a 64 + avalanche finalizer;
-///      `virtual_nodes` points per worker, so adding a worker remaps
-///      ~1/N of sessions, not all of them),
+///      of virtual nodes (FNV-1a 64 + avalanche finalizer; 64 points
+///      per worker, so adding a worker remaps ~1/N of sessions, not all
+///      of them),
 ///   3. forwards the original frame bytes over a pooled connection and
 ///      relays the worker's reply verbatim.
 ///
@@ -58,10 +58,6 @@ namespace cpa {
 struct RouterOptions {
   /// Backend worker addresses: `host:port` (dotted quad) or `unix:PATH`.
   std::vector<std::string> workers;
-
-  /// Ring points per worker. More points smooth the session distribution;
-  /// 64 keeps the imbalance under a few percent for small fleets.
-  std::size_t virtual_nodes = 64;
 
   /// Frame size cap for backend connections (must be at least the front
   /// transport's cap or large replies die on the return path).

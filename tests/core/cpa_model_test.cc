@@ -38,9 +38,6 @@ TEST(CpaOptionsTest, RejectsBadValues) {
   options = CpaOptions();
   options.tolerance = 0.0;
   EXPECT_FALSE(options.Validate().ok());
-  options = CpaOptions();
-  options.reliability_floor = 2.0;
-  EXPECT_FALSE(options.Validate().ok());
 }
 
 TEST(CpaModelTest, CreateShapes) {
@@ -286,7 +283,7 @@ TEST(CpaModelTest, CommunityReliabilityWithinBounds) {
   const auto reliability = model.value().CommunityReliability();
   ASSERT_EQ(reliability.size(), 5u);
   for (double r : reliability) {
-    EXPECT_GE(r, model.value().options().reliability_floor);
+    EXPECT_GE(r, kReliabilityFloor);
     EXPECT_LE(r, 1.0);
   }
 }

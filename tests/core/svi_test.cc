@@ -1,15 +1,20 @@
 #include "core/svi.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "data/dataset.h"
 
 #include "core/cpa.h"
+#include "core/sweep/sweep_kernels.h"
 #include "engine/checkpoint.h"
 #include "simulation/crowd_simulator.h"
 #include "simulation/perturbations.h"
@@ -229,6 +234,66 @@ TEST(CpaOnlineTest, ParallelObserveMatchesSequential) {
       sequential.value().model().kappa.MaxAbsDiff(parallel.value().model().kappa), 0.0);
   EXPECT_DOUBLE_EQ(
       MaxAbsDiff(sequential.value().model().phi, parallel.value().model().phi), 0.0);
+}
+
+TEST(CpaOnlineTest, CalibratesTheSameThetaPriorAsTheOfflineFit) {
+  // One matrix, calibrated two ways: the offline fit reads the whole
+  // matrix, and the learner's first batch holds every answer.
+  const Dataset dataset = OnlineDataset(53, 80);
+  CpaOptions options = FastOptions();
+  options.max_iterations = 1;
+  const auto offline = FitCpa(dataset.answers, 10, options);
+  ASSERT_TRUE(offline.ok()) << offline.status().ToString();
+
+  auto online = CpaOnline::Create(dataset.num_items(), dataset.num_workers(), 10,
+                                  options, SviOptions());
+  ASSERT_TRUE(online.ok());
+  EXPECT_EQ(online.value().model().theta_prior_mean(), 0.1);
+  std::vector<std::size_t> all(dataset.answers.num_answers());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  ASSERT_TRUE(online.value().ObserveBatch(dataset.answers, all).ok());
+
+  const double offline_mean = offline.value().theta_prior_mean();
+  const double online_mean = online.value().model().theta_prior_mean();
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(offline_mean),
+            std::bit_cast<std::uint64_t>(online_mean))
+      << StrFormat("offline %.17g, online %.17g", offline_mean, online_mean);
+  const double expected = static_cast<double>(dataset.answers.TotalLabelAssignments()) /
+                          static_cast<double>(dataset.answers.num_answers()) / 10.0;
+  EXPECT_EQ(offline_mean, std::clamp(expected, 0.005, 0.45));
+  EXPECT_NE(offline_mean, 0.1);
+}
+
+TEST(CpaOnlineTest, RelativeReliabilityMatchesTheOnlineFormula) {
+  // The online learner's weighting: only the scored batch workers
+  // (agreement >= 0) are rewritten, everyone else keeps the weight an
+  // earlier batch gave them. `volatile` keeps the exponent a run-time
+  // value, as it is in a fit.
+  const volatile double sharpness_source = FastOptions().reliability_sharpness;
+  const double sharpness = sharpness_source;
+  const std::vector<double> agreements = {-1.0, 0.42, 0.9, -1.0, 0.0, 0.66, 0.13, -1.0};
+  const std::vector<WorkerId> workers = {1, 2, 4, 5, 6};
+  const std::vector<double> earlier = {0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0};
+  std::vector<double> weights = earlier;
+  sweep::WeighRelativeReliability(agreements, sharpness, weights);
+
+  std::vector<double> expected = earlier;
+  double best = 0.0;
+  for (WorkerId u : workers) best = std::max(best, agreements[u]);
+  for (WorkerId u : workers) {
+    expected[u] = std::max(std::pow(agreements[u] / best, sharpness), 0.05);
+  }
+  for (std::size_t u = 0; u < weights.size(); ++u) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(weights[u]),
+              std::bit_cast<std::uint64_t>(expected[u]))
+        << "worker " << u;
+  }
+
+  // A batch whose workers agree with nothing leaves every weight alone.
+  const std::vector<double> silent = {-1.0, 0.0, 5e-10};
+  std::vector<double> untouched = {0.3, 0.4, 0.5};
+  sweep::WeighRelativeReliability(silent, sharpness, untouched);
+  EXPECT_EQ(untouched, (std::vector<double>{0.3, 0.4, 0.5}));
 }
 
 std::uint64_t Fnv1a(std::string_view bytes) {

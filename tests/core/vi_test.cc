@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "data/dataset.h"
 
 #include "core/cpa.h"
+#include "core/sweep/sweep_kernels.h"
 #include "simulation/crowd_simulator.h"
 #include "simulation/dataset_factory.h"
 #include "util/string_utils.h"
@@ -365,6 +369,28 @@ TEST(FitCpaTest, FitStatsMatchGoldenBits) {
     EXPECT_EQ(bits, golden.final_change_bits)
         << StrFormat("final_change %.17g = 0x%016llx", stats.final_change,
                      static_cast<unsigned long long>(bits));
+  }
+}
+
+TEST(FitCpaTest, RelativeReliabilityMatchesTheOfflineFormula) {
+  // `sweep::ComputeWorkerReliability`'s weighting: weights start at 1,
+  // workers without answers (score -1) keep theirs, and every scored worker
+  // gets max((score / best)^sharpness, floor). `volatile` keeps the exponent
+  // a run-time value, as it is in a fit: a compile-time 2.0 lets the
+  // compiler turn pow into a product that differs in the last bit.
+  const volatile double sharpness_source = FastOptions().reliability_sharpness;
+  const double sharpness = sharpness_source;
+  const std::vector<double> shrunk = {0.81, -1.0, 0.0, 0.37, 0.93, 0.05, 1e-3, 0.6};
+  std::vector<double> weights(shrunk.size(), 1.0);
+  sweep::WeighRelativeReliability(shrunk, sharpness, weights);
+  double best = 0.0;
+  for (double s : shrunk) best = std::max(best, s);
+  for (std::size_t u = 0; u < shrunk.size(); ++u) {
+    const double expected =
+        shrunk[u] < 0.0 ? 1.0 : std::max(std::pow(shrunk[u] / best, sharpness), 0.05);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(weights[u]),
+              std::bit_cast<std::uint64_t>(expected))
+        << "worker " << u;
   }
 }
 

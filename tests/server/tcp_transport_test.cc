@@ -26,12 +26,11 @@ using server::TcpFrameClient;
 
 /// A transport bound to an ephemeral port for one test.
 struct TestServer {
-  explicit TestServer(std::size_t num_threads = 1, bool accept_binary = true,
+  explicit TestServer(std::size_t num_threads = 1,
                       std::size_t max_frame_bytes = server::kDefaultMaxFrameBytes,
                       std::size_t max_connections = 1024) {
     ConsensusServerOptions options;
     options.sessions.num_threads = num_threads;
-    options.accept_binary = accept_binary;
     consensus = std::make_unique<ConsensusServer>(options);
     TcpTransportOptions tcp_options;
     tcp_options.max_frame_bytes = max_frame_bytes;
@@ -267,8 +266,7 @@ TEST(TcpTransportTest, SequencedFramesEchoTagsInRequestOrder) {
 }
 
 TEST(TcpTransportTest, SequencedFramingErrorRepliesWithTag) {
-  TestServer server(/*num_threads=*/1, /*accept_binary=*/true,
-                    /*max_frame_bytes=*/256);
+  TestServer server(/*num_threads=*/1, /*max_frame_bytes=*/256);
   TcpFrameClient client = server.Connect();
 
   std::string burst;
@@ -424,8 +422,7 @@ TEST(TcpTransportTest, MalformedPayloadGetsErrorReplyAndConnectionSurvives) {
 }
 
 TEST(TcpTransportTest, OversizedFrameGetsErrorReplyAndConnectionSurvives) {
-  TestServer server(/*num_threads=*/1, /*accept_binary=*/true,
-                    /*max_frame_bytes=*/256);
+  TestServer server(/*num_threads=*/1, /*max_frame_bytes=*/256);
   TcpFrameClient client = server.Connect();
 
   const Frame reply =
@@ -437,27 +434,6 @@ TEST(TcpTransportTest, OversizedFrameGetsErrorReplyAndConnectionSurvives) {
       MustRoundtrip(client, FrameKind::kJson, OpenRequestLine("after-big"))
           .value(),
       true);
-}
-
-TEST(TcpTransportTest, JsonOnlyModeRejectsBinaryFrames) {
-  TestServer server(/*num_threads=*/1, /*accept_binary=*/false);
-  TcpFrameClient client = server.Connect();
-
-  MustParseJson(
-      MustRoundtrip(client, FrameKind::kJson, OpenRequestLine("dbg")).value(),
-      true);
-  const BinaryResponse rejected = MustParseBinary(
-      MustRoundtrip(client, FrameKind::kBinary,
-                    server::EncodeObserveRequest("dbg", kAnswers))
-          .value());
-  EXPECT_FALSE(rejected.ok);
-  EXPECT_EQ(rejected.error.code(), StatusCode::kFailedPrecondition);
-
-  // The same op as a JSON frame still works.
-  MustParseJson(MustRoundtrip(client, FrameKind::kJson,
-                              server::MakeObserveRequest("dbg", kAnswers))
-                    .value(),
-                true);
 }
 
 TEST(TcpTransportTest, ManyConcurrentClientsShareOneServer) {
@@ -595,8 +571,8 @@ TEST(TcpTransportTest, UnixSocketRejectsOverlongPath) {
 }
 
 TEST(TcpTransportTest, ConnectionLimitRejectsExtraClients) {
-  TestServer server(/*num_threads=*/1, /*accept_binary=*/true,
-                    server::kDefaultMaxFrameBytes, /*max_connections=*/1);
+  TestServer server(/*num_threads=*/1, server::kDefaultMaxFrameBytes,
+                    /*max_connections=*/1);
   TcpFrameClient first = server.Connect();
   // Occupy the only slot with a live exchange.
   MustParseJson(

@@ -45,10 +45,18 @@ TEST(FlagsTest, ExplicitBooleanValues) {
 }
 
 TEST(FlagsTest, FallbacksWhenAbsentOrMalformed) {
-  const Flags flags = MustParse({"--items=notanumber"});
+  const Flags flags = MustParse({"--items=notanumber", "--rate=fast", "--quick=maybe"});
   EXPECT_EQ(flags.GetInt("items", 9), 9);
   EXPECT_EQ(flags.GetInt("missing", 5), 5);
   EXPECT_DOUBLE_EQ(flags.GetDouble("missing", 2.5), 2.5);
+  EXPECT_DOUBLE_EQ(flags.GetDouble("rate", 0.5), 0.5);
+  EXPECT_TRUE(flags.GetBool("quick", true));
+  // `CheckAllRead` turns each malformed value into a failure that names it.
+  const Status bad = flags.CheckAllRead();
+  EXPECT_EQ(bad.code(), StatusCode::kInvalidArgument);
+  for (const char* named : {"--items=notanumber", "--rate=fast", "--quick=maybe"}) {
+    EXPECT_NE(bad.message().find(named), std::string::npos) << bad.ToString();
+  }
 }
 
 TEST(FlagsTest, HasReflectsPresence) {
@@ -80,6 +88,52 @@ TEST(FlagsTest, CheckAllReadNamesEveryUnreadFlag) {
   EXPECT_TRUE(flags.Has("forgetting-rate"));
   EXPECT_FALSE(flags.GetBool("quick", false) && flags.GetBool("absent", false));
   EXPECT_TRUE(flags.CheckAllRead().ok());
+}
+
+TEST(FlagsTest, CheckAllReadNamesUnknownFlagsAndBadValuesTogether) {
+  const Flags flags =
+      MustParse({"--methods", "--num-threads", "two", "--transport", "json"});
+  EXPECT_TRUE(flags.GetBool("methods", false));
+  EXPECT_EQ(flags.GetInt("num-threads", 1), 1);
+  const Status bad = flags.CheckAllRead();
+  EXPECT_EQ(bad.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(bad.message().find("--transport"), std::string::npos) << bad.ToString();
+  EXPECT_NE(bad.message().find("--num-threads=two"), std::string::npos) << bad.ToString();
+  EXPECT_EQ(bad.message().find("--methods"), std::string::npos) << bad.ToString();
+}
+
+TEST(FlagsTest, GetIntInRangeRefusesValuesOutside) {
+  // The bounds `cpa_server` reads --num-threads and --port with: a negative
+  // value must not wrap through an unsigned cast, and 70000 must not wrap
+  // into a 16-bit port.
+  struct Case {
+    const char* value;
+    long long min;
+    long long max;
+    bool accepted;
+  };
+  const Case cases[] = {
+      {"-1", 1, 1024, false},
+      {"0", 1, 1024, false},
+      {"70000", 1, 1024, false},
+      {"-1", 0, 65535, false},
+      {"0", 0, 65535, true},
+      {"70000", 0, 65535, false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.value);
+    const Flags flags = MustParse({"--n", c.value});
+    EXPECT_EQ(flags.GetIntInRange("n", 7, c.min, c.max), c.accepted ? 0 : 7);
+    const Status status = flags.CheckAllRead();
+    EXPECT_EQ(status.ok(), c.accepted) << status.ToString();
+    if (!c.accepted) {
+      EXPECT_NE(status.message().find(std::string("--n=") + c.value), std::string::npos)
+          << status.ToString();
+    }
+  }
+  const Flags absent = MustParse({});
+  EXPECT_EQ(absent.GetIntInRange("n", 7, 1, 1024), 7);
+  EXPECT_TRUE(absent.CheckAllRead().ok());
 }
 
 TEST(FlagsTest, CheckAllReadPassesWithNoFlags) {
