@@ -27,7 +27,9 @@ SetMetrics Run(const Dataset& dataset, const CpaOptions& options) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::BenchConfig config = bench::ParseBenchConfig(argc, argv, 0.25);
+  const Flags flags = bench::ParseBenchFlags(argc, argv);
+  const bench::BenchConfig config = bench::ParseBenchConfig(flags, 0.25);
+  bench::CheckBenchFlags(flags);
   bench::PrintHeader(
       "Ablation — design choices of this reproduction "
       "(BENCHMARKS.md \"Design choices\")",

@@ -4,28 +4,41 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <thread>
+#include <utility>
 
 #include "core/sweep/simd.h"
 #include "util/logging.h"
 
 namespace cpa::bench {
+namespace {
 
-BenchConfig ParseBenchConfig(int argc, char** argv, double default_scale,
-                             std::size_t default_runs) {
-  const auto parsed = Flags::Parse(argc, argv);
+/// Upper bounds of `--cpa-iterations` and `--runs`, and of `--seed`.
+constexpr long long kMaxCount = 1'000'000;
+constexpr long long kMaxSeed = std::numeric_limits<long long>::max();
+
+}  // namespace
+
+Flags ParseBenchFlags(int argc, char** argv) {
+  auto parsed = Flags::Parse(argc, argv);
   if (!parsed.ok()) {
     std::fprintf(stderr, "flag error: %s\n", parsed.status().ToString().c_str());
     std::exit(2);
   }
-  const Flags& flags = parsed.value();
+  return std::move(parsed).value();
+}
+
+BenchConfig ParseBenchConfig(const Flags& flags, double default_scale,
+                             std::size_t default_runs) {
   BenchConfig config;
   config.scale = flags.GetDouble("scale", default_scale);
-  config.seed = static_cast<std::uint64_t>(flags.GetInt("seed", 20180417));
+  config.seed =
+      static_cast<std::uint64_t>(flags.GetIntInRange("seed", 20180417, 0, kMaxSeed));
   config.cpa_iterations =
-      static_cast<std::size_t>(flags.GetInt("cpa-iterations", 25));
+      static_cast<std::size_t>(flags.GetIntInRange("cpa-iterations", 25, 1, kMaxCount));
   config.runs = static_cast<std::size_t>(
-      flags.GetInt("runs", static_cast<long long>(default_runs)));
+      flags.GetIntInRange("runs", static_cast<long long>(default_runs), 1, kMaxCount));
   config.out_dir = flags.GetString("out-dir", ".");
   // Fail fast: benches can run for minutes, and an unwritable report
   // directory must not surface only at the final Write().
@@ -39,6 +52,14 @@ BenchConfig ParseBenchConfig(int argc, char** argv, double default_scale,
     std::exit(2);
   }
   return config;
+}
+
+void CheckBenchFlags(const Flags& flags) {
+  const Status status = flags.CheckAllRead();
+  if (!status.ok()) {
+    std::fprintf(stderr, "flag error: %s\n", status.ToString().c_str());
+    std::exit(2);
+  }
 }
 
 Dataset LoadPaperDataset(PaperDatasetId id, const BenchConfig& config) {

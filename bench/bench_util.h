@@ -38,10 +38,20 @@ struct BenchConfig {
   std::string out_dir = ".";    ///< where BENCH_*.json reports land
 };
 
-/// Parses `--scale`, `--seed`, `--cpa-iterations`, `--runs`, `--out-dir`.
-/// Exits with a message on malformed flags.
-BenchConfig ParseBenchConfig(int argc, char** argv, double default_scale = 0.35,
+/// Parses the command line; exits 2 with a message when it is malformed.
+Flags ParseBenchFlags(int argc, char** argv);
+
+/// Reads `--scale`, `--seed`, `--cpa-iterations`, `--runs`, `--out-dir`
+/// from `flags`, the counts range-checked (`Flags::GetIntInRange`). Exits 2
+/// with a message when `--out-dir` is not writable.
+BenchConfig ParseBenchConfig(const Flags& flags, double default_scale = 0.35,
                              std::size_t default_runs = 1);
+
+/// Exits 2, naming them, when `flags` holds a flag the bench never read or
+/// a value it could not use (`Flags::CheckAllRead`), so a misspelt or
+/// retired flag stops the run instead of running with defaults. Call it
+/// once every flag the bench accepts is read.
+void CheckBenchFlags(const Flags& flags);
 
 /// Builds one of the five paper datasets at the configured scale.
 Dataset LoadPaperDataset(PaperDatasetId id, const BenchConfig& config);

@@ -55,6 +55,12 @@ using namespace cpa;
 
 namespace {
 
+/// Ranges of the count flags.
+constexpr long long kMaxConnections = 1024;
+constexpr long long kMaxThreads = 1024;
+constexpr long long kMaxBatches = 100000;
+constexpr long long kMaxWorkers = 64;
+
 using bench::Percentile;
 using bench::ReplayResult;
 
@@ -106,29 +112,29 @@ void PrintOpRow(const char* op, const std::vector<double>& ms) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::BenchConfig config = bench::ParseBenchConfig(argc, argv, 0.08);
-  const auto flags = Flags::Parse(argc, argv);
-  CPA_CHECK(flags.ok()) << flags.status().ToString();
+  const Flags flags = bench::ParseBenchFlags(argc, argv);
+  bench::BenchConfig config = bench::ParseBenchConfig(flags, 0.08);
   // `--quick` shrinks the run to a CI smoke (the sanitizer jobs drive the
-  // whole socket/frame/codec path through it on every change).
-  const bool quick = flags.value().GetBool("quick", false);
-  std::size_t connections =
-      static_cast<std::size_t>(flags.value().GetInt("connections", 100));
+  // whole socket/frame/codec path through it on every change). The counts
+  // are range-checked, so a negative one cannot wrap through the casts.
+  const bool quick = flags.GetBool("quick", false);
+  std::size_t connections = static_cast<std::size_t>(
+      flags.GetIntInRange("connections", 100, 1, kMaxConnections));
   const std::size_t num_threads =
-      static_cast<std::size_t>(flags.value().GetInt("num-threads", 2));
+      static_cast<std::size_t>(flags.GetIntInRange("num-threads", 2, 1, kMaxThreads));
   std::size_t batches =
-      static_cast<std::size_t>(flags.value().GetInt("batches", 5));
+      static_cast<std::size_t>(flags.GetIntInRange("batches", 5, 1, kMaxBatches));
   const std::size_t workers =
-      static_cast<std::size_t>(flags.value().GetInt("workers", 2));
-  const std::string method = flags.value().GetString("method", "CPA-SVI");
-  const std::string adversarial = flags.value().GetString("adversarial", "");
+      static_cast<std::size_t>(flags.GetIntInRange("workers", 2, 0, kMaxWorkers));
+  const std::string method = flags.GetString("method", "CPA-SVI");
+  const std::string adversarial = flags.GetString("adversarial", "");
+  bench::CheckBenchFlags(flags);
   if (quick) {
     connections = std::min<std::size_t>(connections, 4);
     batches = std::min<std::size_t>(batches, 2);
     config.scale = std::min(config.scale, 0.05);
     config.cpa_iterations = std::min<std::size_t>(config.cpa_iterations, 4);
   }
-  CPA_CHECK(connections >= 1 && batches >= 1);
 
   // The stream every client replays: the paper dataset under
   // session-specific shuffles (default), or one named cell of the

@@ -43,6 +43,9 @@ using namespace cpa;
 
 namespace {
 
+/// Range of `--connections`.
+constexpr long long kMaxConnections = 1024;
+
 using bench::Percentile;
 
 /// One (scenario, method) cell of the matrix.
@@ -124,13 +127,13 @@ CellResult RunCell(const AdversarialScenario& scenario,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::BenchConfig config = bench::ParseBenchConfig(argc, argv, 1.0);
-  const auto flags = Flags::Parse(argc, argv);
-  CPA_CHECK(flags.ok()) << flags.status().ToString();
-  const bool quick = flags.value().GetBool("quick", false);
-  const bool replay_only = flags.value().GetBool("replay-only", false);
+  const Flags flags = bench::ParseBenchFlags(argc, argv);
+  bench::BenchConfig config = bench::ParseBenchConfig(flags, 1.0);
+  const bool quick = flags.GetBool("quick", false);
+  const bool replay_only = flags.GetBool("replay-only", false);
   std::size_t connections =
-      static_cast<std::size_t>(flags.value().GetInt("connections", 8));
+      static_cast<std::size_t>(flags.GetIntInRange("connections", 8, 1, kMaxConnections));
+  bench::CheckBenchFlags(flags);
   if (quick) {
     config.scale = std::min(config.scale, 0.15);
     config.cpa_iterations = std::min<std::size_t>(config.cpa_iterations, 6);

@@ -12,7 +12,9 @@
 using namespace cpa;
 
 int main(int argc, char** argv) {
-  const bench::BenchConfig config = bench::ParseBenchConfig(argc, argv);
+  const Flags flags = bench::ParseBenchFlags(argc, argv);
+  const bench::BenchConfig config = bench::ParseBenchConfig(flags);
+  bench::CheckBenchFlags(flags);
   bench::PrintHeader(
       "Fig 3 — effects of sparsity (image dataset)",
       "Answers are removed at random in 10% steps; precision/recall per method.",

@@ -16,7 +16,9 @@
 using namespace cpa;
 
 int main(int argc, char** argv) {
-  const bench::BenchConfig config = bench::ParseBenchConfig(argc, argv);
+  const Flags flags = bench::ParseBenchFlags(argc, argv);
+  const bench::BenchConfig config = bench::ParseBenchConfig(flags);
+  bench::CheckBenchFlags(flags);
   bench::PrintHeader(
       "Fig 4 — effects of spammers (ratio vs spammer-free performance)",
       "Spam answers are injected until they make up 20% / 40% of all answers.",

@@ -17,7 +17,9 @@
 using namespace cpa;
 
 int main(int argc, char** argv) {
-  const bench::BenchConfig config = bench::ParseBenchConfig(argc, argv);
+  const Flags flags = bench::ParseBenchFlags(argc, argv);
+  const bench::BenchConfig config = bench::ParseBenchConfig(flags);
+  bench::CheckBenchFlags(flags);
   bench::PrintHeader(
       "Fig 5 — effects of label dependency (entity dataset)",
       "Ratio of each method's original performance to its performance when "

@@ -66,13 +66,14 @@ SetMetrics RunOfflinePrefix(const Dataset& dataset,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::BenchConfig config = bench::ParseBenchConfig(argc, argv, 0.35, 3);
-  const auto flags = Flags::Parse(argc, argv);
-  if (flags.ok() && flags.value().GetBool("quick", false)) {
-    if (!flags.value().Has("scale")) config.scale = 0.15;
-    if (!flags.value().Has("runs")) config.runs = 2;
-    if (!flags.value().Has("cpa-iterations")) config.cpa_iterations = 15;
+  const Flags flags = bench::ParseBenchFlags(argc, argv);
+  bench::BenchConfig config = bench::ParseBenchConfig(flags, 0.35, 3);
+  if (flags.GetBool("quick", false)) {
+    if (!flags.Has("scale")) config.scale = 0.15;
+    if (!flags.Has("runs")) config.runs = 2;
+    if (!flags.Has("cpa-iterations")) config.cpa_iterations = 15;
   }
+  bench::CheckBenchFlags(flags);
   bench::PrintHeader(
       "Fig 6 + Table 5 — effects of data arrival (online vs offline CPA)",
       "Answers arrive in 10% steps; online = stochastic variational "

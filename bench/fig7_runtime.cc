@@ -48,7 +48,10 @@ ExperimentResult TimeOnline(const Dataset& dataset, EngineConfig config,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::BenchConfig config = bench::ParseBenchConfig(argc, argv, 1.0);
+  const Flags flags = bench::ParseBenchFlags(argc, argv);
+  const bench::BenchConfig config = bench::ParseBenchConfig(flags, 1.0);
+  const bool quick = flags.GetBool("quick", false);
+  bench::CheckBenchFlags(flags);
   bench::PrintHeader(
       "Fig 7 — runtime of inference and prediction",
       "Large-scale simulation: 10^4 items, 10^4 workers, 10 labels; the "
@@ -59,8 +62,6 @@ int main(int argc, char** argv) {
       "lists the recorded runs.",
       config);
 
-  const auto parsed = Flags::Parse(argc, argv);
-  const bool quick = parsed.ok() && parsed.value().GetBool("quick", false);
   std::vector<double> redundancies = {10.0, 30.0, 100.0};
   if (quick) redundancies = {10.0};
 

@@ -17,7 +17,9 @@
 using namespace cpa;
 
 int main(int argc, char** argv) {
-  const bench::BenchConfig config = bench::ParseBenchConfig(argc, argv);
+  const Flags flags = bench::ParseBenchFlags(argc, argv);
+  const bench::BenchConfig config = bench::ParseBenchConfig(flags);
+  bench::CheckBenchFlags(flags);
   bench::PrintHeader("Fig 8 — effects of model aspects (CPA vs No Z vs No L)",
                      "R1 ablation: worker communities; R3 ablation: item "
                      "clusters.",

@@ -61,7 +61,9 @@ LabelId PopularLabel(const Dataset& dataset, std::size_t rank) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::BenchConfig config = bench::ParseBenchConfig(argc, argv);
+  const Flags flags = bench::ParseBenchFlags(argc, argv);
+  const bench::BenchConfig config = bench::ParseBenchConfig(flags);
+  bench::CheckBenchFlags(flags);
   bench::PrintHeader(
       "Fig 9 + Fig 10 — worker communities and worker types",
       "Fig 9: per-label sensitivity/specificity of workers, grouped by the "

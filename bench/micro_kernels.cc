@@ -370,6 +370,58 @@ void BM_UpdateItemResponsibilityFromEvidence(benchmark::State& state) {
 }
 BENCHMARK(BM_UpdateItemResponsibilityFromEvidence);
 
+/// One κ pass over all 10^4 workers of the fitted Fig 7 model, inline, at
+/// `level`: the Eq. 2 answer term through `answer_community_scores`.
+void WorkerResponsibilityFig7Body(benchmark::State& state, simd::Level level) {
+  const Fig7Fixture& f = Fig7Fixture::Get();
+  CpaModel model = f.model;
+  const AnswerView view(f.dataset.answers);
+  const sweep::ClusterActivity activity{&model.phi, sweep::kSkipMass};
+  const simd::Level original = simd::ActiveLevel();
+  simd::SetLevelForTesting(level);
+  for (auto _ : state) {
+    for (WorkerId u = 0; u < model.num_workers(); ++u) {
+      sweep::UpdateWorkerResponsibility(model, view, u, view.AnswersOfWorker(u),
+                                        &activity);
+    }
+    benchmark::DoNotOptimize(model.kappa.Data().data());
+  }
+  simd::SetLevelForTesting(original);
+}
+void BM_UpdateWorkerResponsibilityFig7Scalar(benchmark::State& state) {
+  WorkerResponsibilityFig7Body(state, simd::Level::kScalar);
+}
+void BM_UpdateWorkerResponsibilityFig7Avx2(benchmark::State& state) {
+  WorkerResponsibilityFig7Body(state, simd::Level::kAvx2);
+}
+BENCHMARK(BM_UpdateWorkerResponsibilityFig7Scalar)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_UpdateWorkerResponsibilityFig7Avx2)->Unit(benchmark::kMillisecond);
+
+/// One λ REDUCE over the fitted Fig 7 model's 100k answers on one thread at
+/// `level`: the per-answer `answer_lambda_add` and the one transpose.
+void LambdaFig7Body(benchmark::State& state, simd::Level level) {
+  const Fig7Fixture& f = Fig7Fixture::Get();
+  CpaModel model = f.model;
+  const AnswerView view(f.dataset.answers);
+  const sweep::ClusterActivity activity{&model.phi, sweep::kSkipMass};
+  const SweepScheduler scheduler;
+  const simd::Level original = simd::ActiveLevel();
+  simd::SetLevelForTesting(level);
+  for (auto _ : state) {
+    sweep::UpdateLambda(model, view, activity, scheduler);
+    benchmark::DoNotOptimize(model.lambda.front().Data().data());
+  }
+  simd::SetLevelForTesting(original);
+}
+void BM_UpdateLambdaFig7Scalar(benchmark::State& state) {
+  LambdaFig7Body(state, simd::Level::kScalar);
+}
+void BM_UpdateLambdaFig7Avx2(benchmark::State& state) {
+  LambdaFig7Body(state, simd::Level::kAvx2);
+}
+BENCHMARK(BM_UpdateLambdaFig7Scalar)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_UpdateLambdaFig7Avx2)->Unit(benchmark::kMillisecond);
+
 void BM_ComputeElbo(benchmark::State& state) {
   FittedFixture& f = FittedFixture::Get();
   for (auto _ : state) {

@@ -12,7 +12,9 @@
 using namespace cpa;
 
 int main(int argc, char** argv) {
-  const bench::BenchConfig config = bench::ParseBenchConfig(argc, argv);
+  const Flags flags = bench::ParseBenchFlags(argc, argv);
+  const bench::BenchConfig config = bench::ParseBenchConfig(flags);
+  bench::CheckBenchFlags(flags);
   bench::PrintHeader("Table 3 + Fig 1 — dataset statistics & label co-occurrence",
                      "Simulated stand-ins for the five crowdsourced datasets "
                      "(BENCHMARKS.md \"Design choices\"); statistics follow "

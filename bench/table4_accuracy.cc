@@ -11,7 +11,9 @@
 using namespace cpa;
 
 int main(int argc, char** argv) {
-  const bench::BenchConfig config = bench::ParseBenchConfig(argc, argv);
+  const Flags flags = bench::ParseBenchFlags(argc, argv);
+  const bench::BenchConfig config = bench::ParseBenchConfig(flags);
+  bench::CheckBenchFlags(flags);
   bench::PrintHeader("Table 4 — overall accuracy",
                      "Precision / recall of MV, EM (Dawid-Skene), cBCC and CPA "
                      "on the five simulated datasets (y = empty, fully "

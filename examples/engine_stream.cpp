@@ -20,13 +20,16 @@
 
 using namespace cpa;
 
+/// Range of the count flags: a negative count would wrap through size_t.
+constexpr long long kMaxBatches = 100000;
+
 int main(int argc, char** argv) {
   const auto flags = Flags::Parse(argc, argv);
   CPA_CHECK(flags.ok()) << flags.status().ToString();
   FactoryOptions factory_options;
   factory_options.scale = flags.value().GetDouble("scale", 0.15);
   const std::size_t steps =
-      static_cast<std::size_t>(flags.value().GetInt("batches", 5));
+      static_cast<std::size_t>(flags.value().GetIntInRange("batches", 5, 1, kMaxBatches));
 
   auto dataset = MakePaperDataset(PaperDatasetId::kTopic, factory_options);
   CPA_CHECK(dataset.ok()) << dataset.status().ToString();

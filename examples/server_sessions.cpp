@@ -21,21 +21,25 @@
 
 using namespace cpa;
 
+/// Ranges of the count flags: a negative count would wrap through size_t.
+constexpr long long kMaxBatches = 100000;
+constexpr long long kMaxThreads = 1024;
+
 int main(int argc, char** argv) {
   const auto flags = Flags::Parse(argc, argv);
   CPA_CHECK(flags.ok()) << flags.status().ToString();
   FactoryOptions factory_options;
   factory_options.scale = flags.value().GetDouble("scale", 0.08);
   const std::size_t batches =
-      static_cast<std::size_t>(flags.value().GetInt("batches", 4));
+      static_cast<std::size_t>(flags.value().GetIntInRange("batches", 4, 1, kMaxBatches));
 
   auto dataset = MakePaperDataset(PaperDatasetId::kTopic, factory_options);
   CPA_CHECK(dataset.ok()) << dataset.status().ToString();
   const Dataset& d = dataset.value();
 
   SessionManagerOptions options;
-  options.num_threads =
-      static_cast<std::size_t>(flags.value().GetInt("num-threads", 2));
+  options.num_threads = static_cast<std::size_t>(
+      flags.value().GetIntInRange("num-threads", 2, 1, kMaxThreads));
   CPA_CHECK_OK(flags.value().CheckAllRead());
   SessionManager manager(options);
 

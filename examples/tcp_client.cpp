@@ -28,6 +28,9 @@
 #include "util/string_utils.h"
 
 using namespace cpa;
+
+/// Range of the count flags: a negative count would wrap through size_t.
+constexpr long long kMaxBatches = 100000;
 using server::Frame;
 using server::FrameKind;
 
@@ -102,7 +105,7 @@ int main(int argc, char** argv) {
   FactoryOptions factory_options;
   factory_options.scale = flags.value().GetDouble("scale", 0.08);
   const std::size_t batches =
-      static_cast<std::size_t>(flags.value().GetInt("batches", 4));
+      static_cast<std::size_t>(flags.value().GetIntInRange("batches", 4, 1, kMaxBatches));
   CPA_CHECK_OK(flags.value().CheckAllRead());
 
   auto dataset = MakePaperDataset(PaperDatasetId::kTopic, factory_options);

@@ -138,7 +138,9 @@ Result<CpaModel> CpaModel::Create(std::size_t num_items, std::size_t num_workers
 void CpaModel::RefreshExpectations(const SweepScheduler& scheduler) {
   StickBreakingExpectedLog(rho, elog_pi);
   StickBreakingExpectedLog(upsilon, elog_tau);
-  if (elog_psi.size() != T_) elog_psi.assign(T_, Matrix(M_, num_labels_));
+  if (elog_psi.rows() != T_ || elog_psi.cols() != num_labels_ * M_) {
+    elog_psi.Reset(T_, num_labels_ * M_);
+  }
   ResetThetaExpectations();
   // Every cluster's entries are written by one shard, with the inline
   // form's operations; only the placement of the clusters changes.
@@ -173,9 +175,14 @@ void CpaModel::ResetThetaExpectations() {
 }
 
 void CpaModel::RefreshPsiRows(std::size_t begin, std::size_t end) {
+  // Each λ row's expectation is computed contiguously, then scattered to
+  // its community's column of every label cell.
+  std::vector<double> expected(num_labels_);
   for (std::size_t t = begin; t < end; ++t) {
+    const std::span<double> row = elog_psi.Row(t);
     for (std::size_t m = 0; m < M_; ++m) {
-      DirichletExpectedLog(lambda[t].Row(m), elog_psi[t].Row(m));
+      DirichletExpectedLog(lambda[t].Row(m), expected);
+      for (std::size_t c = 0; c < num_labels_; ++c) row[c * M_ + m] = expected[c];
     }
   }
 }
@@ -203,14 +210,6 @@ void CpaModel::RefreshThetaRows(std::size_t begin, std::size_t end) {
     }
     elog_theta_base[t] = base;
   }
-}
-
-double CpaModel::AnswerExpectedLogLik(std::size_t t, std::size_t m,
-                                      const LabelSet& labels) const {
-  const auto row = elog_psi[t].Row(m);
-  double total = 0.0;
-  for (LabelId c : labels) total += row[c];
-  return total;
 }
 
 std::size_t CpaModel::WorkerCommunity(WorkerId u) const { return kappa.ArgMaxRow(u); }

@@ -11,6 +11,7 @@
 ///   ρ (Beta params of the π′ sticks, (M−1)×2)   → `rho`
 ///   υ (Beta params of the τ′ sticks, (T−1)×2)   → `upsilon`
 ///   λ (Dirichlet params of ψ_tm, T×M×C)         → `lambda[t](m,c)`
+///   E[ln ψ_tmc] (cached, label-major)           → `elog_psi(t, c·M + m)`
 ///   ζ (Dirichlet params of φ_t, T×C)            → `zeta`
 ///
 /// The model additionally maintains the per-item soft label evidence ỹ
@@ -32,7 +33,6 @@
 #include "core/cpa_options.h"
 #include "core/phi_rows.h"
 #include "data/answer_matrix.h"
-#include "data/label_set.h"
 #include "data/types.h"
 #include "util/matrix.h"
 #include "util/rng.h"
@@ -98,7 +98,11 @@ class CpaModel {
   /// @{
   std::vector<double> elog_pi;   ///< E[ln π_m], length M
   std::vector<double> elog_tau;  ///< E[ln τ_t], length T
-  std::vector<Matrix> elog_psi;  ///< E[ln ψ_tmc]: T matrices of M × C
+  /// E[ln ψ_tmc] as T rows of C·M: cell (t, c) holds the M communities
+  /// contiguously at column c·M, so Eq. 2 adds an answer's labels for all
+  /// communities in vector lanes (simd.h, "Community-vectorised Eq. 2 and
+  /// Eq. 6"). Each value has `DirichletExpectedLog`'s bits for λ_t's row m.
+  Matrix elog_psi;
   Matrix elog_theta;             ///< E[ln θ_tc]: T × C
   Matrix elog_not_theta;         ///< E[ln (1−θ_tc)]: T × C
   std::vector<double> elog_theta_base;  ///< Σ_c E[ln (1−θ_tc)], length T
@@ -124,11 +128,6 @@ class CpaModel {
   /// elog_not_theta, elog_theta_base, bernoulli_profile) — the cheap subset
   /// the online learner needs inside its reinforcement rounds.
   void RefreshThetaExpectations();
-
-  /// E[ln p(x | ψ_tm)] up to the answer's constant multinomial coefficient:
-  /// Σ_{c∈x} E[ln ψ_tmc] (Appendix B).
-  double AnswerExpectedLogLik(std::size_t t, std::size_t m,
-                              const LabelSet& labels) const;
 
   /// \name Effective Beta prior of the θ channel (cpa_options.h).
   /// @{
@@ -193,7 +192,7 @@ class CpaModel {
   /// Sizes the θ-channel caches for `RefreshThetaRows`.
   void ResetThetaExpectations();
 
-  /// The E[ln ψ] rows of clusters [begin, end) from λ.
+  /// The E[ln ψ] table rows of clusters [begin, end) from λ.
   void RefreshPsiRows(std::size_t begin, std::size_t end);
 
   /// The θ-channel cache entries of clusters [begin, end).

@@ -44,13 +44,12 @@ ElboTerms ComputeElboTerms(const CpaModel& model, const AnswerMatrix& answers) {
     double expected = 0.0;
     model.phi.ForEachNonzero(a.item, [&](std::size_t t, double phi_it) {
       if (phi_it < kSkipMass) return;
-      const Matrix& elog_psi_t = model.elog_psi[t];
+      const auto psi_row = model.elog_psi.Row(t);
       double inner = 0.0;
       for (std::size_t m = 0; m < M; ++m) {
         if (kappa_row[m] < kSkipMass) continue;
-        const auto psi_row = elog_psi_t.Row(m);
         double loglik = 0.0;
-        for (LabelId c : a.labels) loglik += psi_row[c];
+        for (LabelId c : a.labels) loglik += psi_row[c * M + m];
         inner += kappa_row[m] * loglik;
       }
       expected += phi_it * inner;
@@ -105,10 +104,10 @@ ElboTerms ComputeElboTerms(const CpaModel& model, const AnswerMatrix& answers) {
   const double lambda0 = model.options().lambda0;
   const double log_beta_lambda0 = LogSymmetricBeta(lambda0, C);
   for (std::size_t t = 0; t < T; ++t) {
+    const auto psi_row = model.elog_psi.Row(t);
     for (std::size_t m = 0; m < M; ++m) {
-      const auto elog_row = model.elog_psi[t].Row(m);
       double sum_elog = 0.0;
-      for (double v : elog_row) sum_elog += v;
+      for (std::size_t c = 0; c < C; ++c) sum_elog += psi_row[c * M + m];
       terms.dirichlet_priors += -log_beta_lambda0 + (lambda0 - 1.0) * sum_elog;
       terms.entropy += DirichletEntropy(model.lambda[t].Row(m));
     }

@@ -70,6 +70,28 @@
 ///   zeros the store would drop. The caller keeps the dense uniform
 ///   fallback for a row whose max is not finite.
 ///
+/// ### Community-vectorised Eq. 2 and Eq. 6
+///
+/// `answer_community_scores` (the κ row's answer term) and
+/// `answer_lambda_add` (one answer's λ statistic) read and write the
+/// label-major layout of `CpaModel::elog_psi`: cluster t's row holds, for
+/// every label c, the M communities contiguously at t·C·M + c·M. The
+/// communities are the vector lanes, so community m is lane m % 4 of its
+/// 4-block, and the tail of M % 4 communities is scalar:
+///
+/// - `answer_community_scores` gives each community the per-element
+///   operations of the per-(cluster, community) loop it replaces: an
+///   answer log-likelihood that starts at +0.0 and adds the labels in
+///   order, then one mul by the cluster's ϕ weight and one add into the
+///   score, cluster by cluster. Lane m does exactly that for m.
+/// - `answer_lambda_add` adds w = ϕ·κ_m to each labelled cell unless
+///   w < `skip`. The scalar twin skips such a community; the AVX2 variant
+///   adds +0.0 in its lane instead (a block with no lane at or above
+///   `skip` is skipped whole). x + (+0.0) is x for every x but −0.0, and
+///   the λ partials never hold −0.0: each starts at +0.0 and only takes
+///   adds of w ≥ `skip` > 0 (or a NaN, which stays NaN). So both variants
+///   leave every partial with the same bits as the skipping loop.
+///
 /// A kernel that cannot keep this contract ships scalar-only. The contract
 /// is enforced by `tests/core/simd_kernels_test.cc`: exact scalar↔AVX2
 /// equality on randomized spans (all alignments and remainder tails) plus a
@@ -154,6 +176,25 @@ struct Kernels {
   /// mul, add and div per value.
   void (*add_jittered_rows4)(const std::uint64_t* states, const double* sums,
                              double* into, std::size_t n);
+  /// Eq. 2's term of one answer, for the `count` (cluster, weight) pairs of
+  /// its item's activity run: for every community m < M and every k in
+  /// order, scores[m] += weights[k] · Σ_j cells[clusters[k]·stride +
+  /// labels[j]·M + m], the inner sum starting at +0.0 and taking the
+  /// `num_labels` labels in order. `cells` is the label-major E ln ψ table
+  /// (`stride` = C·M doubles per cluster).
+  void (*answer_community_scores)(const double* cells, std::size_t stride,
+                                  const std::uint32_t* clusters, const double* weights,
+                                  std::size_t count, const std::uint32_t* labels,
+                                  std::size_t num_labels, double* scores, std::size_t M);
+  /// Eq. 6's statistic of one answer into a λ partial in the same layout:
+  /// for every k and m, with w = weights[k]·kappa[m], each labelled cell
+  /// cells[clusters[k]·stride + labels[j]·M + m] += w unless w < `skip`.
+  /// No cell may hold −0.0 (see "Community-vectorised Eq. 2 and Eq. 6").
+  void (*answer_lambda_add)(double* cells, std::size_t stride,
+                            const std::uint32_t* clusters, const double* weights,
+                            std::size_t count, const std::uint32_t* labels,
+                            std::size_t num_labels, const double* kappa, double skip,
+                            std::size_t M);
 };
 
 /// The kernel table for `level`. Requesting a level the build or CPU cannot

@@ -198,19 +198,17 @@ void UpdateWorkerResponsibility(CpaModel& model, const AnswerView& view, WorkerI
                                 const ClusterActivity* activity) {
   CPA_CHECK(activity != nullptr);
   const std::size_t M = model.num_communities();
+  const simd::Kernels& kernels = simd::Active();
+  const std::span<const double> cells = model.elog_psi.Data();
   auto scores = model.kappa.Row(u);
   for (std::size_t m = 0; m < M; ++m) scores[m] = model.elog_pi[m];
   for (std::uint32_t index : indices) {
     const auto labels = view.labels(index);
-    activity->ForEach(view.item(index), [&](std::size_t t, double phi_weight) {
-      const Matrix& elog_psi_t = model.elog_psi[t];
-      for (std::size_t m = 0; m < M; ++m) {
-        const auto psi_row = elog_psi_t.Row(m);
-        double loglik = 0.0;
-        for (LabelId c : labels) loglik += psi_row[c];
-        scores[m] += phi_weight * loglik;
-      }
-    });
+    const PhiRows::Entries active = activity->Of(view.item(index));
+    kernels.answer_community_scores(cells.data(), model.elog_psi.cols(),
+                                    active.clusters.data(), active.weights.data(),
+                                    active.clusters.size(), labels.data(), labels.size(),
+                                    scores.data(), M);
   }
   SoftmaxInPlace(scores, kSoftmaxFloorNats);
 }
@@ -231,14 +229,13 @@ void UpdateItemResponsibility(CpaModel& model, const AnswerView& view, ItemId i,
     const auto labels = view.labels(index);
     const auto kappa_row = model.kappa.Row(view.worker(index));
     for (std::size_t t = 0; t < T; ++t) {
-      const Matrix& elog_psi_t = model.elog_psi[t];
+      const auto psi_row = model.elog_psi.Row(t);
       double expected = 0.0;
       for (std::size_t m = 0; m < M; ++m) {
         const double weight = kappa_row[m];
         if (weight < kSkipMass) continue;
-        const auto psi_row = elog_psi_t.Row(m);
         double loglik = 0.0;
-        for (LabelId c : labels) loglik += psi_row[c];
+        for (LabelId c : labels) loglik += psi_row[c * M + m];
         expected += weight * loglik;
       }
       scores[t] += expected;
@@ -499,36 +496,39 @@ void UpdateLambda(CpaModel& model, const AnswerView& view,
   const std::size_t bank_entries = std::max<std::size_t>(1, T * M * C);
   const std::size_t max_blocks = std::clamp<std::size_t>(
       kLambdaScratchEntryBudget / bank_entries, 1, SweepScheduler::kMaxReduceBlocks);
-  // Each partial is one flat T×M×C arena checkout (bank t at offset t·M·C)
-  // — the heaviest scratch of the whole engine, and the reason the reduce
+  // Each partial is one flat T×C×M arena checkout in the E ln ψ table's
+  // label-major layout (cell (t, c) at (t·C + c)·M), so one answer adds
+  // all communities of a label in vector lanes (`answer_lambda_add`). It
+  // is the heaviest scratch of the whole engine, and the reason the reduce
   // arena exists: steady-state sweeps reuse the warm slabs instead of
   // re-allocating megabytes per call.
+  const simd::Kernels& kernels = simd::Active();
   scheduler.ParallelReduce<std::span<double>>(
       view.num_answers(), kAnswerGrain,
       [&](ScratchArena& arena) { return arena.AllocZeroed<double>(bank_entries); },
-      [&](std::span<double>& banks, std::size_t begin, std::size_t end) {
+      [&](std::span<double>& cells, std::size_t begin, std::size_t end) {
         for (std::size_t index = begin; index < end; ++index) {
-          const ItemId item = view.item(index);
           const auto labels = view.labels(index);
-          const auto kappa_row = model.kappa.Row(view.worker(index));
-          activity.ForEach(item, [&](std::size_t t, double phi_weight) {
-            double* bank = banks.data() + t * M * C;
-            for (std::size_t m = 0; m < M; ++m) {
-              const double weight = phi_weight * kappa_row[m];
-              if (weight < kSkipMass) continue;
-              double* row = bank + m * C;
-              for (LabelId c : labels) row[c] += weight;
-            }
-          });
+          const PhiRows::Entries active = activity.Of(view.item(index));
+          kernels.answer_lambda_add(cells.data(), C * M, active.clusters.data(),
+                                    active.weights.data(), active.clusters.size(),
+                                    labels.data(), labels.size(),
+                                    model.kappa.Row(view.worker(index)).data(), kSkipMass,
+                                    M);
         }
       },
       [](std::span<double>& into, std::span<double>& from) {
         simd::Accumulate(into, from);
       },
       [&](std::span<double>& root) {
+        // The one transpose back to λ's M × C banks: each entry takes the
+        // root's value in one add onto the prior, as the merge would.
         for (std::size_t t = 0; t < T; ++t) {
-          simd::Accumulate(model.lambda[t].Data(),
-                           root.subspan(t * M * C, M * C));
+          const std::span<const double> cells = root.subspan(t * C * M, C * M);
+          const std::span<double> bank = model.lambda[t].Data();
+          for (std::size_t m = 0; m < M; ++m) {
+            for (std::size_t c = 0; c < C; ++c) bank[m * C + c] += cells[c * M + m];
+          }
         }
       },
       max_blocks);

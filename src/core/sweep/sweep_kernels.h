@@ -60,12 +60,16 @@ struct ClusterActivity {
   const PhiRows* phi = nullptr;
   double threshold = kSkipMass;  ///< > 0
 
+  /// The entries of row `item` at or above the threshold, ascending in t:
+  /// valid until row `item` is written or this thread gathers another row.
+  PhiRows::Entries Of(ItemId item) const { return phi->AtLeast(item, threshold); }
+
   /// Calls `fn(t, weight)` for every entry of row `item` at or above the
   /// threshold, ascending in t. `fn` must not read the same store's rows
   /// meanwhile (a gathered row lives in thread scratch).
   template <typename Fn>
   void ForEach(ItemId item, Fn&& fn) const {
-    const PhiRows::Entries active = phi->AtLeast(item, threshold);
+    const PhiRows::Entries active = Of(item);
     for (std::size_t k = 0; k < active.clusters.size(); ++k) {
       fn(static_cast<std::size_t>(active.clusters[k]), active.weights[k]);
     }
@@ -83,7 +87,8 @@ void BuildClusterActivity(const PhiRows& phi, const SweepScheduler& scheduler,
 
 /// Eq. 2: recomputes κ row `u` from the given answers of worker `u`.
 /// `activity` (non-null) supplies the active clusters of each answered
-/// item.
+/// item; each answer adds its term for all M communities at once through
+/// `answer_community_scores` over the label-major `elog_psi` table.
 void UpdateWorkerResponsibility(CpaModel& model, const AnswerView& view, WorkerId u,
                                 std::span<const std::uint32_t> indices,
                                 const ClusterActivity* activity);
@@ -173,7 +178,9 @@ void UpdateSticks(Matrix& sticks, const PhiRows& phi, double concentration,
 void SticksFromMass(Matrix& sticks, std::span<const double> mass,
                     double concentration);
 
-/// Eq. 6: λ from scratch over every answer of the view.
+/// Eq. 6: λ from scratch over every answer of the view. The partials are
+/// reduced in `elog_psi`'s label-major layout (`answer_lambda_add`) and
+/// transposed once into λ's banks.
 void UpdateLambda(CpaModel& model, const AnswerView& view,
                   const ClusterActivity& activity, const SweepScheduler& scheduler);
 

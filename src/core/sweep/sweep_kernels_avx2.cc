@@ -226,10 +226,61 @@ void AddJitteredRows4Scalar(const std::uint64_t* states, const double* sums,
   }
 }
 
+/// `answer_community_scores` for communities [first, M): the scalar twin
+/// and the AVX2 variant's tail.
+void CommunityScoresRange(const double* cells, std::size_t stride,
+                          const std::uint32_t* clusters, const double* weights,
+                          std::size_t count, const std::uint32_t* labels,
+                          std::size_t num_labels, double* scores, std::size_t M,
+                          std::size_t first) {
+  for (std::size_t k = 0; k < count; ++k) {
+    const double* cluster = cells + clusters[k] * stride;
+    for (std::size_t m = first; m < M; ++m) {
+      double loglik = 0.0;
+      for (std::size_t j = 0; j < num_labels; ++j) loglik += cluster[labels[j] * M + m];
+      scores[m] += weights[k] * loglik;
+    }
+  }
+}
+
+void AnswerCommunityScoresScalar(const double* cells, std::size_t stride,
+                                 const std::uint32_t* clusters, const double* weights,
+                                 std::size_t count, const std::uint32_t* labels,
+                                 std::size_t num_labels, double* scores, std::size_t M) {
+  CommunityScoresRange(cells, stride, clusters, weights, count, labels, num_labels,
+                       scores, M, 0);
+}
+
+/// `answer_lambda_add` for communities [first, M): the scalar twin and the
+/// AVX2 variant's tail.
+void LambdaAddRange(double* cells, std::size_t stride, const std::uint32_t* clusters,
+                    const double* weights, std::size_t count, const std::uint32_t* labels,
+                    std::size_t num_labels, const double* kappa, double skip,
+                    std::size_t M, std::size_t first) {
+  for (std::size_t k = 0; k < count; ++k) {
+    double* cluster = cells + clusters[k] * stride;
+    for (std::size_t m = first; m < M; ++m) {
+      const double weight = weights[k] * kappa[m];
+      if (weight < skip) continue;
+      for (std::size_t j = 0; j < num_labels; ++j) cluster[labels[j] * M + m] += weight;
+    }
+  }
+}
+
+void AnswerLambdaAddScalar(double* cells, std::size_t stride,
+                           const std::uint32_t* clusters, const double* weights,
+                           std::size_t count, const std::uint32_t* labels,
+                           std::size_t num_labels, const double* kappa, double skip,
+                           std::size_t M) {
+  LambdaAddRange(cells, stride, clusters, weights, count, labels, num_labels, kappa, skip,
+                 M, 0);
+}
+
 constexpr Kernels kScalarKernels = {
     AccumulateScalar, AxpyScalar,    SumScalar,     DotScalar,
     MaxValueScalar,   LogSumExpScalar, SoftmaxScalar, SoftmaxFlooredScalar,
     EvidenceScoresScalar, SoftmaxFlooredPairsScalar, AddJitteredRows4Scalar,
+    AnswerCommunityScoresScalar, AnswerLambdaAddScalar,
 };
 
 // ---------------------------------------------------------------------------
@@ -592,10 +643,121 @@ CPA_TARGET_AVX2 void AddJitteredRows4Avx2(const std::uint64_t* states,
   AddJitteredRows4Scalar(rest, sums, into + i, n - i);
 }
 
+/// `answer_community_scores` for the 4·V communities from m: lane l of
+/// vector v is community m + 4v + l. Its log-likelihood starts at +0.0 and
+/// adds the labels in order, and enters the score as one vmulpd and one
+/// vaddpd per cluster in cluster order: the scalar loop's operations for
+/// that community. Four clusters share each pass over the labels, so
+/// their independent sums overlap.
+template <std::size_t V>
+CPA_TARGET_AVX2 inline void CommunityScoresBlock(const double* cells, std::size_t stride,
+                                                 const std::uint32_t* clusters,
+                                                 const double* weights, std::size_t count,
+                                                 const std::uint32_t* labels,
+                                                 std::size_t num_labels, double* scores,
+                                                 std::size_t M, std::size_t m) {
+  __m256d score[V];
+  for (std::size_t v = 0; v < V; ++v) score[v] = _mm256_loadu_pd(scores + m + 4 * v);
+  std::size_t k = 0;
+  for (; k + 4 <= count; k += 4) {
+    const double* cluster[4];
+    __m256d loglik[4][V];
+    for (std::size_t q = 0; q < 4; ++q) {
+      cluster[q] = cells + clusters[k + q] * stride + m;
+      for (std::size_t v = 0; v < V; ++v) loglik[q][v] = _mm256_setzero_pd();
+    }
+    for (std::size_t j = 0; j < num_labels; ++j) {
+      const std::size_t cell = labels[j] * M;
+      for (std::size_t q = 0; q < 4; ++q) {
+        for (std::size_t v = 0; v < V; ++v) {
+          loglik[q][v] =
+              _mm256_add_pd(loglik[q][v], _mm256_loadu_pd(cluster[q] + cell + 4 * v));
+        }
+      }
+    }
+    for (std::size_t q = 0; q < 4; ++q) {
+      const __m256d weight = _mm256_set1_pd(weights[k + q]);
+      for (std::size_t v = 0; v < V; ++v) {
+        score[v] = _mm256_add_pd(score[v], _mm256_mul_pd(weight, loglik[q][v]));
+      }
+    }
+  }
+  for (; k < count; ++k) {
+    const double* cluster = cells + clusters[k] * stride + m;
+    __m256d loglik[V];
+    for (std::size_t v = 0; v < V; ++v) loglik[v] = _mm256_setzero_pd();
+    for (std::size_t j = 0; j < num_labels; ++j) {
+      const double* cell = cluster + labels[j] * M;
+      for (std::size_t v = 0; v < V; ++v) {
+        loglik[v] = _mm256_add_pd(loglik[v], _mm256_loadu_pd(cell + 4 * v));
+      }
+    }
+    const __m256d weight = _mm256_set1_pd(weights[k]);
+    for (std::size_t v = 0; v < V; ++v) {
+      score[v] = _mm256_add_pd(score[v], _mm256_mul_pd(weight, loglik[v]));
+    }
+  }
+  for (std::size_t v = 0; v < V; ++v) _mm256_storeu_pd(scores + m + 4 * v, score[v]);
+}
+
+CPA_TARGET_AVX2 void AnswerCommunityScoresAvx2(const double* cells, std::size_t stride,
+                                               const std::uint32_t* clusters,
+                                               const double* weights, std::size_t count,
+                                               const std::uint32_t* labels,
+                                               std::size_t num_labels, double* scores,
+                                               std::size_t M) {
+  std::size_t m = 0;
+  for (; m + 8 <= M; m += 8) {
+    CommunityScoresBlock<2>(cells, stride, clusters, weights, count, labels, num_labels,
+                            scores, M, m);
+  }
+  for (; m + 4 <= M; m += 4) {
+    CommunityScoresBlock<1>(cells, stride, clusters, weights, count, labels, num_labels,
+                            scores, M, m);
+  }
+  if (m < M) {
+    CommunityScoresRange(cells, stride, clusters, weights, count, labels, num_labels,
+                         scores, M, m);
+  }
+}
+
+CPA_TARGET_AVX2 void AnswerLambdaAddAvx2(double* cells, std::size_t stride,
+                                         const std::uint32_t* clusters,
+                                         const double* weights, std::size_t count,
+                                         const std::uint32_t* labels,
+                                         std::size_t num_labels, const double* kappa,
+                                         double skip, std::size_t M) {
+  // Lane l of a block is community m + l. A lane whose weight is below
+  // `skip` adds +0.0 (the mask clears its bits), which leaves a partial
+  // unchanged (simd.h); the compare is `!(w < skip)`, so a NaN weight is
+  // added as the scalar loop adds it.
+  const __m256d skip_lanes = _mm256_set1_pd(skip);
+  const std::size_t blocks = M / 4 * 4;
+  for (std::size_t k = 0; k < count; ++k) {
+    double* cluster = cells + clusters[k] * stride;
+    const __m256d phi = _mm256_set1_pd(weights[k]);
+    for (std::size_t m = 0; m < blocks; m += 4) {
+      const __m256d weight = _mm256_mul_pd(phi, _mm256_loadu_pd(kappa + m));
+      const __m256d keep = _mm256_cmp_pd(weight, skip_lanes, _CMP_NLT_UQ);
+      if (_mm256_movemask_pd(keep) == 0) continue;
+      const __m256d add = _mm256_and_pd(weight, keep);
+      for (std::size_t j = 0; j < num_labels; ++j) {
+        double* cell = cluster + labels[j] * M + m;
+        _mm256_storeu_pd(cell, _mm256_add_pd(_mm256_loadu_pd(cell), add));
+      }
+    }
+  }
+  if (blocks < M) {
+    LambdaAddRange(cells, stride, clusters, weights, count, labels, num_labels, kappa,
+                   skip, M, blocks);
+  }
+}
+
 constexpr Kernels kAvx2Kernels = {
     AccumulateAvx2, AxpyAvx2,      SumAvx2,     DotAvx2,
     MaxValueAvx2,   LogSumExpAvx2, SoftmaxAvx2, SoftmaxFlooredAvx2,
     EvidenceScoresAvx2, SoftmaxFlooredPairsAvx2, AddJitteredRows4Avx2,
+    AnswerCommunityScoresAvx2, AnswerLambdaAddAvx2,
 };
 
 #endif  // CPA_SIMD_HAVE_AVX2

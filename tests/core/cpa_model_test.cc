@@ -164,14 +164,34 @@ TEST(CpaModelTest, RefreshThetaExpectationsMatchesBetaDefinition) {
   }
 }
 
-TEST(CpaModelTest, AnswerExpectedLogLikSumsSelectedComponents) {
-  auto model = CpaModel::Create(4, 3, 4, SmallOptions());
-  ASSERT_TRUE(model.ok());
-  CpaModel& m = model.value();
+TEST(CpaModelTest, ElogPsiCellsHoldEachCommunitysDirichletExpectation) {
+  // Cell (t, c) of the label-major table holds E ln ψ_tmc for every m, each
+  // with the bits `DirichletExpectedLog` gives λ_t's row m at c.
+  CpaOptions options = SmallOptions();
+  options.max_communities = 5;
+  auto created = CpaModel::Create(4, 6, 7, options);
+  ASSERT_TRUE(created.ok());
+  CpaModel m = std::move(created).value();
+  Rng rng(17);
+  for (auto& bank : m.lambda) {
+    for (double& v : bank.Data()) v = 0.05 + 4.0 * rng.NextDouble();
+  }
   m.RefreshExpectations(SweepScheduler());
-  const LabelSet labels = {0, 2};
-  const double expected = m.elog_psi[1](2, 0) + m.elog_psi[1](2, 2);
-  EXPECT_NEAR(m.AnswerExpectedLogLik(1, 2, labels), expected, 1e-12);
+  const std::size_t M = m.num_communities();
+  const std::size_t C = m.num_labels();
+  ASSERT_EQ(m.elog_psi.rows(), m.num_clusters());
+  ASSERT_EQ(m.elog_psi.cols(), C * M);
+  std::vector<double> expected(C);
+  for (std::size_t t = 0; t < m.num_clusters(); ++t) {
+    for (std::size_t k = 0; k < M; ++k) {
+      SCOPED_TRACE(testing::Message() << "t=" << t << " m=" << k);
+      DirichletExpectedLog(m.lambda[t].Row(k), expected);
+      for (std::size_t c = 0; c < C; ++c) {
+        const double cell = m.elog_psi(t, c * M + k);
+        ASSERT_EQ(std::memcmp(&cell, &expected[c], sizeof(double)), 0) << "c=" << c;
+      }
+    }
+  }
 }
 
 TEST(CpaModelTest, CreateMatchesTheDenseInitialisationBitForBit) {
@@ -253,10 +273,7 @@ TEST(CpaModelTest, ShardedRefreshMatchesInlineBitForBit) {
     sharded.RefreshExpectations(SweepScheduler(&pool));
     EXPECT_TRUE(bits_equal(sharded.elog_pi, inline_model.elog_pi));
     EXPECT_TRUE(bits_equal(sharded.elog_tau, inline_model.elog_tau));
-    for (std::size_t t = 0; t < model.num_clusters(); ++t) {
-      ASSERT_TRUE(bits_equal(sharded.elog_psi[t].Data(), inline_model.elog_psi[t].Data()))
-          << t;
-    }
+    EXPECT_TRUE(bits_equal(sharded.elog_psi.Data(), inline_model.elog_psi.Data()));
     EXPECT_TRUE(bits_equal(sharded.elog_theta.Data(), inline_model.elog_theta.Data()));
     EXPECT_TRUE(
         bits_equal(sharded.elog_not_theta.Data(), inline_model.elog_not_theta.Data()));

@@ -5,12 +5,14 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "core/phi_rows.h"
+#include "core/sweep/answer_view.h"
 #include "core/sweep/sweep_kernels.h"
 #include "core/vi.h"
 #include "simulation/dataset_factory.h"
@@ -556,6 +558,198 @@ TEST(SoftmaxActiveTest, BitIdenticalToDenseSoftmaxAtEveryLevel) {
           ASSERT_TRUE(BitEqual(out[k], dense[active[k]]))
               << "level=" << LevelName(level) << " n=" << n << " pattern=" << pattern
               << " id=" << active[k];
+        }
+      }
+    }
+  }
+  SetLevelForTesting(original);
+}
+
+// ---------------------------------------------------------------------------
+// Community-vectorised Eq. 2 and Eq. 6 (simd.h)
+// ---------------------------------------------------------------------------
+
+/// Community counts around the 4- and 8-wide blocks and their tails.
+constexpr std::size_t kCommunityCounts[] = {1, 2, 3, 4, 5, 7, 8, 9, 16};
+
+/// One answer's inputs at the label-major layout: an activity run over
+/// `kClusters` clusters and a label list over `kLabels` labels.
+constexpr std::size_t kClusters = 9;
+constexpr std::size_t kLabels = 6;
+
+/// The activity runs the kernels see: none, one, a few and every cluster,
+/// with weights that are ordinary, zero, subnormal, or exactly `kSkipMass`.
+struct ClusterRun {
+  std::vector<std::uint32_t> clusters;
+  std::vector<double> weights;
+};
+
+std::vector<ClusterRun> ClusterRuns(std::mt19937_64& rng) {
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  const double special[] = {0.0, std::numeric_limits<double>::denorm_min(), 3.5e-310,
+                            sweep::kSkipMass, 1.0};
+  std::vector<ClusterRun> runs;
+  runs.push_back({});
+  runs.push_back({{4}, {0.73}});
+  ClusterRun specials;
+  for (std::size_t k = 0; k < std::size(special); ++k) {
+    specials.clusters.push_back(static_cast<std::uint32_t>(k + 1));
+    specials.weights.push_back(special[k]);
+  }
+  runs.push_back(specials);
+  ClusterRun full;
+  for (std::uint32_t t = 0; t < kClusters; ++t) {
+    full.clusters.push_back(t);
+    full.weights.push_back(unit(rng));
+  }
+  runs.push_back(full);
+  return runs;
+}
+
+/// The label lists: empty, a single label, a scattered subset, all labels.
+std::vector<std::vector<std::uint32_t>> LabelLists() {
+  std::vector<std::uint32_t> all(kLabels);
+  for (std::uint32_t c = 0; c < kLabels; ++c) all[c] = c;
+  return {{}, {3}, {0, 2, 5}, all};
+}
+
+TEST_F(SimdKernelsTest, AnswerCommunityScoresExactlyMatchScalar) {
+  for (std::size_t M : kCommunityCounts) {
+    const std::size_t stride = kLabels * M;
+    const std::vector<double> cells = RandomRow(rng_, kClusters * stride, 0.0);
+    for (const ClusterRun& run : ClusterRuns(rng_)) {
+      for (const auto& labels : LabelLists()) {
+        SCOPED_TRACE(StrFormat("M=%zu clusters=%zu labels=%zu", M, run.clusters.size(),
+                               labels.size()));
+        const std::vector<double> start = RandomRow(rng_, M, 0.0);
+        std::vector<double> a = start;
+        std::vector<double> b = start;
+        scalar_.answer_community_scores(cells.data(), stride, run.clusters.data(),
+                                        run.weights.data(), run.clusters.size(),
+                                        labels.data(), labels.size(), a.data(), M);
+        avx2_.answer_community_scores(cells.data(), stride, run.clusters.data(),
+                                      run.weights.data(), run.clusters.size(),
+                                      labels.data(), labels.size(), b.data(), M);
+        for (std::size_t m = 0; m < M; ++m) {
+          ASSERT_TRUE(BitEqual(a[m], b[m])) << "m=" << m;
+        }
+      }
+    }
+  }
+}
+
+TEST_F(SimdKernelsTest, AnswerLambdaAddExactlyMatchesScalarAndTheSkippingLoop) {
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (std::size_t M : kCommunityCounts) {
+    const std::size_t stride = kLabels * M;
+    // κ rows as a fit leaves them: mostly one-hot, with weights at, just
+    // below and far below the skip mass, a subnormal and a zero.
+    std::vector<double> kappa(M);
+    for (double& v : kappa) v = unit(rng_) < 0.5 ? unit(rng_) : 1e-12 * unit(rng_);
+    kappa[0] = 1.0;
+    if (M > 1) kappa[1] = sweep::kSkipMass;
+    if (M > 2) kappa[2] = std::nextafter(sweep::kSkipMass, 0.0);
+    if (M > 3) kappa[3] = std::numeric_limits<double>::denorm_min();
+    if (M > 4) kappa[4] = 0.0;
+    // Partials start at +0.0 and take every answer in turn.
+    std::vector<double> a(kClusters * stride, 0.0);
+    std::vector<double> b = a;
+    std::vector<Matrix> banks(kClusters, Matrix(M, kLabels, 0.0));
+    for (int answer = 0; answer < 3; ++answer) {
+      for (const ClusterRun& run : ClusterRuns(rng_)) {
+        for (const auto& labels : LabelLists()) {
+          scalar_.answer_lambda_add(a.data(), stride, run.clusters.data(),
+                                    run.weights.data(), run.clusters.size(),
+                                    labels.data(), labels.size(), kappa.data(),
+                                    sweep::kSkipMass, M);
+          avx2_.answer_lambda_add(b.data(), stride, run.clusters.data(),
+                                  run.weights.data(), run.clusters.size(),
+                                  labels.data(), labels.size(), kappa.data(),
+                                  sweep::kSkipMass, M);
+          // The M × C bank loop the kernel replaces.
+          for (std::size_t k = 0; k < run.clusters.size(); ++k) {
+            Matrix& bank = banks[run.clusters[k]];
+            for (std::size_t m = 0; m < M; ++m) {
+              const double weight = run.weights[k] * kappa[m];
+              if (weight < sweep::kSkipMass) continue;
+              for (std::uint32_t c : labels) bank(m, c) += weight;
+            }
+          }
+        }
+      }
+    }
+    for (std::size_t t = 0; t < kClusters; ++t) {
+      for (std::size_t c = 0; c < kLabels; ++c) {
+        for (std::size_t m = 0; m < M; ++m) {
+          const std::size_t cell = t * stride + c * M + m;
+          ASSERT_TRUE(BitEqual(a[cell], b[cell])) << "M=" << M << " cell=" << cell;
+          ASSERT_TRUE(BitEqual(a[cell], banks[t](m, c))) << "M=" << M << " cell=" << cell;
+        }
+      }
+    }
+  }
+}
+
+/// Eq. 2's κ row as it was computed before the label-major table: one M × C
+/// matrix of E ln ψ per cluster, and the per-community loop over them.
+std::vector<double> PerCommunityKappaRow(const CpaModel& model, const AnswerView& view,
+                                         WorkerId u) {
+  const std::size_t M = model.num_communities();
+  std::vector<Matrix> elog_psi(model.num_clusters(), Matrix(M, model.num_labels()));
+  for (std::size_t t = 0; t < model.num_clusters(); ++t) {
+    for (std::size_t m = 0; m < M; ++m) {
+      DirichletExpectedLog(model.lambda[t].Row(m), elog_psi[t].Row(m));
+    }
+  }
+  const sweep::ClusterActivity activity{&model.phi, sweep::kSkipMass};
+  std::vector<double> scores(M);
+  for (std::size_t m = 0; m < M; ++m) scores[m] = model.elog_pi[m];
+  for (std::uint32_t index : view.AnswersOfWorker(u)) {
+    const auto labels = view.labels(index);
+    activity.ForEach(view.item(index), [&](std::size_t t, double phi_weight) {
+      for (std::size_t m = 0; m < M; ++m) {
+        const auto psi_row = elog_psi[t].Row(m);
+        double loglik = 0.0;
+        for (LabelId c : labels) loglik += psi_row[c];
+        scores[m] += phi_weight * loglik;
+      }
+    });
+  }
+  SoftmaxInPlace(scores, sweep::kSoftmaxFloorNats);
+  return scores;
+}
+
+// Every κ row of a fitted model written through the dispatched kernel, at
+// both levels, against the per-community loop, for M with and without a
+// scalar tail.
+TEST(CommunityVectorisedEq2Test, KappaRowsMatchThePerCommunityLoopAtEveryLevel) {
+  FactoryOptions factory;
+  factory.scale = 0.05;
+  auto dataset = MakePaperDataset(PaperDatasetId::kMovie, factory);
+  ASSERT_TRUE(dataset.ok());
+  const Dataset& d = dataset.value();
+  const AnswerView view(d.answers);
+  const Level original = ActiveLevel();
+  for (std::size_t M : {5, 8}) {
+    SCOPED_TRACE(M);
+    CpaOptions options = CpaOptions::Recommended(d.num_items(), d.num_labels);
+    options.max_communities = M;
+    options.max_iterations = 3;
+    auto fitted = FitCpa(d.answers, d.num_labels, options);
+    ASSERT_TRUE(fitted.ok());
+    const CpaModel& model = fitted.value();
+    for (Level level : {Level::kScalar, Level::kAvx2}) {
+      SCOPED_TRACE(LevelName(level));
+      SetLevelForTesting(level);
+      CpaModel updated = model;
+      const sweep::ClusterActivity activity{&updated.phi, sweep::kSkipMass};
+      for (WorkerId u = 0; u < model.num_workers(); ++u) {
+        sweep::UpdateWorkerResponsibility(updated, view, u, view.AnswersOfWorker(u),
+                                          &activity);
+        const std::vector<double> expected = PerCommunityKappaRow(model, view, u);
+        const auto row = updated.kappa.Row(u);
+        for (std::size_t m = 0; m < M; ++m) {
+          ASSERT_TRUE(BitEqual(row[m], expected[m])) << "u=" << u << " m=" << m;
         }
       }
     }
