@@ -398,7 +398,8 @@ BENCHMARK(BM_UpdateWorkerResponsibilityFig7Scalar)->Unit(benchmark::kMillisecond
 BENCHMARK(BM_UpdateWorkerResponsibilityFig7Avx2)->Unit(benchmark::kMillisecond);
 
 /// One λ REDUCE over the fitted Fig 7 model's 100k answers on one thread at
-/// `level`: the per-answer `answer_lambda_add` and the one transpose.
+/// `level`: the per-answer `answer_lambda_add` and the one `Accumulate` of
+/// the root onto the prior.
 void LambdaFig7Body(benchmark::State& state, simd::Level level) {
   const Fig7Fixture& f = Fig7Fixture::Get();
   CpaModel model = f.model;
@@ -409,7 +410,7 @@ void LambdaFig7Body(benchmark::State& state, simd::Level level) {
   simd::SetLevelForTesting(level);
   for (auto _ : state) {
     sweep::UpdateLambda(model, view, activity, scheduler);
-    benchmark::DoNotOptimize(model.lambda.front().Data().data());
+    benchmark::DoNotOptimize(model.lambda.Data().data());
   }
   simd::SetLevelForTesting(original);
 }

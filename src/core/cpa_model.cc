@@ -119,10 +119,16 @@ Result<CpaModel> CpaModel::Create(std::size_t num_items, std::size_t num_workers
   model.upsilon.Reset(model.T_ > 1 ? model.T_ - 1 : 0, 2, 1.0);
   for (std::size_t t = 0; t + 1 < model.T_; ++t) model.upsilon(t, 1) = options.epsilon;
 
-  model.lambda.assign(model.T_, Matrix(model.M_, num_labels, options.lambda0));
-  // Jitter λ slightly so confusion vectors are not exactly symmetric.
-  for (auto& bank : model.lambda) {
-    for (double& v : bank.Data()) v += 0.01 * options.lambda0 * rng.NextDouble();
+  // Jitter λ slightly so confusion vectors are not exactly symmetric. The
+  // draws go t, then m, then c, the order of the former M × C banks.
+  model.lambda.Reset(model.T_, num_labels * model.M_, options.lambda0);
+  for (std::size_t t = 0; t < model.T_; ++t) {
+    const std::span<double> row = model.lambda.Row(t);
+    for (std::size_t m = 0; m < model.M_; ++m) {
+      for (std::size_t c = 0; c < num_labels; ++c) {
+        row[c * model.M_ + m] += 0.01 * options.lambda0 * rng.NextDouble();
+      }
+    }
   }
   model.zeta.Reset(model.T_, num_labels, options.zeta0);
   model.theta_a.Reset(model.T_, num_labels, model.theta_prior_on());
@@ -174,14 +180,22 @@ void CpaModel::ResetThetaExpectations() {
   bernoulli_profile.Reset(T_, num_labels_);
 }
 
+void CpaModel::CopyLambdaRow(std::size_t t, std::size_t m, std::span<double> out) const {
+  CPA_CHECK_EQ(out.size(), num_labels_);
+  const std::span<const double> row = lambda.Row(t);
+  for (std::size_t c = 0; c < num_labels_; ++c) out[c] = row[c * M_ + m];
+}
+
 void CpaModel::RefreshPsiRows(std::size_t begin, std::size_t end) {
   // Each λ row's expectation is computed contiguously, then scattered to
   // its community's column of every label cell.
+  std::vector<double> lambda_row(num_labels_);
   std::vector<double> expected(num_labels_);
   for (std::size_t t = begin; t < end; ++t) {
     const std::span<double> row = elog_psi.Row(t);
     for (std::size_t m = 0; m < M_; ++m) {
-      DirichletExpectedLog(lambda[t].Row(m), expected);
+      CopyLambdaRow(t, m, lambda_row);
+      DirichletExpectedLog(lambda_row, expected);
       for (std::size_t c = 0; c < num_labels_; ++c) row[c * M_ + m] = expected[c];
     }
   }
@@ -232,8 +246,8 @@ std::vector<double> CpaModel::ClusterSizes() const {
 }
 
 std::vector<double> CpaModel::PsiMean(std::size_t t, std::size_t m) const {
-  const auto row = lambda[t].Row(m);
-  std::vector<double> mean(row.begin(), row.end());
+  std::vector<double> mean(num_labels_);
+  CopyLambdaRow(t, m, mean);
   NormalizeInPlace(mean);
   return mean;
 }
@@ -302,8 +316,17 @@ void CpaModel::SaveState(CheckpointWriter& writer) const {
   }
   writer.WriteMatrix(rho);
   writer.WriteMatrix(upsilon);
-  writer.WriteU64(lambda.size());
-  for (const Matrix& bank : lambda) writer.WriteMatrix(bank);
+  // λ in layout v1's order: T banks of M × C in the `WriteMatrix` layout.
+  writer.WriteU64(T_);
+  std::vector<double> lambda_row(num_labels_);
+  for (std::size_t t = 0; t < T_; ++t) {
+    writer.WriteU64(M_);
+    writer.WriteU64(num_labels_);
+    for (std::size_t m = 0; m < M_; ++m) {
+      CopyLambdaRow(t, m, lambda_row);
+      for (const double value : lambda_row) writer.WriteDouble(value);
+    }
+  }
   writer.WriteMatrix(zeta);
   writer.WriteMatrix(theta_a);
   writer.WriteMatrix(theta_b);
@@ -374,9 +397,24 @@ Status CpaModel::RestoreState(CheckpointReader& reader) {
   if (banks != T_) {
     return Status::InvalidArgument("checkpoint lambda bank count != T");
   }
-  lambda.resize(T_);
+  // Each M × C bank is checked, then scattered into its label-major row.
+  // λ holds Dirichlet parameters, so every entry must be > 0 (which also
+  // keeps −0.0 out of the cells `answer_lambda_add` writes, simd.h).
+  lambda.Reset(T_, num_labels_ * M_);
+  Matrix bank;
   for (std::size_t k = 0; k < T_; ++k) {
-    CPA_RETURN_NOT_OK(read_matrix(lambda[k], M_, num_labels_, "lambda"));
+    CPA_RETURN_NOT_OK(read_matrix(bank, M_, num_labels_, "lambda"));
+    const std::span<double> row = lambda.Row(k);
+    for (std::size_t m = 0; m < M_; ++m) {
+      for (std::size_t c = 0; c < num_labels_; ++c) {
+        const double value = bank(m, c);
+        if (!(value > 0.0)) {
+          return Status::InvalidArgument(StrFormat(
+              "checkpoint lambda(%zu, %zu, %zu) = %g is not positive", k, m, c, value));
+        }
+        row[c * M_ + m] = value;
+      }
+    }
   }
   CPA_RETURN_NOT_OK(read_matrix(zeta, T_, num_labels_, "zeta"));
   CPA_RETURN_NOT_OK(read_matrix(theta_a, T_, num_labels_, "theta_a"));

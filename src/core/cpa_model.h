@@ -10,7 +10,7 @@
 ///                                                  core/phi_rows.h)
 ///   ρ (Beta params of the π′ sticks, (M−1)×2)   → `rho`
 ///   υ (Beta params of the τ′ sticks, (T−1)×2)   → `upsilon`
-///   λ (Dirichlet params of ψ_tm, T×M×C)         → `lambda[t](m,c)`
+///   λ (Dirichlet params of ψ_tm, label-major)   → `lambda(t, c·M + m)`
 ///   E[ln ψ_tmc] (cached, label-major)           → `elog_psi(t, c·M + m)`
 ///   ζ (Dirichlet params of φ_t, T×C)            → `zeta`
 ///
@@ -27,6 +27,7 @@
 /// posterior accessors at the bottom.
 
 #include <cstddef>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -71,7 +72,11 @@ class CpaModel {
   PhiRows phi;                  ///< I × T responsibilities q(l_i = t), by support
   Matrix rho;                   ///< (M−1) × 2 Beta params of π′
   Matrix upsilon;               ///< (T−1) × 2 Beta params of τ′
-  std::vector<Matrix> lambda;   ///< T matrices of M × C Dirichlet params of ψ
+  /// Dirichlet params of ψ as T rows of C·M, in `elog_psi`'s label-major
+  /// layout: cell (t, c) holds the M communities contiguously at column
+  /// c·M, so Eq. 6 adds an answer's labels for all communities in vector
+  /// lanes (`answer_lambda_add`). Read λ_tm with `CopyLambdaRow`.
+  Matrix lambda;
   Matrix zeta;                  ///< T × C Dirichlet params of φ (multinomial channel)
 
   /// Beta-Bernoulli label channel: per (cluster, label) Beta(a, b)
@@ -93,15 +98,20 @@ class CpaModel {
   /// `evidence_scale`).
   std::vector<double> y_evidence_weight;
 
+  /// Copies λ_tm, the Dirichlet parameters of ψ_tm over the C labels, into
+  /// `out` (C doubles, contiguous).
+  void CopyLambdaRow(std::size_t t, std::size_t m, std::span<double> out) const;
+
   /// \name Cached expectations (call RefreshExpectations after mutating
   /// parameters).
   /// @{
   std::vector<double> elog_pi;   ///< E[ln π_m], length M
   std::vector<double> elog_tau;  ///< E[ln τ_t], length T
-  /// E[ln ψ_tmc] as T rows of C·M: cell (t, c) holds the M communities
-  /// contiguously at column c·M, so Eq. 2 adds an answer's labels for all
-  /// communities in vector lanes (simd.h, "Community-vectorised Eq. 2 and
-  /// Eq. 6"). Each value has `DirichletExpectedLog`'s bits for λ_t's row m.
+  /// E[ln ψ_tmc] in λ's layout, T rows of C·M: cell (t, c) holds the M
+  /// communities contiguously at column c·M, so Eq. 2 adds an answer's
+  /// labels for all communities in vector lanes (simd.h,
+  /// "Community-vectorised Eq. 2 and Eq. 6"). Each value has
+  /// `DirichletExpectedLog`'s bits for λ_tm.
   Matrix elog_psi;
   Matrix elog_theta;             ///< E[ln θ_tc]: T × C
   Matrix elog_not_theta;         ///< E[ln (1−θ_tc)]: T × C
@@ -147,9 +157,11 @@ class CpaModel {
   /// `SaveState` writes every variational parameter plus the calibrated θ
   /// prior; `RestoreState` overwrites them on a model `Create`d with the
   /// same dimensions and refreshes the cached expectations, so a restored
-  /// model is indistinguishable from the saved one. The layout keeps a slot
-  /// for the retired label-set-size prior: written empty, and read and
-  /// discarded, so blobs that carry one still restore.
+  /// model is indistinguishable from the saved one. λ is written as T banks
+  /// of M × C, each row one `CopyLambdaRow`, and a restore refuses any λ
+  /// entry that is not > 0. The layout keeps a slot for the retired
+  /// label-set-size prior: written empty, and read and discarded, so blobs
+  /// that carry one still restore.
   /// @{
   void SaveState(CheckpointWriter& writer) const;
   Status RestoreState(CheckpointReader& reader);

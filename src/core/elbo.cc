@@ -1,6 +1,7 @@
 #include "core/elbo.h"
 
 #include <cmath>
+#include <vector>
 
 #include "util/special_functions.h"
 
@@ -103,13 +104,15 @@ ElboTerms ComputeElboTerms(const CpaModel& model, const AnswerMatrix& answers) {
   // --- Dirichlet priors and entropies for ψ and φ.
   const double lambda0 = model.options().lambda0;
   const double log_beta_lambda0 = LogSymmetricBeta(lambda0, C);
+  std::vector<double> lambda_row(C);
   for (std::size_t t = 0; t < T; ++t) {
     const auto psi_row = model.elog_psi.Row(t);
     for (std::size_t m = 0; m < M; ++m) {
       double sum_elog = 0.0;
       for (std::size_t c = 0; c < C; ++c) sum_elog += psi_row[c * M + m];
       terms.dirichlet_priors += -log_beta_lambda0 + (lambda0 - 1.0) * sum_elog;
-      terms.entropy += DirichletEntropy(model.lambda[t].Row(m));
+      model.CopyLambdaRow(t, m, lambda_row);
+      terms.entropy += DirichletEntropy(lambda_row);
     }
   }
   // --- Beta-Bernoulli label channel: priors and entropies of θ_tc. (The

@@ -73,22 +73,22 @@ void ItemClusterLogWeightsOf(const CpaModel& model, const PredictionTables& tabl
     if (live != 1) std::fill(member_terms.begin(), member_terms.end(), kNegInf);
     for (std::size_t k = 0; k < scratch.active_count; ++k) {
       const std::size_t t = scratch.active_ids[k];
+      const auto psi_row = tables.log_psi_mean.Row(t);
       // ln Σ_m κ_um Π_c ψ̂_tmc  (log-sum-exp over communities).
       double term;
       if (live == 1) {
         // One live community: the log-sum-exp of a row with one finite
         // entry x is x + ln(exp(0)) = x, so the term is that entry. (A NaN
         // entry is skipped by the row max, which leaves −inf.)
-        const auto psi_row = tables.log_psi_mean[t].Row(scratch.live_communities[0]);
+        const std::size_t m = scratch.live_communities[0];
         term = scratch.live_log_kappa[0];
-        for (LabelId c : labels) term += psi_row[c];
+        for (LabelId c : labels) term += psi_row[c * M + m];
         if (std::isnan(term)) term = kNegInf;
       } else {
         for (std::size_t j = 0; j < live; ++j) {
           const std::size_t m = scratch.live_communities[j];
-          const auto psi_row = tables.log_psi_mean[t].Row(m);
           double loglik = scratch.live_log_kappa[j];
-          for (LabelId c : labels) loglik += psi_row[c];
+          for (LabelId c : labels) loglik += psi_row[c * M + m];
           member_terms[m] = loglik;
         }
         term = LogSumExp(member_terms);
@@ -144,15 +144,15 @@ PredictionTables BuildPredictionTables(const CpaModel& model) {
   const std::size_t T = model.num_clusters();
   const std::size_t M = model.num_communities();
   const std::size_t C = model.num_labels();
-  tables.log_psi_mean.assign(T, Matrix(M, C));
+  tables.log_psi_mean.Reset(T, C * M);
+  std::vector<double> lambda_row(C);
   for (std::size_t t = 0; t < T; ++t) {
+    const auto out = tables.log_psi_mean.Row(t);
     for (std::size_t m = 0; m < M; ++m) {
-      const auto lambda_row = model.lambda[t].Row(m);
-      const double total = Sum(lambda_row);
-      auto out = tables.log_psi_mean[t].Row(m);
-      const double log_total = SafeLog(total);
+      model.CopyLambdaRow(t, m, lambda_row);
+      const double log_total = SafeLog(Sum(lambda_row));
       for (std::size_t c = 0; c < C; ++c) {
-        out[c] = SafeLog(lambda_row[c]) - log_total;
+        out[c * M + m] = SafeLog(lambda_row[c]) - log_total;
       }
     }
   }

@@ -88,7 +88,9 @@ inline constexpr double kClusterPrune = 1e-10;
 
 /// Precomputed log posterior-mean parameters shared across items.
 struct PredictionTables {
-  std::vector<Matrix> log_psi_mean;  ///< T × (M × C)
+  /// ln ψ̂_tmc in λ's label-major layout (cpa_model.h): T rows of C·M, the
+  /// M communities of label c at column c·M.
+  Matrix log_psi_mean;
 };
 
 /// \brief Per-shard prediction buffers, checked out once and reused across

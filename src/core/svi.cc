@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/sweep/simd.h"
 #include "core/sweep/sweep_kernels.h"
 #include "core/sweep/sweep_scheduler.h"
 #include "engine/checkpoint.h"
@@ -22,6 +23,11 @@ constexpr std::size_t kMinAnswersForReliability = 4;
 /// paper finds r ∈ [0.85, 0.9] best and uses 0.875 in its scalability
 /// experiments (§4.1). No update reads ω_b (see svi.h).
 constexpr double kForgettingRate = 0.875;
+
+/// The batch λ step's cut: a (cluster, community) weight ϕ·κ below it adds
+/// nothing. It is not `sweep::kSkipMass`, the offline Eq. 6 cut; unifying
+/// the two would move online fits.
+constexpr double kBatchLambdaSkip = 1e-10;
 
 /// Workers per reliability shard: a worker's seen answers are few, so
 /// shards stay coarse enough to amortise the pool hand-off.
@@ -269,18 +275,18 @@ Status CpaOnline::ObserveBatch(const AnswerMatrix& answers,
   // early contributions are merely stale.
   // The view yields exactly the item's clusters with ϕ ≥ kSkipMass,
   // ascending — the same (cluster, weight) sequence as a T-wide ϕ scan.
+  // Each answer adds straight into λ through the Eq. 6 kernel of
+  // `sweep::UpdateLambda`; λ's cells are ≥ λ0 > 0, so the AVX2 variant's
+  // +0.0 lanes leave them as the skipping loop does (simd.h).
+  const simd::Kernels& kernels = simd::Active();
   for (std::size_t index : batch) {
     const auto labels = view_.labels(index);
-    const auto kappa_row = model.kappa.Row(view_.worker(index));
-    activity.ForEach(view_.item(index), [&](std::size_t t, double phi_weight) {
-      Matrix& bank = model.lambda[t];
-      for (std::size_t m = 0; m < M; ++m) {
-        const double weight = phi_weight * kappa_row[m];
-        if (weight < 1e-10) continue;
-        auto row = bank.Row(m);
-        for (LabelId c : labels) row[c] += weight;
-      }
-    });
+    const PhiRows::Entries active = activity.Of(view_.item(index));
+    kernels.answer_lambda_add(model.lambda.Data().data(), C * M, active.clusters.data(),
+                              active.weights.data(), active.clusters.size(),
+                              labels.data(), labels.size(),
+                              model.kappa.Row(view_.worker(index)).data(),
+                              kBatchLambdaSkip, M);
   }
 
   // ρ (Eqs. 11–12): exact over the workers seen so far (cheap: U × M).

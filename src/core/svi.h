@@ -21,7 +21,9 @@
 ///
 /// The sweep bodies (Eq. 2 κ rows, evidence-only ϕ rows, label-evidence
 /// accumulation) are the shared kernels of `core/sweep/sweep_kernels.h` —
-/// the same code the offline coordinate-ascent loop of vi.h runs — applied
+/// the same code the offline coordinate-ascent loop of vi.h runs — and the
+/// batch λ statistic is added by `sweep::UpdateLambda`'s Eq. 6 kernel
+/// (`simd::Kernels::answer_lambda_add`) straight into λ; all are applied
 /// to the answers seen so far through a flat `AnswerView`
 /// (`core/sweep/answer_view.h`) of the stream matrix.
 

@@ -74,10 +74,11 @@
 ///
 /// `answer_community_scores` (the κ row's answer term) and
 /// `answer_lambda_add` (one answer's λ statistic) read and write the
-/// label-major layout of `CpaModel::elog_psi`: cluster t's row holds, for
-/// every label c, the M communities contiguously at t·C·M + c·M. The
-/// communities are the vector lanes, so community m is lane m % 4 of its
-/// 4-block, and the tail of M % 4 communities is scalar:
+/// label-major layout of `CpaModel::lambda` and `CpaModel::elog_psi`:
+/// cluster t's row holds, for every label c, the M communities
+/// contiguously at t·C·M + c·M. The communities are the vector lanes, so
+/// community m is lane m % 4 of its 4-block, and the tail of M % 4
+/// communities is scalar:
 ///
 /// - `answer_community_scores` gives each community the per-element
 ///   operations of the per-(cluster, community) loop it replaces: an
@@ -88,9 +89,14 @@
 ///   w < `skip`. The scalar twin skips such a community; the AVX2 variant
 ///   adds +0.0 in its lane instead (a block with no lane at or above
 ///   `skip` is skipped whole). x + (+0.0) is x for every x but −0.0, and
-///   the λ partials never hold −0.0: each starts at +0.0 and only takes
-///   adds of w ≥ `skip` > 0 (or a NaN, which stays NaN). So both variants
-///   leave every partial with the same bits as the skipping loop.
+///   no cell it writes holds −0.0. It writes two kinds: the λ REDUCE
+///   partials of `sweep::UpdateLambda`, each starting at +0.0, and, in
+///   the online learner's batch step, `model.lambda` itself, whose cells
+///   are ≥ λ0 > 0 (`Create` and `sweep::UpdateLambda` start them at λ0
+///   or above, and `CpaModel::RestoreState` refuses any entry not > 0).
+///   Either only takes adds of w ≥ `skip` > 0 (or a NaN, which stays
+///   NaN). So both variants leave every cell with the same bits as the
+///   skipping loop.
 ///
 /// A kernel that cannot keep this contract ships scalar-only. The contract
 /// is enforced by `tests/core/simd_kernels_test.cc`: exact scalar↔AVX2
@@ -186,8 +192,8 @@ struct Kernels {
                                   const std::uint32_t* clusters, const double* weights,
                                   std::size_t count, const std::uint32_t* labels,
                                   std::size_t num_labels, double* scores, std::size_t M);
-  /// Eq. 6's statistic of one answer into a λ partial in the same layout:
-  /// for every k and m, with w = weights[k]·kappa[m], each labelled cell
+  /// Eq. 6's statistic of one answer into λ or a λ partial, in the same
+  /// layout: for every k and m, with w = weights[k]·kappa[m], each labelled cell
   /// cells[clusters[k]·stride + labels[j]·M + m] += w unless w < `skip`.
   /// No cell may hold −0.0 (see "Community-vectorised Eq. 2 and Eq. 6").
   void (*answer_lambda_add)(double* cells, std::size_t stride,

@@ -485,7 +485,7 @@ void UpdateLambda(CpaModel& model, const AnswerView& view,
   const std::size_t M = model.num_communities();
   const std::size_t C = model.num_labels();
   const double prior = model.options().lambda0;
-  for (auto& bank : model.lambda) bank.Fill(prior);
+  model.lambda.Fill(prior);
   // Each partial is a full copy of the λ statistic (T × M × C doubles), so
   // the block count is additionally capped to keep the transient scratch
   // within a few multiples of λ itself — `CpaOptions::Recommended` sizes λ
@@ -496,10 +496,10 @@ void UpdateLambda(CpaModel& model, const AnswerView& view,
   const std::size_t bank_entries = std::max<std::size_t>(1, T * M * C);
   const std::size_t max_blocks = std::clamp<std::size_t>(
       kLambdaScratchEntryBudget / bank_entries, 1, SweepScheduler::kMaxReduceBlocks);
-  // Each partial is one flat T×C×M arena checkout in the E ln ψ table's
-  // label-major layout (cell (t, c) at (t·C + c)·M), so one answer adds
-  // all communities of a label in vector lanes (`answer_lambda_add`). It
-  // is the heaviest scratch of the whole engine, and the reason the reduce
+  // Each partial is one flat T×C×M arena checkout in λ's label-major
+  // layout (cell (t, c) at (t·C + c)·M), so one answer adds all
+  // communities of a label in vector lanes (`answer_lambda_add`). It is
+  // the heaviest scratch of the whole engine, and the reason the reduce
   // arena exists: steady-state sweeps reuse the warm slabs instead of
   // re-allocating megabytes per call.
   const simd::Kernels& kernels = simd::Active();
@@ -521,15 +521,8 @@ void UpdateLambda(CpaModel& model, const AnswerView& view,
         simd::Accumulate(into, from);
       },
       [&](std::span<double>& root) {
-        // The one transpose back to λ's M × C banks: each entry takes the
-        // root's value in one add onto the prior, as the merge would.
-        for (std::size_t t = 0; t < T; ++t) {
-          const std::span<const double> cells = root.subspan(t * C * M, C * M);
-          const std::span<double> bank = model.lambda[t].Data();
-          for (std::size_t m = 0; m < M; ++m) {
-            for (std::size_t c = 0; c < C; ++c) bank[m * C + c] += cells[c * M + m];
-          }
-        }
+        // Each cell takes the root's value in one add onto the prior.
+        simd::Accumulate(model.lambda.Data(), root);
       },
       max_blocks);
 }

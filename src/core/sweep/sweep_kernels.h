@@ -179,8 +179,8 @@ void SticksFromMass(Matrix& sticks, std::span<const double> mass,
                     double concentration);
 
 /// Eq. 6: λ from scratch over every answer of the view. The partials are
-/// reduced in `elog_psi`'s label-major layout (`answer_lambda_add`) and
-/// transposed once into λ's banks.
+/// reduced in λ's label-major layout (`answer_lambda_add`), and the root
+/// is added onto the prior in one `simd::Accumulate`.
 void UpdateLambda(CpaModel& model, const AnswerView& view,
                   const ClusterActivity& activity, const SweepScheduler& scheduler);
 

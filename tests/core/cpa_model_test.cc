@@ -4,11 +4,13 @@
 #include <cmath>
 #include <cstring>
 #include <span>
+#include <string>
 #include <utility>
 
 #include <gtest/gtest.h>
 
 #include "core/sweep/sweep_scheduler.h"
+#include "engine/checkpoint.h"
 #include "util/rng.h"
 #include "util/special_functions.h"
 #include "util/thread_pool.h"
@@ -55,9 +57,8 @@ TEST(CpaModelTest, CreateShapes) {
   EXPECT_EQ(m.phi.cols(), 4u);
   EXPECT_EQ(m.rho.rows(), 4u);     // M - 1
   EXPECT_EQ(m.upsilon.rows(), 3u); // T - 1
-  EXPECT_EQ(m.lambda.size(), 4u);
-  EXPECT_EQ(m.lambda[0].rows(), 5u);
-  EXPECT_EQ(m.lambda[0].cols(), 6u);
+  EXPECT_EQ(m.lambda.rows(), 4u);   // T
+  EXPECT_EQ(m.lambda.cols(), 30u);  // C·M
   EXPECT_EQ(m.zeta.rows(), 4u);
   EXPECT_EQ(m.zeta.cols(), 6u);
 }
@@ -173,19 +174,22 @@ TEST(CpaModelTest, ElogPsiCellsHoldEachCommunitysDirichletExpectation) {
   ASSERT_TRUE(created.ok());
   CpaModel m = std::move(created).value();
   Rng rng(17);
-  for (auto& bank : m.lambda) {
-    for (double& v : bank.Data()) v = 0.05 + 4.0 * rng.NextDouble();
-  }
+  for (double& v : m.lambda.Data()) v = 0.05 + 4.0 * rng.NextDouble();
   m.RefreshExpectations(SweepScheduler());
   const std::size_t M = m.num_communities();
   const std::size_t C = m.num_labels();
   ASSERT_EQ(m.elog_psi.rows(), m.num_clusters());
   ASSERT_EQ(m.elog_psi.cols(), C * M);
+  std::vector<double> lambda_row(C);
   std::vector<double> expected(C);
   for (std::size_t t = 0; t < m.num_clusters(); ++t) {
     for (std::size_t k = 0; k < M; ++k) {
       SCOPED_TRACE(testing::Message() << "t=" << t << " m=" << k);
-      DirichletExpectedLog(m.lambda[t].Row(k), expected);
+      m.CopyLambdaRow(t, k, lambda_row);
+      for (std::size_t c = 0; c < C; ++c) {
+        ASSERT_EQ(lambda_row[c], m.lambda(t, c * M + k)) << "c=" << c;
+      }
+      DirichletExpectedLog(lambda_row, expected);
       for (std::size_t c = 0; c < C; ++c) {
         const double cell = m.elog_psi(t, c * M + k);
         ASSERT_EQ(std::memcmp(&cell, &expected[c], sizeof(double)), 0) << "c=" << c;
@@ -236,11 +240,14 @@ TEST(CpaModelTest, CreateMatchesTheDenseInitialisationBitForBit) {
     const std::vector<double> row = m.phi.DenseRow(i);
     EXPECT_EQ(std::memcmp(row.data(), phi.Row(i).data(), T * sizeof(double)), 0);
   }
+  std::vector<double> lambda_row(C);
   for (std::size_t t = 0; t < T; ++t) {
-    EXPECT_EQ(std::memcmp(m.lambda[t].Data().data(), lambda[t].Data().data(),
-                          lambda[t].size() * sizeof(double)),
-              0)
-        << t;
+    for (std::size_t k = 0; k < M; ++k) {
+      m.CopyLambdaRow(t, k, lambda_row);
+      EXPECT_EQ(
+          std::memcmp(lambda_row.data(), lambda[t].Row(k).data(), C * sizeof(double)), 0)
+          << "t=" << t << " m=" << k;
+    }
   }
 }
 
@@ -253,9 +260,7 @@ TEST(CpaModelTest, ShardedRefreshMatchesInlineBitForBit) {
   ASSERT_TRUE(created.ok());
   CpaModel model = std::move(created).value();
   Rng rng(31);
-  for (auto& bank : model.lambda) {
-    for (double& v : bank.Data()) v = 0.05 + 4.0 * rng.NextDouble();
-  }
+  for (double& v : model.lambda.Data()) v = 0.05 + 4.0 * rng.NextDouble();
   for (double& v : model.theta_a.Data()) v = 0.05 + 4.0 * rng.NextDouble();
   for (double& v : model.theta_b.Data()) v = 0.05 + 4.0 * rng.NextDouble();
   for (double& v : model.upsilon.Data()) v = 0.5 + 3.0 * rng.NextDouble();
@@ -282,6 +287,46 @@ TEST(CpaModelTest, ShardedRefreshMatchesInlineBitForBit) {
                            inline_model.elog_theta_delta_t.Data()));
     EXPECT_TRUE(bits_equal(sharded.bernoulli_profile.Data(),
                            inline_model.bernoulli_profile.Data()));
+  }
+}
+
+TEST(CpaModelTest, RestoreRefusesLambdaEntriesThatAreNotPositive) {
+  // λ holds Dirichlet parameters: a blob with one λ entry flipped to 0,
+  // −0.0, a negative or NaN is refused, naming λ. The intact blob restores
+  // λ bit for bit.
+  auto created = CpaModel::Create(5, 4, 6, SmallOptions());
+  ASSERT_TRUE(created.ok());
+  CpaModel model = std::move(created).value();
+  const std::size_t M = model.num_communities();
+  const double sentinel = 7.3125;  // no other entry of the blob holds it
+  model.lambda(2, 4 * M + 3) = sentinel;
+  CheckpointWriter writer;
+  model.SaveState(writer);
+  const std::string blob = writer.bytes();
+  CheckpointWriter sentinel_writer;
+  sentinel_writer.WriteDouble(sentinel);
+  const std::size_t offset = blob.find(sentinel_writer.bytes());
+  ASSERT_NE(offset, std::string::npos);
+  ASSERT_EQ(blob.find(sentinel_writer.bytes(), offset + 1), std::string::npos);
+
+  CpaModel restored = CpaModel::Create(5, 4, 6, SmallOptions()).value();
+  CheckpointReader intact(blob);
+  ASSERT_TRUE(restored.RestoreState(intact).ok());
+  EXPECT_EQ(std::memcmp(restored.lambda.Data().data(), model.lambda.Data().data(),
+                        model.lambda.size() * sizeof(double)),
+            0);
+
+  for (const double bad : {0.0, -0.0, -1.0, std::nan("")}) {
+    SCOPED_TRACE(bad);
+    CheckpointWriter bad_writer;
+    bad_writer.WriteDouble(bad);
+    std::string flipped = blob;
+    flipped.replace(offset, bad_writer.bytes().size(), bad_writer.bytes());
+    CpaModel fresh = CpaModel::Create(5, 4, 6, SmallOptions()).value();
+    CheckpointReader reader(flipped);
+    const Status status = fresh.RestoreState(reader);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("lambda"), std::string::npos) << status.message();
   }
 }
 

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <span>
 
 #include "data/dataset.h"
 
@@ -263,17 +264,17 @@ TEST(PredictLabelsTest, ParallelAndArenaPathsAreBitIdentical) {
 /// computed it before the live-community rewrite: an M-wide row with −inf
 /// for dead communities and ln κ_um + Σ_c ln ψ̂_tmc elsewhere, then
 /// `LogSumExp`.
-double DenseCommunityTerm(std::span<const double> kappa_row, const Matrix& log_psi_t,
-                          const LabelSet& labels) {
-  std::vector<double> member_terms(kappa_row.size());
-  for (std::size_t m = 0; m < kappa_row.size(); ++m) {
+double DenseCommunityTerm(std::span<const double> kappa_row,
+                          std::span<const double> log_psi_t, const LabelSet& labels) {
+  const std::size_t M = kappa_row.size();
+  std::vector<double> member_terms(M);
+  for (std::size_t m = 0; m < M; ++m) {
     if (kappa_row[m] <= 0.0) {
       member_terms[m] = -std::numeric_limits<double>::infinity();
       continue;
     }
-    const auto psi_row = log_psi_t.Row(m);
     double loglik = std::log(kappa_row[m]);
-    for (LabelId c : labels) loglik += psi_row[c];
+    for (LabelId c : labels) loglik += log_psi_t[c * M + m];
     member_terms[m] = loglik;
   }
   return LogSumExp(member_terms);
@@ -296,8 +297,8 @@ std::vector<double> DenseItemLogWeights(const CpaModel& model,
     const Answer& a = answers.answer(index);
     for (std::size_t t = 0; t < T; ++t) {
       if (phi_row[t] < internal::kClusterPrune) continue;
-      log_weights[t] +=
-          DenseCommunityTerm(model.kappa.Row(a.worker), tables.log_psi_mean[t], a.labels);
+      log_weights[t] += DenseCommunityTerm(model.kappa.Row(a.worker),
+                                           tables.log_psi_mean.Row(t), a.labels);
     }
   }
   return log_weights;

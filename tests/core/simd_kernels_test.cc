@@ -406,9 +406,7 @@ TEST_F(SimdKernelsTest, FitCpaBitIdenticalScalarVsAvx2) {
   EXPECT_DOUBLE_EQ(a.zeta.MaxAbsDiff(b.zeta), 0.0);
   EXPECT_DOUBLE_EQ(a.theta_a.MaxAbsDiff(b.theta_a), 0.0);
   EXPECT_DOUBLE_EQ(a.theta_b.MaxAbsDiff(b.theta_b), 0.0);
-  for (std::size_t t = 0; t < a.num_clusters(); ++t) {
-    EXPECT_DOUBLE_EQ(a.lambda[t].MaxAbsDiff(b.lambda[t]), 0.0) << t;
-  }
+  EXPECT_DOUBLE_EQ(a.lambda.MaxAbsDiff(b.lambda), 0.0);
 }
 
 /// ϕ row `i` of `a` and of `b` are stored alike (form, bits, runs).
@@ -690,15 +688,81 @@ TEST_F(SimdKernelsTest, AnswerLambdaAddExactlyMatchesScalarAndTheSkippingLoop) {
   }
 }
 
+// The batch λ step of the online learner: the kernel adds into λ itself,
+// whose cells start at λ0 + jitter (never +0.0 or −0.0), with the learner's
+// 1e-10 cut. Scalar and AVX2 must leave every cell with the bits of the
+// M × C bank loop the learner ran before.
+TEST_F(SimdKernelsTest, AnswerLambdaAddOntoPriorCellsMatchesTheBankLoop) {
+  constexpr double kBatchSkip = 1e-10;
+  constexpr double kLambda0 = 0.1;
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (std::size_t M : kCommunityCounts) {
+    const std::size_t stride = kLabels * M;
+    // Weights at, just below and far below the cut, a subnormal and a zero.
+    std::vector<double> kappa(M);
+    for (double& v : kappa) v = unit(rng_) < 0.5 ? unit(rng_) : 1e-12 * unit(rng_);
+    kappa[0] = 1.0;
+    if (M > 1) kappa[1] = kBatchSkip;
+    if (M > 2) kappa[2] = std::nextafter(kBatchSkip, 0.0);
+    if (M > 3) kappa[3] = std::numeric_limits<double>::denorm_min();
+    if (M > 4) kappa[4] = 0.0;
+    std::vector<Matrix> banks(kClusters, Matrix(M, kLabels));
+    std::vector<double> a(kClusters * stride);
+    for (std::size_t t = 0; t < kClusters; ++t) {
+      for (std::size_t m = 0; m < M; ++m) {
+        for (std::size_t c = 0; c < kLabels; ++c) {
+          const double cell = kLambda0 + 0.01 * kLambda0 * unit(rng_);
+          banks[t](m, c) = cell;
+          a[t * stride + c * M + m] = cell;
+        }
+      }
+    }
+    std::vector<double> b = a;
+    for (int answer = 0; answer < 3; ++answer) {
+      for (const ClusterRun& run : ClusterRuns(rng_)) {
+        for (const auto& labels : LabelLists()) {
+          scalar_.answer_lambda_add(a.data(), stride, run.clusters.data(),
+                                    run.weights.data(), run.clusters.size(),
+                                    labels.data(), labels.size(), kappa.data(),
+                                    kBatchSkip, M);
+          avx2_.answer_lambda_add(b.data(), stride, run.clusters.data(),
+                                  run.weights.data(), run.clusters.size(),
+                                  labels.data(), labels.size(), kappa.data(), kBatchSkip,
+                                  M);
+          for (std::size_t k = 0; k < run.clusters.size(); ++k) {
+            Matrix& bank = banks[run.clusters[k]];
+            for (std::size_t m = 0; m < M; ++m) {
+              const double weight = run.weights[k] * kappa[m];
+              if (weight < kBatchSkip) continue;
+              for (std::uint32_t c : labels) bank(m, c) += weight;
+            }
+          }
+        }
+      }
+    }
+    for (std::size_t t = 0; t < kClusters; ++t) {
+      for (std::size_t c = 0; c < kLabels; ++c) {
+        for (std::size_t m = 0; m < M; ++m) {
+          const std::size_t cell = t * stride + c * M + m;
+          ASSERT_TRUE(BitEqual(a[cell], b[cell])) << "M=" << M << " cell=" << cell;
+          ASSERT_TRUE(BitEqual(a[cell], banks[t](m, c))) << "M=" << M << " cell=" << cell;
+        }
+      }
+    }
+  }
+}
+
 /// Eq. 2's κ row as it was computed before the label-major table: one M × C
 /// matrix of E ln ψ per cluster, and the per-community loop over them.
 std::vector<double> PerCommunityKappaRow(const CpaModel& model, const AnswerView& view,
                                          WorkerId u) {
   const std::size_t M = model.num_communities();
   std::vector<Matrix> elog_psi(model.num_clusters(), Matrix(M, model.num_labels()));
+  std::vector<double> lambda_row(model.num_labels());
   for (std::size_t t = 0; t < model.num_clusters(); ++t) {
     for (std::size_t m = 0; m < M; ++m) {
-      DirichletExpectedLog(model.lambda[t].Row(m), elog_psi[t].Row(m));
+      model.CopyLambdaRow(t, m, lambda_row);
+      DirichletExpectedLog(lambda_row, elog_psi[t].Row(m));
     }
   }
   const sweep::ClusterActivity activity{&model.phi, sweep::kSkipMass};

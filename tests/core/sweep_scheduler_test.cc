@@ -234,12 +234,9 @@ TEST(ScratchArenaReuseTest, LambdaReduceIdenticalForArenaAndHeapScratch) {
     sweep::UpdateLambda(model, view, activity, scheduler);
     return model.lambda;
   };
-  const auto arena_lambda = lambda_with(ScratchArena::Mode::kReuse);
-  const auto heap_lambda = lambda_with(ScratchArena::Mode::kHeap);
-  ASSERT_EQ(arena_lambda.size(), heap_lambda.size());
-  for (std::size_t t = 0; t < arena_lambda.size(); ++t) {
-    EXPECT_DOUBLE_EQ(arena_lambda[t].MaxAbsDiff(heap_lambda[t]), 0.0) << t;
-  }
+  const Matrix arena_lambda = lambda_with(ScratchArena::Mode::kReuse);
+  const Matrix heap_lambda = lambda_with(ScratchArena::Mode::kHeap);
+  EXPECT_DOUBLE_EQ(arena_lambda.MaxAbsDiff(heap_lambda), 0.0);
 }
 
 TEST(SweepDeterminismTest, FitCpaIdenticalForOneAndFourThreads) {
@@ -268,9 +265,7 @@ TEST(SweepDeterminismTest, FitCpaIdenticalForOneAndFourThreads) {
   EXPECT_DOUBLE_EQ(MaxAbsDiff(a.value().phi, b.value().phi), 0.0);
   EXPECT_DOUBLE_EQ(a.value().zeta.MaxAbsDiff(b.value().zeta), 0.0);
   EXPECT_DOUBLE_EQ(a.value().theta_a.MaxAbsDiff(b.value().theta_a), 0.0);
-  for (std::size_t t = 0; t < a.value().num_clusters(); ++t) {
-    EXPECT_DOUBLE_EQ(a.value().lambda[t].MaxAbsDiff(b.value().lambda[t]), 0.0) << t;
-  }
+  EXPECT_DOUBLE_EQ(a.value().lambda.MaxAbsDiff(b.value().lambda), 0.0);
 }
 
 /// The (cluster, weight) pairs of row `i` at or above `threshold`, by a
